@@ -34,12 +34,12 @@ def invert_legs(legs):
     return [(j, -t) for j, t in reversed(legs)]
 
 
-def c_map(system, tau, letters, x, fast=False, steps=8):
+def c_map(system, tau, letters, x):
     """Group-commutator composition of generator flows at parameter tau >= 0."""
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     letters = check_word(letters, alphabet=system.m)
-    return system.compose_flows(c_map_legs(letters, tau), x, fast=fast, steps=steps)
+    return system.compose_flows(c_map_legs(letters, tau), x)
 
 
 def exp_ap_legs(t, w):
@@ -50,10 +50,10 @@ def exp_ap_legs(t, w):
     return legs if t >= 0 else invert_legs(legs)
 
 
-def exp_ap(system, t, w, x, fast=False, steps=8):
+def exp_ap(system, t, w, x):
     """Approximate exponential of the nested commutator of ``w`` at time t."""
     w = check_word(w, alphabet=system.m)
-    return system.compose_flows(exp_ap_legs(t, w), x, fast=fast, steps=steps)
+    return system.compose_flows(exp_ap_legs(t, w), x)
 
 
 class CommutatorFrame:
@@ -100,8 +100,8 @@ def in_box(h, degrees, eps):
     return box_norm(h, degrees) < eps
 
 
-def e_map(frame, I, x, r, h, fast=False, steps=8):
-    """Almost-exponential chart: chained approximate exponentials.
+def e_map(frame, I, x, r, h):
+    """Almost-exponential chart: chained approximate exponentials (DOPRI5 legs).
 
     The last frame entry is applied to x first.  Scaling: entry k of degree
     l contributes legs at times |h_k|**(1/l) * r over the original
@@ -114,7 +114,7 @@ def e_map(frame, I, x, r, h, fast=False, steps=8):
     for k in range(len(I) - 1, -1, -1):
         w = frame.word(I[k])
         t_eff = h[k] * r ** len(w)
-        y = exp_ap(frame.system, t_eff, w, y, fast=fast, steps=steps)
+        y = exp_ap(frame.system, t_eff, w, y)
     return y
 
 
@@ -149,7 +149,7 @@ def e_map_batch(frame, I, x, r, H, steps=4):
     return Y
 
 
-def jacobian_e(frame, I, x, r, h, delta=1e-5, fast=False, steps=8):
+def jacobian_e(frame, I, x, r, h, delta=1e-5):
     """Central-difference Jacobian of the chart at h, plus its determinant."""
     I = frame.check_index_tuple(I)
     n = frame.system.n
@@ -160,8 +160,8 @@ def jacobian_e(frame, I, x, r, h, delta=1e-5, fast=False, steps=8):
         hp, hm = list(h), list(h)
         hp[k] += d
         hm[k] -= d
-        yp = np.asarray(e_map(frame, I, x, r, hp, fast=fast, steps=steps))
-        ym = np.asarray(e_map(frame, I, x, r, hm, fast=fast, steps=steps))
+        yp = np.asarray(e_map(frame, I, x, r, hp))
+        ym = np.asarray(e_map(frame, I, x, r, hm))
         cols.append((yp - ym) / (2 * d))
     J = np.stack(cols, axis=1)
     return J, float(np.linalg.det(J))

@@ -19,7 +19,7 @@ from itertools import product
 
 import numpy as np
 
-from . import acceptance
+from . import __version__, acceptance
 from .approxexp import CommutatorFrame, box_norm, jacobian_e, e_map
 from .ballbox import doubling_ratio, inclusion_check, poincare_suite, select_maximal
 from .freelie import (
@@ -35,8 +35,6 @@ from .ncpoly import NCPoly, is_trivial
 from .poly import Poly
 from .vfield import MODEL_BUILDERS, load_model
 from .words import pi_table
-
-VERSION = "0.1.0"
 
 
 class UsageError(Exception):
@@ -60,16 +58,19 @@ def _parse_word(text):
 def _load_system(name):
     try:
         return load_model(name)
-    except FileNotFoundError:
+    except OSError:
         raise UsageError(
             f"unknown model {name!r}: not a registry name "
             f"({', '.join(sorted(MODEL_BUILDERS))}) nor a readable file"
         )
+    # json.JSONDecodeError is a ValueError
+    except (ValueError, KeyError, TypeError) as exc:
+        raise UsageError(f"malformed model file {name!r}: {type(exc).__name__}: {exc}")
 
 
 def _report(args, command, payload):
     rep = {
-        "version": VERSION,
+        "version": __version__,
         "command": command,
         "config": {
             k: v for k, v in sorted(vars(args).items())
@@ -317,25 +318,18 @@ def cmd_distance(args):
     system = _load_system(args.model)
     x = _parse_floats(getattr(args, "from"))
     y = _parse_floats(args.to)
-    if args.kind == "fl":
-        est = fl_distance(system, x, y, max_segments=args.segments, seed=args.seed)
-    elif args.kind == "cc":
-        fl = fl_distance(system, x, y, max_segments=args.segments, seed=args.seed)
+    est = fl_distance(system, x, y, max_segments=args.segments, seed=args.seed)
+    if args.kind != "fl":
         est = cc_distance(
             system, x, y, segments=args.segments, seed=args.seed,
-            fl_cert=fl.certificate if fl.ok() else None,
+            fl_cert=est.certificate if est.ok() else None,
         )
-    else:
-        frame = CommutatorFrame(system)
-        fl = fl_distance(system, x, y, max_segments=args.segments, seed=args.seed)
-        cc = cc_distance(
-            system, x, y, segments=args.segments, seed=args.seed,
-            fl_cert=fl.certificate if fl.ok() else None,
-        )
+    if args.kind == "rho":
         est = rho_distance(
-            system, frame, x, y, segments=args.segments, seed=args.seed,
-            cc_cert=cc.certificate if cc.ok() else None,
-            cc_value=cc.value if cc.ok() else None,
+            system, CommutatorFrame(system), x, y, segments=args.segments,
+            seed=args.seed,
+            cc_cert=est.certificate if est.ok() else None,
+            cc_value=est.value if est.ok() else None,
         )
     rep = _report(args, "distance", {
         "kind": est.kind,
@@ -440,14 +434,13 @@ def build_parser():
         description="Exact commutator identities and ball-box experiments "
         "on polynomial vector-field models.",
     )
-    p.add_argument("--version", action="version", version=f"liebox {VERSION}")
+    p.add_argument("--version", action="version", version=f"liebox {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, seeded=True):
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", default=None, help="write report to this path")
         sp.add_argument("--no-timestamp", action="store_true")
-        sp.add_argument("--workers", type=int, default=1)
         if seeded:
             sp.add_argument("--seed", type=int, default=0)
 
@@ -461,6 +454,7 @@ def build_parser():
                     choices=("otto", "j2", "f", "baker", "giochetto"))
     sp.add_argument("--max-degree", type=int, default=5)
     sp.add_argument("--alphabet", type=int, default=3)
+    sp.add_argument("--workers", type=int, default=1)
     common(sp, seeded=False)
     sp.set_defaults(func=cmd_identities)
 

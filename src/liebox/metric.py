@@ -528,10 +528,7 @@ def ball_membership(
         try:
             dH = np.linalg.solve(J, R[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            dH, *_ = np.linalg.lstsq(
-                J.reshape(-1, n), R.reshape(-1), rcond=None
-            )
-            dH = dH.reshape(N, n)
+            dH = (np.linalg.pinv(J) @ R[..., None])[..., 0]
         cap = np.maximum(np.abs(dH).max(axis=1), 1e-300)
         dH *= np.minimum(1.0, 0.5 / cap)[:, None]
         H = H + dH

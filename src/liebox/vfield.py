@@ -171,11 +171,11 @@ class VectorFieldSystem:
             fn, t, x, rtol=c.rtol, atol=c.atol, box=c.box, max_steps=c.max_steps
         )
 
-    def compose_flows(self, legs, x, fast=False, steps=32):
+    def compose_flows(self, legs, x):
         """Apply flow legs (signed letter, time) in sequence, first leg first."""
         y = tuple(float(v) for v in x)
         for j, t in legs:
-            y = self.flow(j, t, y, fast=fast, steps=steps)
+            y = self.flow(j, t, y)
         return y
 
     # -- limit and expansion checks ---------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import liebox.ballbox as ballbox
 from liebox.approxexp import CommutatorFrame
 from liebox.ballbox import (
     HormanderError,
@@ -11,12 +12,14 @@ from liebox.ballbox import (
     doubling_ratio,
     express_in_frame,
     inclusion_check,
+    invert_chart,
     lambda_I,
     lambda_vector,
     maximality_stability,
     newton_invert,
     nu,
     poincare_check,
+    sample_rho_targets,
     select_maximal,
 )
 from liebox.poly import Poly, PolyMap
@@ -25,10 +28,17 @@ from liebox.vfield import VectorFieldSystem, load_model
 HEIS = load_model("heisenberg")
 GRUSHIN = load_model("grushin")
 FLAT3 = load_model("flat3")
+ENGEL = load_model("engel")
 HEIS_FRAME = CommutatorFrame(HEIS)
 GRUSHIN_FRAME = CommutatorFrame(GRUSHIN)
 FLAT3_FRAME = CommutatorFrame(FLAT3)
+ENGEL_FRAME = CommutatorFrame(ENGEL)
 ORIGIN3 = (0.0, 0.0, 0.0)
+# (system, frame, center) at radius 0.5, eps 0.3, c 0.05
+CHART_CASES = {
+    "heisenberg": (HEIS, HEIS_FRAME, ORIGIN3),
+    "engel": (ENGEL, ENGEL_FRAME, (0.0, 0.0, 0.0, 0.0)),
+}
 
 
 def test_lambda_known_values():
@@ -87,6 +97,67 @@ def test_newton_invert_recovers_box_point():
     out = newton_invert(HEIS_FRAME, I, ORIGIN3, r, y, eps=0.3)
     assert out["converged"]
     assert np.allclose(out["h"], h_true, atol=1e-7)
+
+
+def _chart_targets(name, count, seed=9):
+    system, frame, x = CHART_CASES[name]
+    I = select_maximal(frame, x, 0.5).I
+    scale = 0.05 * 0.3**system.s * 0.5
+    return frame, I, x, sample_rho_targets(system, frame, x, scale, count, seed)
+
+
+@pytest.mark.parametrize("name", sorted(CHART_CASES))
+def test_invert_chart_rows_match_single_target_solves(name):
+    frame, I, x, Y = _chart_targets(name, 12)
+    H, res, ok = invert_chart(frame, I, x, 0.5, Y)
+    assert H.shape == Y.shape and res.shape == ok.shape == (12,)
+    assert ok.all()
+    for k, y in enumerate(Y):
+        out = newton_invert(frame, I, x, 0.5, y, eps=0.3)
+        assert np.array_equal(out["h"], H[k])
+        assert out["converged"] == ok[k]
+
+
+def test_invert_chart_target_at_center_is_zero():
+    for name in sorted(CHART_CASES):
+        _, frame, x = CHART_CASES[name]
+        I = select_maximal(frame, x, 0.5).I
+        H, res, ok = invert_chart(frame, I, x, 0.5, [x])
+        assert not H.any() and res[0] == 0.0 and ok[0]
+
+
+def test_invert_chart_singular_batch_falls_back_per_row(monkeypatch):
+    frame, I, x, Y = _chart_targets("heisenberg", 6)
+    ref = invert_chart(frame, I, x, 0.5, Y)
+    solve = np.linalg.solve
+
+    def batch_singular(A, b):
+        if np.ndim(A) > 2:
+            raise np.linalg.LinAlgError("forced")
+        return solve(A, b)
+
+    monkeypatch.setattr(np.linalg, "solve", batch_singular)
+    H, res, ok = invert_chart(frame, I, x, 0.5, Y)
+    assert np.array_equal(H, ref[0]) and np.array_equal(ok, ref[2])
+
+
+@pytest.mark.parametrize("name", sorted(CHART_CASES))
+def test_inclusion_check_matches_single_target_loop(name, monkeypatch):
+    system, frame, x = CHART_CASES[name]
+    I = select_maximal(frame, x, 0.5).I
+    args = (system, frame, I, x, 0.5)
+    batched = inclusion_check(*args, eps=0.3, c=0.05, samples=200, seed=9)
+    one = ballbox.invert_chart
+
+    def per_target(frame, I, x, r, Y):
+        rows = [one(frame, I, x, r, [y]) for y in Y]
+        return tuple(np.concatenate(parts) for parts in zip(*rows))
+
+    monkeypatch.setattr(ballbox, "invert_chart", per_target)
+    looped = inclusion_check(*args, eps=0.3, c=0.05, samples=200, seed=9)
+    for key in ("solved_fraction", "worst_box_norm", "collisions"):
+        assert batched[key] == looped[key]
+    assert batched["solved_fraction"] == 1.0 and batched["collisions"] == 0
 
 
 def test_inclusion_check_heisenberg():

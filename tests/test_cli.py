@@ -207,6 +207,25 @@ def test_unknown_model_exits_2(capsys):
     assert "unknown model" in err
 
 
+def test_malformed_model_file_exits_2(tmp_path, capsys):
+    bad_count = {"name": "bad", "n": 2, "m": 2, "s": 1, "fields": [
+        [[{"exps": [0, 0], "coeff": "1"}], []],
+    ]}
+    for name, text in (("count.json", json.dumps(bad_count)),
+                       ("nokey.json", json.dumps({"n": 2})),
+                       ("type.json", json.dumps({"n": 2, "m": 1, "s": 1, "fields": 7})),
+                       ("syntax.json", "{not json")):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run_cli(
+            capsys, "flow", "--model", str(path), "--field", "1", "--t", "0.1",
+            "--at", "0,0",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: malformed model file")
+        assert err.count("\n") == 1
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["distance", "--kind", "nope", "--model", "heisenberg",

@@ -159,6 +159,24 @@ def test_ball_membership_roundtrip_and_dilation():
     assert (m1 == m2).all()
 
 
+def test_ball_membership_singular_fallback_solves_each_row(monkeypatch):
+    rng = np.random.default_rng(12)
+    r = 0.25
+    M = chart_leg_count(HEIS_FRAME, HEIS_I)
+    Hin = rng.uniform(-1, 1, size=(5, 3)) * (0.5 / M) ** np.array([1.0, 1.0, 2.0])
+    pts = np.vstack([e_map_batch(HEIS_FRAME, HEIS_I, ORIGIN, r, Hin), [[0.9, 0.9, 0.9]]])
+    ref, H_ref, _ = ball_membership(HEIS, HEIS_FRAME, HEIS_I, ORIGIN, r, pts)
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    mask, H, _ = ball_membership(HEIS, HEIS_FRAME, HEIS_I, ORIGIN, r, pts)
+    assert mask.shape == (6,)
+    assert (mask == ref).all() and mask[:5].all() and not mask[5]
+    assert np.abs(H[:5] - H_ref[:5]).max() < 1e-10
+
+
 def test_fefferman_phong_bounded():
     directions = [
         (1.0, 0.0, 0.0),

@@ -10,7 +10,6 @@ generators, which is exactly the scaled-generator composition.
 
 import numpy as np
 
-from . import flows
 from .vfield import all_words
 from .words import check_word
 
@@ -119,7 +118,11 @@ def e_map(frame, I, x, r, h):
 
 
 def e_map_batch(frame, I, x, r, H, steps=4):
-    """Vectorized chart over H of shape (N, n); fixed-step RK4 legs."""
+    """Vectorized chart over H of shape (N, n).
+
+    Legs are ``VectorFieldSystem.flow_batch``: exact for triangular fields,
+    fixed-step RK4 with ``steps`` steps otherwise.
+    """
     I = frame.check_index_tuple(I)
     system = frame.system
     H = np.asarray(H, dtype=float)
@@ -129,8 +132,7 @@ def e_map_batch(frame, I, x, r, H, steps=4):
         ell = len(w)
         hk = H[:, k]
         if ell == 1:
-            fn = system.batch_fn(w[0])
-            Y = flows.rk4_batch(fn, hk * r, Y, steps=steps)
+            Y = system.flow_batch(w[0], hk * r, Y, steps=steps)
             continue
         tau = np.abs(hk) ** (1.0 / ell) * r
         for branch, legs in (
@@ -142,9 +144,7 @@ def e_map_batch(frame, I, x, r, H, steps=4):
             sub = Y[branch]
             tb = tau[branch]
             for j, unit_t in legs:
-                fn = system.batch_fn(abs(j))
-                Y_t = unit_t * tb if j > 0 else -unit_t * tb
-                sub = flows.rk4_batch(fn, Y_t, sub, steps=steps)
+                sub = system.flow_batch(j, unit_t * tb, sub, steps=steps)
             Y[branch] = sub
     return Y
 

@@ -136,13 +136,15 @@ def invert_chart(frame, I, x, r, Y):
     Jacobian, ``solve`` (``lstsq`` for a singular row), and the first of 10
     step halvings that lowers the residual.  A row stops when its residual
     drops to 1e-8 * r, when no halving helps, or after 50 iterations.
-    Returns the solutions, their residuals and the converged mask.
+    The full step is tried first; the 9 shorter ones are evaluated only for
+    the rows it does not improve.  Returns the solutions, their residuals
+    and the converged mask.
     """
     I = frame.check_index_tuple(I)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     k, n = Y.shape
     tol = 1e-8 * r
-    halvings = 0.5 ** np.arange(10)
+    halvings = 0.5 ** np.arange(1, 10)
 
     def E(H):
         return e_map_batch(frame, I, x, r, H.reshape(-1, n), steps=6)
@@ -165,13 +167,25 @@ def invert_chart(frame, I, x, r, Y):
             step = np.linalg.solve(J, R[rows][..., None])[..., 0]
         except np.linalg.LinAlgError:
             step = np.array([_solve_or_lstsq(*row) for row in zip(J, R[rows])])
-        cand = h[:, None] + step[:, None] * halvings[:, None]
-        Rc = Y[rows, None] - E(cand).reshape(cand.shape)
-        rc = np.linalg.norm(Rc, axis=2)
-        better = rc < res[rows, None]
-        live[rows] = moved = better.any(axis=1)
-        take, pick = rows[moved], better.argmax(axis=1)[moved]
-        H[take], R[take], res[take] = cand[moved, pick], Rc[moved, pick], rc[moved, pick]
+        h_new = h + step
+        R_new = Y[rows] - E(h_new)
+        r_new = np.linalg.norm(R_new, axis=1)
+        moved = r_new < res[rows]
+        back = np.flatnonzero(~moved)
+        if back.size:
+            cand = h[back, None] + step[back, None] * halvings[:, None]
+            Rc = Y[rows[back], None] - E(cand).reshape(cand.shape)
+            rc = np.linalg.norm(Rc, axis=2)
+            better = rc < res[rows[back], None]
+            hit = better.any(axis=1)
+            pick = better.argmax(axis=1)[hit]
+            sel = back[hit]
+            h_new[sel], R_new[sel] = cand[hit, pick], Rc[hit, pick]
+            r_new[sel] = rc[hit, pick]
+            moved[sel] = True
+        live[rows] = moved
+        take = rows[moved]
+        H[take], R[take], res[take] = h_new[moved], R_new[moved], r_new[moved]
     return H, res, res <= tol
 
 

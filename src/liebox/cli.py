@@ -41,8 +41,15 @@ class UsageError(Exception):
     pass
 
 
-def _parse_floats(text):
-    return tuple(float(v) for v in text.split(","))
+def _parse_point(text, n, flag):
+    """A point of R^n given as comma-separated numbers."""
+    try:
+        x = tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise UsageError(f"{flag} must be comma-separated numbers, got {text!r}")
+    if len(x) != n:
+        raise UsageError(f"{flag} needs {n} values for this model, got {len(x)}")
+    return x
 
 
 def _parse_ints(text):
@@ -231,7 +238,7 @@ def cmd_bracket(args):
         "coefficients": [p.to_json_terms() for p in fw.components],
     }
     if args.at:
-        x = _parse_floats(args.at)
+        x = _parse_point(args.at, system.n, "--at")
         payload["at"] = list(x)
         payload["value"] = [float(v) for v in fw(x)]
     rep = _report(args, "bracket", payload)
@@ -241,7 +248,7 @@ def cmd_bracket(args):
 
 def cmd_flow(args):
     system = _load_system(args.model)
-    x = _parse_floats(args.at)
+    x = _parse_point(args.at, system.n, "--at")
     y = system.flow(args.field, args.t, x)
     rep = _report(args, "flow", {"point": [float(v) for v in y]})
     _emit(args, rep)
@@ -251,7 +258,7 @@ def cmd_flow(args):
 def cmd_limit_check(args):
     system = _load_system(args.model)
     w = _parse_word(args.word)
-    x = _parse_floats(args.at)
+    x = _parse_point(args.at, system.n, "--at")
     psi = Poly.var(system.n, args.psi_var if args.psi_var >= 0 else system.n - 1)
     ts = list(np.geomspace(args.t_min, args.t_max, args.t_count))
     rep_data = system.bracket_limit_order(w, psi, x, ts)
@@ -275,8 +282,8 @@ def cmd_emap(args):
     system = _load_system(args.model)
     frame = CommutatorFrame(system)
     I = _parse_ints(args.frame)
-    x = _parse_floats(args.center)
-    h = _parse_floats(args.h)
+    x = _parse_point(args.center, system.n, "--center")
+    h = _parse_point(args.h, system.n, "--h")
     point = e_map(frame, I, x, args.radius, h)
     J, det = jacobian_e(frame, I, x, args.radius, h)
     degrees = [frame.degree(i) for i in I]
@@ -293,7 +300,7 @@ def cmd_emap(args):
 def cmd_ballbox(args):
     system = _load_system(args.model)
     frame = CommutatorFrame(system)
-    x = _parse_floats(args.center)
+    x = _parse_point(args.center, system.n, "--center")
     triple = select_maximal(frame, x, args.radius, eta=args.eta)
     payload = {
         "maximal_frame": list(triple.I),
@@ -316,8 +323,8 @@ def cmd_ballbox(args):
 
 def cmd_distance(args):
     system = _load_system(args.model)
-    x = _parse_floats(getattr(args, "from"))
-    y = _parse_floats(args.to)
+    x = _parse_point(getattr(args, "from"), system.n, "--from")
+    y = _parse_point(args.to, system.n, "--to")
     est = fl_distance(system, x, y, max_segments=args.segments, seed=args.seed)
     if args.kind != "fl":
         est = cc_distance(
@@ -345,7 +352,7 @@ def cmd_distance(args):
 def cmd_doubling(args):
     system = _load_system(args.model)
     frame = CommutatorFrame(system)
-    x = _parse_floats(args.center)
+    x = _parse_point(args.center, system.n, "--center")
     rep_d = doubling_ratio(
         system, frame, x, args.radius, N=args.n, seed=args.seed, kind=args.kind
     )
@@ -357,7 +364,7 @@ def cmd_doubling(args):
 def cmd_poincare(args):
     system = _load_system(args.model)
     frame = CommutatorFrame(system)
-    x = _parse_floats(args.center)
+    x = _parse_point(args.center, system.n, "--center")
     suite = acceptance.poincare_suite_functions()
     if system.n != 3:
         raise UsageError("built-in test functions are for 3-dimensional models")
@@ -384,9 +391,11 @@ def _read_csv_matrix(path):
             rows = [
                 [float(v) for v in line] for line in csv.reader(fh) if line
             ]
+        return np.array(rows)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}")
-    return np.array(rows)
+    except ValueError as exc:  # a non-numeric cell or ragged rows
+        raise UsageError(f"malformed matrix file {path}: {exc}")
 
 
 def cmd_pinv(args):

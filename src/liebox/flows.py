@@ -1,11 +1,12 @@
 """Explicit Runge-Kutta integrators for polynomial vector fields.
 
-Two tiers: an adaptive Dormand-Prince 5(4) scheme for single trajectories at
-tight tolerances, and a fixed-step classical RK4 for optimizer hot loops and
-vectorized Monte Carlo batches.  The built-in models are nilpotent
-polynomial systems whose solutions are low-degree polynomials in time, so
-both schemes resolve them to roundoff; the adaptive error control is what
-makes the tolerance contract hold on arbitrary user models.
+An adaptive Dormand-Prince 5(4) scheme integrates single trajectories at
+tight tolerances; its error control is what makes the tolerance contract
+hold on arbitrary user models.  A fixed-step classical RK4 (scalar, and
+vectorized over rows) serves the batches that have no exact flow: fields
+that are not triangular (``VectorFieldSystem.flow_batch`` flows triangular
+generators exactly) and the piecewise-constant control mixtures of
+``metric.control_endpoints``.
 """
 
 import numpy as np

@@ -47,7 +47,7 @@ def arc_endpoints(system, letters, T, x, steps=3):
     T = np.atleast_2d(np.asarray(T, dtype=float))
     Y = np.broadcast_to(np.asarray(x, dtype=float), (T.shape[0], system.n)).copy()
     for i, j in enumerate(letters):
-        Y = flows.rk4_batch(system.batch_fn(j), T[:, i], Y, steps=steps)
+        Y = system.flow_batch(j, T[:, i], Y, steps=steps)
     return Y
 
 

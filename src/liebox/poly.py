@@ -180,20 +180,22 @@ class Poly:
         exec(src, ns)
         return ns["_f"]
 
+    def _batch_terms(self):
+        """Source of each term for the vectorized evaluators, in sorted order."""
+        return [
+            "*".join([repr(float(c))] + [
+                f"x{i}" if k == 1 else f"x{i}**{k}" for i, k in enumerate(e) if k
+            ])
+            for e, c in sorted(self.terms.items())
+        ]
+
     def compile_batch(self):
         """Vectorized evaluator over arrays of shape (..., nvars)."""
         lines = ["def _f(P):", "    out = np.zeros(P.shape[:-1], dtype=float)"]
-        for i in range(self.nvars):
-            lines.append(f"    x{i} = P[..., {i}]")
-        for e, c in sorted(self.terms.items()):
-            factors = [repr(float(c))]
-            for i, k in enumerate(e):
-                factors.append(f"x{i}" if k == 1 else f"x{i}**{k}")
-            lines.append("    out += " + "*".join(factors))
+        lines += _unpack_lines(self.nvars)
+        lines += [f"    out += {t}" for t in self._batch_terms()]
         lines.append("    return out")
-        ns = {"np": np}
-        exec("\n".join(lines), ns)
-        return ns["_f"]
+        return _exec_source(lines)
 
     def to_json_terms(self):
         return [
@@ -264,10 +266,64 @@ class PolyMap:
         return _f
 
     def compile_batch(self):
-        fns = [p.compile_batch() for p in self.components]
-        def _f(P, _fns=tuple(fns)):
-            return np.stack([g(P) for g in _fns], axis=-1)
-        return _f
+        """One vectorized evaluator writing all components into (..., n)."""
+        lines = [
+            "def _f(P):",
+            f"    out = np.zeros(P.shape[:-1] + ({len(self)},), dtype=float)",
+        ]
+        lines += _unpack_lines(self.n)
+        for i, p in enumerate(self.components):
+            terms = p._batch_terms()
+            if terms:
+                lines.append(f"    o = out[..., {i}]")
+                lines += [f"    o += {t}" for t in terms]
+        lines.append("    return out")
+        return _exec_source(lines)
+
+    def is_triangular(self):
+        """Whether component i involves only the coordinates before i.
+
+        Such a field is nilpotent as a derivation, so its Lie series
+        terminates and its flow is a polynomial in (x, t).
+        """
+        return all(
+            not any(e[i:]) for i, p in enumerate(self.components) for e in p.terms
+        )
+
+    def compile_flow_batch(self):
+        """Exact batched flow ``(T, P) -> exp(T X)(P)`` of a triangular field.
+
+        Component i is the terminating Lie series sum_k T^k/k! X^k(x_i),
+        built by repeated ``directional_derivative`` and evaluated by Horner
+        in T; ``T`` is a scalar or has shape P.shape[:-1].
+        """
+        if not self.is_triangular():
+            raise ValueError("Lie series of a non-triangular field need not terminate")
+        lines = ["def _f(T, P):", "    out = P.copy()"] + _unpack_lines(self.n)
+        for i in range(self.n):
+            series, g = [], Poly.var(self.n, i)
+            while True:
+                g = directional_derivative(self, g).scale(Fraction(1, len(series) + 1))
+                if g.is_zero():
+                    break
+                series.append(" + ".join(g._batch_terms()))
+            if series:
+                expr = series[-1]
+                for c in reversed(series[:-1]):
+                    expr = f"{c} + T*({expr})"
+                lines.append(f"    out[..., {i}] += T*({expr})")
+        lines.append("    return out")
+        return _exec_source(lines)
+
+
+def _unpack_lines(nvars):
+    return [f"    x{i} = P[..., {i}]" for i in range(nvars)]
+
+
+def _exec_source(lines):
+    ns = {"np": np}
+    exec("\n".join(lines), ns)
+    return ns["_f"]
 
 
 def directional_derivative(field, g):

@@ -3,7 +3,9 @@
 A system holds m polynomial fields on R^n plus a step bound s; the nested
 commutator coefficients f_w for every word up to length s are computed
 eagerly and exactly from the permutation-coefficient formula.  Flows are the
-only numeric operation, controlled by the integrator tolerances.
+only numeric operation: single trajectories run the adaptive integrator at
+the configured tolerances, and batched generator flows are exact for
+triangular fields.
 """
 
 import itertools
@@ -53,6 +55,7 @@ class VectorFieldSystem:
             self._fw[w] = self._build_commutator(w)
         self._scalar_fns = {}
         self._batch_fns = {}
+        self._exact_flows = {}
 
     # -- exact symbolic layer ------------------------------------------------
 
@@ -150,6 +153,25 @@ class VectorFieldSystem:
             fn = pmap.compile_batch()
             self._batch_fns[key] = fn
         return fn
+
+    def flow_batch(self, j, T, Y, steps=4):
+        """Flow of a signed generator letter for times T over rows of Y.
+
+        ``T`` is a scalar or has one entry per row.  A triangular field
+        flows exactly (its terminating Lie series, compiled at first use);
+        any other field falls back to fixed-step RK4 with ``steps`` steps.
+        """
+        if j < 0:
+            j, T = -j, -np.asarray(T, dtype=float)
+        if j not in self._exact_flows:
+            f = self.field(j)
+            self._exact_flows[j] = (
+                f.compile_flow_batch() if f.is_triangular() else None
+            )
+        exact = self._exact_flows[j]
+        if exact is None:
+            return flows.rk4_batch(self.batch_fn(j), T, Y, steps=steps)
+        return exact(np.asarray(T, dtype=float), np.asarray(Y, dtype=float))
 
     def flow(self, field, t, x, fast=False, steps=32):
         """Point of the flow of a generator (signed letter) or a PolyMap.

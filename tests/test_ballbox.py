@@ -255,3 +255,62 @@ def test_inclusion_rejects_eps_beyond_box():
         inclusion_check(
             HEIS, HEIS_FRAME, (1, 2, 4), ORIGIN3, 0.5, eps=1.5, samples=5
         )
+
+
+@pytest.mark.parametrize("system, frame, counts", [
+    (HEIS, HEIS_FRAME, (6048, 395)),
+    (GRUSHIN, GRUSHIN_FRAME, (11794, 1481)),
+    (ENGEL, ENGEL_FRAME, (4696, 35)),
+])
+def test_doubling_counts_pinned(system, frame, counts):
+    rep = doubling_ratio(system, frame, (0.0,) * system.n, 0.25, N=20_000, seed=101)
+    assert (rep["outer_count"], rep["inner_count"]) == counts
+
+
+def _invert_all_halvings(frame, I, x, r, Y):
+    """Reference: every row evaluates all 10 step halvings each iteration."""
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    k, n = Y.shape
+    tol = 1e-8 * r
+    halvings = 0.5 ** np.arange(10)
+
+    def E(H):
+        return ballbox.e_map_batch(frame, I, x, r, H.reshape(-1, n), steps=6)
+
+    H = np.zeros((k, n))
+    R = Y - E(H)
+    res = np.linalg.norm(R, axis=1)
+    live = np.ones(k, dtype=bool)
+    for _ in range(50):
+        rows = np.flatnonzero(live & (res > tol))
+        if not rows.size:
+            break
+        h = H[rows]
+        d = 1e-6 * np.maximum(1.0, np.abs(h).max(axis=1))
+        shift = d[:, None, None] * np.eye(n)
+        P = E(np.stack([h[:, None] + shift, h[:, None] - shift], axis=1))
+        P = P.reshape(-1, 2, n, n)
+        J = ((P[:, 0] - P[:, 1]) / (2 * d)[:, None, None]).transpose(0, 2, 1)
+        step = np.linalg.solve(J, R[rows][..., None])[..., 0]
+        cand = h[:, None] + step[:, None] * halvings[:, None]
+        Rc = Y[rows, None] - E(cand).reshape(cand.shape)
+        rc = np.linalg.norm(Rc, axis=2)
+        better = rc < res[rows, None]
+        live[rows] = moved = better.any(axis=1)
+        take, pick = rows[moved], better.argmax(axis=1)[moved]
+        H[take], R[take], res[take] = cand[moved, pick], Rc[moved, pick], rc[moved, pick]
+    return H, res, res <= tol
+
+
+def test_invert_chart_full_step_first_matches_all_halvings():
+    cases = [_chart_targets(name, 60) for name in sorted(CHART_CASES)]
+    # chart h -> e^{h} on the line: the full Newton step overshoots far
+    # targets, so the shorter halvings decide; y = -1 is unreachable
+    lin = VectorFieldSystem([PolyMap([Poly.var(1, 0)])], step=1, name="linear1d")
+    y = [[50.0], [3.0], [1.5], [0.5], [-1.0], [1.0]]
+    cases.append((CommutatorFrame(lin), (1,), (1.0,), np.array(y)))
+    for frame, I, x, Y in cases:
+        got = invert_chart(frame, I, x, 0.5, 40 * Y)
+        ref = _invert_all_halvings(frame, I, x, 0.5, 40 * Y)
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b)

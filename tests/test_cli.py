@@ -246,3 +246,34 @@ def test_suite_selected_criteria(capsys):
     assert code == 0
     assert "ACCEPTANCE 01" in out
     assert "ACCEPTANCE 04" in out
+
+
+def test_pinv_non_numeric_cell_exits_2(tmp_path, capsys):
+    amat = tmp_path / "bad.csv"
+    amat.write_text("a,b\n1,2\n")
+    rhs = tmp_path / "b.csv"
+    rhs.write_text("1\n0\n")
+    code, out, err = run_cli(capsys, "pinv", "--matrix", str(amat), "--rhs", str(rhs))
+    assert code == 2 and out == ""
+    assert err.startswith("error: malformed matrix file") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("flow", "--field", "1", "--t", "0.1", "--at", "0,0"), "--at"),
+    (("bracket", "--word", "12", "--at", "0,0,0,0"), "--at"),
+    (("limit-check", "--word", "12", "--at", "0"), "--at"),
+    (("emap", "--frame", "1,2,3", "--radius", "0.5", "--center", "0,0",
+      "--h", "0,0,0"), "--center"),
+    (("emap", "--frame", "1,2,3", "--radius", "0.5", "--center", "0,0,0",
+      "--h", "0,0"), "--h"),
+    (("ballbox", "--radius", "0.5", "--center", "0,0"), "--center"),
+    (("doubling", "--radius", "0.25", "--center", "0,0,0,0"), "--center"),
+    (("poincare", "--radius", "0.25", "--center", "0"), "--center"),
+    (("distance", "--kind", "fl", "--from", "0,0", "--to", "0,0,0"), "--from"),
+    (("distance", "--kind", "fl", "--from", "0,0,0", "--to", "0,0"), "--to"),
+    (("flow", "--field", "1", "--t", "0.1", "--at", "0,x,0"), "--at"),
+])
+def test_point_of_wrong_dimension_exits_2(capsys, argv, flag):
+    code, out, err = run_cli(capsys, argv[0], "--model", "heisenberg", *argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1

@@ -98,3 +98,39 @@ def test_polymap_validation():
         PolyMap([])
     with pytest.raises(ValueError):
         PolyMap([Poly.zero(2), Poly.zero(3)])
+
+
+def test_fused_polymap_batch_is_bitwise_stacked_components():
+    rng = random.Random(5)
+    nrng = np.random.default_rng(5)
+    for n in (1, 2, 4):
+        for _ in range(8):
+            comps = [random_poly(rng, n, nterms=rng.randint(0, 5)) for _ in range(n)]
+            pm = PolyMap(comps)
+            fused = pm.compile_batch()
+            for shape in ((n,), (7, n), (3, 5, n)):
+                pts = nrng.uniform(-2, 2, size=shape)
+                ref = np.stack([p.compile_batch()(pts) for p in comps], axis=-1)
+                got = fused(pts)
+                assert got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes()
+
+
+def test_triangular_fields_and_exact_flow_compile():
+    x, y = Poly.var(2, 0), Poly.var(2, 1)
+    one, zero = Poly.const(2, 1), Poly.zero(2)
+    assert PolyMap([one, x * x]).is_triangular()
+    assert PolyMap([zero, zero]).is_triangular()
+    for pm in (PolyMap([x, zero]), PolyMap([y, zero]), PolyMap([one, y])):
+        assert not pm.is_triangular()
+        with pytest.raises(ValueError):
+            pm.compile_flow_batch()
+    # x' = 1, y' = x^2: y(t) = y + x^2 t + x t^2 + t^3 / 3
+    flow = PolyMap([one, x * x]).compile_flow_batch()
+    P = np.array([[0.5, -1.0], [-2.0, 3.0]])
+    T = np.array([0.3, -1.5])
+    got = flow(T, P)
+    x0, y0 = P[:, 0], P[:, 1]
+    want = np.stack([x0 + T, y0 + x0**2 * T + x0 * T**2 + T**3 / 3], axis=1)
+    assert np.allclose(got, want, rtol=0, atol=1e-14)
+    assert np.array_equal(flow(0.0, P), P)

@@ -4,8 +4,11 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liebox import flows
+from liebox.approxexp import CommutatorFrame, e_map_batch
 from liebox.poly import Poly, PolyMap
 from liebox.vfield import (
     MODEL_BUILDERS,
@@ -260,3 +263,54 @@ def test_load_model_from_file(tmp_path):
     loaded = load_model(str(path))
     assert loaded.m == 2 and loaded.n == 2 and loaded.s == 2
     assert loaded.commutator_coeffs((1, 2)) == GRUSHIN.commutator_coeffs((1, 2))
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_BUILDERS))
+def test_exact_batch_flow_matches_rk4(name):
+    system = load_model(name)
+    rng = np.random.default_rng(17)
+    X0 = rng.uniform(-1, 1, size=(64, system.n))
+    T = rng.uniform(-1.5, 1.5, size=64)
+    for j in range(1, system.m + 1):
+        assert system.field(j).is_triangular()
+        ref = flows.rk4_batch(system.batch_fn(j), T, X0, steps=8)
+        assert np.abs(system.flow_batch(j, T, X0) - ref).max() <= 1e-12
+        assert np.abs(system.flow_batch(-j, -T, X0) - ref).max() <= 1e-12
+        assert np.abs(system.flow_batch(j, -0.7, X0) - flows.rk4_batch(
+            system.batch_fn(j), -0.7, X0, steps=8)).max() <= 1e-12
+
+
+def test_non_triangular_field_flows_by_rk4(monkeypatch):
+    lin = VectorFieldSystem([PolyMap([Poly.var(1, 0)])], step=1, name="linear1d")
+    assert not lin.field(1).is_triangular()
+    X0 = np.array([[1.3], [-0.4]])
+    T = np.array([0.8, -0.5])
+    got = lin.flow_batch(1, T, X0, steps=6)
+    assert np.array_equal(got, flows.rk4_batch(lin.batch_fn(1), T, X0, steps=6))
+    assert np.allclose(got[:, 0], X0[:, 0] * np.exp(T), rtol=1e-5)
+    calls = []
+    rk4_batch = flows.rk4_batch
+
+    def counting(fb, T, Y0, steps=4):
+        calls.append(steps)
+        return rk4_batch(fb, T, Y0, steps=steps)
+
+    monkeypatch.setattr(flows, "rk4_batch", counting)
+    frame = CommutatorFrame(lin)
+    E = e_map_batch(frame, (1,), (1.0,), 0.5, np.array([[0.4], [-0.2]]), steps=5)
+    assert calls == [5]
+    assert np.allclose(E[:, 0], np.exp(0.5 * np.array([0.4, -0.2])), rtol=1e-6)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(sorted(MODEL_BUILDERS)),
+    j=st.sampled_from([1, 2, -1, -2]),
+    t=st.floats(-2.0, 2.0),
+    seed=st.integers(0, 2**16),
+)
+def test_exact_flow_forward_then_back_returns_start(name, j, t, seed):
+    system = load_model(name)
+    X0 = np.random.default_rng(seed).uniform(-1, 1, size=(4, system.n))
+    back = system.flow_batch(-j, t, system.flow_batch(j, t, X0))
+    assert np.abs(back - X0).max() <= 1e-12

@@ -213,8 +213,7 @@ def sample_rho_targets(system, frame, x, scale, count, seed, segments=4, steps=3
     B /= np.maximum(norms, 1.0)  # per-segment |b| <= 1
     weights = np.array([scale ** frame.degree(j) for j in range(1, frame.q + 1)])
     U = B * weights[None, None, :]
-    fns = [system.batch_fn(frame.word(j)) for j in range(1, frame.q + 1)]
-    return control_endpoints(fns, U, np.asarray(x, dtype=float), system.n, steps=steps)
+    return control_endpoints(system, U, x, frame.words, steps=steps)
 
 
 def inclusion_check(
@@ -314,6 +313,15 @@ def _bounding_box(frame, I, x, r, margin=1.3):
     return center - half, center + half
 
 
+def _nonfinite_rows(res_outer, res_inner):
+    """Sample rows whose membership residual is not finite in either call.
+
+    Such rows fail both membership tests, so they drop out of the counts;
+    reporting them keeps a numerical breakdown from passing as a small ball.
+    """
+    return int((~np.isfinite(res_outer) | ~np.isfinite(res_inner)).sum())
+
+
 def doubling_ratio(system, frame, x, r, N=100_000, seed=0, eta=0.5, kind="rho"):
     """Monte Carlo volume ratio of the radius-2r and radius-r balls.
 
@@ -326,8 +334,10 @@ def doubling_ratio(system, frame, x, r, N=100_000, seed=0, eta=0.5, kind="rho"):
     lo, hi = _bounding_box(frame, I, x, 2 * r)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(lo, hi, size=(N, system.n))
-    mask_outer, _, _ = ball_membership(system, frame, I, x, 2 * r, pts, kind=kind)
-    mask_inner, _, _ = ball_membership(system, frame, I, x, r, pts, kind=kind)
+    mask_outer, _, res_outer = ball_membership(
+        system, frame, I, x, 2 * r, pts, kind=kind
+    )
+    mask_inner, _, res_inner = ball_membership(system, frame, I, x, r, pts, kind=kind)
     k2, k1 = int(mask_outer.sum()), int(mask_inner.sum())
     if k1 == 0:
         raise RuntimeError("zero inner-ball count; enlarge N or the box")
@@ -339,6 +349,7 @@ def doubling_ratio(system, frame, x, r, N=100_000, seed=0, eta=0.5, kind="rho"):
         "outer_count": k2,
         "inner_count": k1,
         "N": int(N),
+        "nonfinite": _nonfinite_rows(res_outer, res_inner),
         "I": I,
         "r": float(r),
         "seed": seed,
@@ -361,8 +372,9 @@ def poincare_suite(system, frame, fs, x, r, C_enlarge=2.0, N=100_000, seed=0, et
     rng = np.random.default_rng(seed)
     pts = rng.uniform(lo, hi, size=(N, system.n))
     box_vol = float(np.prod(hi - lo))
-    mask_in, _, _ = ball_membership(system, frame, I, x, r, pts)
-    mask_out, _, _ = ball_membership(system, frame, I, x, R, pts)
+    mask_in, _, res_in = ball_membership(system, frame, I, x, r, pts)
+    mask_out, _, res_out = ball_membership(system, frame, I, x, R, pts)
+    nonfinite = _nonfinite_rows(res_out, res_in)
     k_in, k_out = int(mask_in.sum()), int(mask_out.sum())
     if k_in == 0 or k_out == 0:
         raise RuntimeError("empty ball sample; enlarge N")
@@ -383,6 +395,7 @@ def poincare_suite(system, frame, fs, x, r, C_enlarge=2.0, N=100_000, seed=0, et
             "ratio": (lhs / rhs) if rhs > 0 else 0.0,
             "inner_count": k_in,
             "outer_count": k_out,
+            "nonfinite": nonfinite,
             "I": I,
             "seed": seed,
         })

@@ -34,7 +34,7 @@ from .metric import cc_distance, fl_distance, rho_distance
 from .ncpoly import NCPoly, is_trivial
 from .poly import Poly
 from .vfield import MODEL_BUILDERS, load_model
-from .words import pi_table
+from .words import check_word, pi_table
 
 
 class UsageError(Exception):
@@ -52,14 +52,29 @@ def _parse_point(text, n, flag):
     return x
 
 
-def _parse_ints(text):
-    return tuple(int(v) for v in text.split(","))
-
-
-def _parse_word(text):
-    if "," in text:
+def _parse_ints(text, flag):
+    try:
         return tuple(int(v) for v in text.split(","))
-    return tuple(int(ch) for ch in text)
+    except ValueError:
+        raise UsageError(f"{flag} must be comma-separated integers, got {text!r}")
+
+
+def _parse_word(text, system):
+    """A word of the model's letters, up to its step: '12' or '1,2'."""
+    try:
+        w = check_word(text.split(",") if "," in text else text, alphabet=system.m)
+    except ValueError:
+        raise UsageError(f"--word must be letters 1..{system.m}, got {text!r}")
+    if len(w) > system.s:
+        raise UsageError(f"--word {text!r} is longer than the step {system.s}")
+    return w
+
+
+def _parse_frame(text, frame):
+    try:
+        return frame.check_index_tuple(_parse_ints(text, "--frame"))
+    except ValueError as exc:
+        raise UsageError(f"--frame: {exc}")
 
 
 def _load_system(name):
@@ -231,7 +246,7 @@ def cmd_witness(args):
 
 def cmd_bracket(args):
     system = _load_system(args.model)
-    w = _parse_word(args.word)
+    w = _parse_word(args.word, system)
     fw = system.commutator_coeffs(w)
     payload = {
         "word": list(w),
@@ -248,6 +263,10 @@ def cmd_bracket(args):
 
 def cmd_flow(args):
     system = _load_system(args.model)
+    try:
+        system.field(args.field)
+    except ValueError as exc:
+        raise UsageError(f"--field: {exc}")
     x = _parse_point(args.at, system.n, "--at")
     y = system.flow(args.field, args.t, x)
     rep = _report(args, "flow", {"point": [float(v) for v in y]})
@@ -257,7 +276,7 @@ def cmd_flow(args):
 
 def cmd_limit_check(args):
     system = _load_system(args.model)
-    w = _parse_word(args.word)
+    w = _parse_word(args.word, system)
     x = _parse_point(args.at, system.n, "--at")
     psi = Poly.var(system.n, args.psi_var if args.psi_var >= 0 else system.n - 1)
     ts = list(np.geomspace(args.t_min, args.t_max, args.t_count))
@@ -281,7 +300,7 @@ def cmd_limit_check(args):
 def cmd_emap(args):
     system = _load_system(args.model)
     frame = CommutatorFrame(system)
-    I = _parse_ints(args.frame)
+    I = _parse_frame(args.frame, frame)
     x = _parse_point(args.center, system.n, "--center")
     h = _parse_point(args.h, system.n, "--h")
     point = e_map(frame, I, x, args.radius, h)
@@ -380,7 +399,10 @@ def cmd_poincare(args):
                      "lhs": rep_p["lhs"], "rhs": rep_p["rhs"],
                      "ratio": rep_p["ratio"]})
         worst = max(worst, rep_p["ratio"])
-    rep = _report(args, "poincare", {"rows": rows, "empirical_constant": worst})
+    rep = _report(args, "poincare", {
+        "rows": rows, "empirical_constant": worst,
+        "nonfinite": reports[0]["nonfinite"],
+    })
     _emit(args, rep)
     return 0
 
@@ -419,7 +441,7 @@ def cmd_pinv(args):
 
 
 def cmd_suite(args):
-    numbers = set(_parse_ints(args.criteria)) if args.criteria else None
+    numbers = set(_parse_ints(args.criteria, "--criteria")) if args.criteria else None
     results = acceptance.run_criteria(numbers=numbers, emit=print)
     rep = _report(args, "suite", {
         "results": [

@@ -4,9 +4,9 @@ An adaptive Dormand-Prince 5(4) scheme integrates single trajectories at
 tight tolerances; its error control is what makes the tolerance contract
 hold on arbitrary user models.  A fixed-step classical RK4 (scalar, and
 vectorized over rows) serves the batches that have no exact flow: fields
-that are not triangular (``VectorFieldSystem.flow_batch`` flows triangular
-generators exactly) and the piecewise-constant control mixtures of
-``metric.control_endpoints``.
+that are not triangular.  ``VectorFieldSystem.flow_batch`` flows triangular
+generators exactly, and ``VectorFieldSystem.mixture_flow_batch`` does the
+same for the constant-control mixtures of ``metric.control_endpoints``.
 """
 
 import numpy as np

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import flows
 from .approxexp import c_map_legs, e_map_batch
 from .linalg import min_norm_solve
 
@@ -51,25 +50,18 @@ def arc_endpoints(system, letters, T, x, steps=3):
     return Y
 
 
-def control_endpoints(fns, U, x, n, steps=3):
+def control_endpoints(system, U, x, keys, steps=3):
     """Endpoints of piecewise-constant control paths over the given fields.
 
-    ``U`` has shape (N, segments, len(fns)): unnormalized coefficients; each
-    segment lasts 1/segments.
+    ``keys`` are letters or words; ``U`` has shape (N, segments, len(keys)):
+    unnormalized coefficients; each segment lasts 1/segments and is one
+    mixture flow.
     """
     U = np.asarray(U, dtype=float)
-    N, k, d = U.shape
-    Y = np.broadcast_to(np.asarray(x, dtype=float), (N, n)).copy()
+    N, k, _ = U.shape
+    Y = np.broadcast_to(np.asarray(x, dtype=float), (N, system.n)).copy()
     for seg in range(k):
-        coeff = U[:, seg, :]
-
-        def fld(P, coeff=coeff):
-            acc = coeff[:, 0, None] * fns[0](P)
-            for j in range(1, d):
-                acc = acc + coeff[:, j, None] * fns[j](P)
-            return acc
-
-        Y = flows.rk4_batch(fld, 1.0 / k, Y, steps=steps)
+        Y = system.mixture_flow_batch(keys, U[:, seg, :], 1.0 / k, Y, steps=steps)
     return Y
 
 
@@ -307,7 +299,7 @@ def _legs_to_controls(legs, k, d, letter_of_col):
 def _control_estimate(
     kind,
     system,
-    fns,
+    keys,
     degrees,
     value_fn,
     x,
@@ -325,7 +317,7 @@ def _control_estimate(
     dx = float(np.linalg.norm(y - x))
     if tol is None:
         tol = FEAS_TOL * (1.0 + dx) + 1e-8
-    d = len(fns)
+    d = len(keys)
     if dx <= tol:
         return DistanceEstimate(
             kind, 0.0, "ok", {"form": "controls", "segments": segments,
@@ -334,12 +326,12 @@ def _control_estimate(
     shape = (segments, d)
 
     def ep(batch):
-        return control_endpoints(fns, batch.reshape(-1, *shape), x, system.n, steps=steps)
+        return control_endpoints(system, batch.reshape(-1, *shape), x, keys, steps=steps)
 
     rng = np.random.default_rng(seed)
     inits = [np.asarray(c, dtype=float) for c in seed_certs]
     # constant-control min-norm start toward the target direction
-    cols = np.stack([fn((x)[None, :])[0] for fn in fns], axis=1)
+    cols = np.stack([system.batch_fn(key)(x[None, :])[0] for key in keys], axis=1)
     b0, _, _ = min_norm_solve(cols, y - x)
     inits.append(np.tile(b0, (segments, 1)))
     inits.append(rng.normal(size=shape) * 0.3 * (dx + dx ** (1.0 / max(degrees))))
@@ -397,7 +389,7 @@ def cc_distance(
     Any arc certificate passed as ``fl_cert`` is admissible here, so its
     value enters the candidate pool; the reported bound never exceeds it.
     """
-    fns = [system.batch_fn(j) for j in range(1, system.m + 1)]
+    keys = tuple(range(1, system.m + 1))
     degrees = (1,) * system.m
     seeds = []
     imported = None
@@ -411,7 +403,7 @@ def cc_distance(
             {"form": "legs", "legs": fl_cert["legs"]},
         )
     return _control_estimate(
-        "cc", system, fns, degrees, _cc_value, x, y, segments, bisect_iters,
+        "cc", system, keys, degrees, _cc_value, x, y, segments, bisect_iters,
         seed, seeds, imported, steps, tol,
     )
 
@@ -435,7 +427,6 @@ def rho_distance(
     the degree-one frame members), so the weighted estimate never exceeds
     the control one.
     """
-    fns = [system.batch_fn(frame.word(j)) for j in range(1, frame.q + 1)]
     degrees = frame.degrees
     seeds = []
     imported = None
@@ -448,7 +439,7 @@ def rho_distance(
     if cc_value is not None and math.isfinite(cc_value):
         imported = (cc_value, cc_cert)
     return _control_estimate(
-        "rho", system, fns, degrees, lambda U: _rho_value(U, degrees),
+        "rho", system, frame.words, degrees, lambda U: _rho_value(U, degrees),
         x, y, segments, bisect_iters, seed, seeds, imported, steps, tol,
     )
 

@@ -4,7 +4,9 @@ Monomials are exponent tuples, coefficients are Fractions (ints are accepted
 and normalized).  This is the carrier for vector-field coefficients, scalar
 test functions and the operator witness model, so differentiation, products
 and evaluation must all be exact.  Numeric hot loops (ODE flows, Monte Carlo
-batches) use compiled forms instead, generated once per polynomial.
+batches) use compiled forms instead, generated once per polynomial, and the
+flows of triangular fields and of their constant-control mixtures are
+compiled from their terminating Lie series.
 """
 
 from fractions import Fraction
@@ -314,6 +316,26 @@ class PolyMap:
                 lines.append(f"    out[..., {i}] += T*({expr})")
         lines.append("    return out")
         return _exec_source(lines)
+
+
+def control_mixture(maps):
+    """The field sum_j u_j F_j on R^(d+n), the d controls u placed before x.
+
+    The control components are zero, so the controls stay constant along the
+    flow, and component d+i is sum_j u_j F_j[i] with F_j's exponents shifted
+    past the controls.  The lift is triangular exactly when every F_j is, so
+    ``compile_flow_batch`` flows a constant-control mixture exactly.
+    """
+    d, n = len(maps), maps[0].n
+    unit = [tuple(int(k == j) for k in range(d)) for j in range(d)]
+    comps = [Poly.zero(d + n) for _ in range(d)]
+    comps += [
+        Poly(d + n, [
+            (unit[j] + e, c) for j, f in enumerate(maps) for e, c in f[i].terms.items()
+        ])
+        for i in range(n)
+    ]
+    return PolyMap(comps)
 
 
 def _unpack_lines(nvars):

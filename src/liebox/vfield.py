@@ -4,8 +4,8 @@ A system holds m polynomial fields on R^n plus a step bound s; the nested
 commutator coefficients f_w for every word up to length s are computed
 eagerly and exactly from the permutation-coefficient formula.  Flows are the
 only numeric operation: single trajectories run the adaptive integrator at
-the configured tolerances, and batched generator flows are exact for
-triangular fields.
+the configured tolerances, and batched generator flows and constant-control
+mixture flows are exact for triangular fields.
 """
 
 import itertools
@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import flows
-from .poly import Poly, PolyMap, directional_derivative, lie_bracket
+from .poly import Poly, PolyMap, control_mixture, directional_derivative, lie_bracket
 from .words import apply_perm, check_word, pi_support
 
 
@@ -145,11 +145,15 @@ class VectorFieldSystem:
             self._scalar_fns[key] = fn
         return fn
 
+    def _key_map(self, key):
+        """Coefficient map of a word, or the field of a signed letter."""
+        return self._fw[key] if key in self._fw else self.field(key)
+
     def batch_fn(self, key, pmap=None):
         fn = self._batch_fns.get(key)
         if fn is None:
             if pmap is None:
-                pmap = self._fw[key] if key in self._fw else self.field(key)
+                pmap = self._key_map(key)
             fn = pmap.compile_batch()
             self._batch_fns[key] = fn
         return fn
@@ -173,6 +177,37 @@ class VectorFieldSystem:
             return flows.rk4_batch(self.batch_fn(j), T, Y, steps=steps)
         return exact(np.asarray(T, dtype=float), np.asarray(Y, dtype=float))
 
+    def mixture_flow_batch(self, keys, U, T, Y, steps=4):
+        """Flow of the mixture sum_j U[:, j] X_{keys[j]} for times T over rows of Y.
+
+        ``keys`` are letters or words, ``U`` holds one row of constant
+        controls per row of ``Y`` and ``T`` is a scalar or has one entry per
+        row.  Triangular fields flow exactly: the controls become leading
+        variables of one triangular lifted field (``control_mixture``) whose
+        Lie series is compiled at first use.  Any other field falls back to
+        fixed-step RK4 with ``steps`` steps.
+        """
+        keys = tuple(keys)
+        if keys not in self._exact_flows:
+            lift = control_mixture([self._key_map(k) for k in keys])
+            self._exact_flows[keys] = (
+                lift.compile_flow_batch() if lift.is_triangular() else None
+            )
+        exact = self._exact_flows[keys]
+        U = np.asarray(U, dtype=float)
+        if exact is None:
+            fns = [self.batch_fn(k) for k in keys]
+
+            def fld(P):
+                acc = U[:, 0, None] * fns[0](P)
+                for j in range(1, len(fns)):
+                    acc = acc + U[:, j, None] * fns[j](P)
+                return acc
+
+            return flows.rk4_batch(fld, T, Y, steps=steps)
+        P = np.concatenate([U, np.asarray(Y, dtype=float)], axis=-1)
+        return exact(np.asarray(T, dtype=float), P)[..., len(keys):]
+
     def flow(self, field, t, x, fast=False, steps=32):
         """Point of the flow of a generator (signed letter) or a PolyMap.
 
@@ -183,7 +218,7 @@ class VectorFieldSystem:
             fn = field.compile_scalar()
         else:
             j = abs(field)
-            fn = self._scalar_fn(j, self.fields[j - 1])
+            fn = self._scalar_fn(j, self.field(j))
             if field < 0:
                 t = -t
         if fast:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import liebox.ballbox as ballbox
+import liebox.metric as metric
 from liebox.approxexp import CommutatorFrame
 from liebox.ballbox import (
     HormanderError,
@@ -242,6 +243,7 @@ def test_poincare_linear_function_stable():
     r1 = poincare_check(HEIS, HEIS_FRAME, f, ORIGIN3, 0.25, N=120_000, seed=7)
     r2 = poincare_check(HEIS, HEIS_FRAME, f, ORIGIN3, 0.25, N=120_000, seed=8)
     assert r1["rhs"] > 0 and math.isfinite(r1["ratio"])
+    assert r1["nonfinite"] == r2["nonfinite"] == 0
     assert abs(r1["ratio"] - r2["ratio"]) <= 0.1 * max(r1["ratio"], r2["ratio"])
 
 
@@ -265,6 +267,7 @@ def test_inclusion_rejects_eps_beyond_box():
 def test_doubling_counts_pinned(system, frame, counts):
     rep = doubling_ratio(system, frame, (0.0,) * system.n, 0.25, N=20_000, seed=101)
     assert (rep["outer_count"], rep["inner_count"]) == counts
+    assert rep["nonfinite"] == 0
 
 
 def _invert_all_halvings(frame, I, x, r, Y):
@@ -314,3 +317,19 @@ def test_invert_chart_full_step_first_matches_all_halvings():
         ref = _invert_all_halvings(frame, I, x, 0.5, 40 * Y)
         for a, b in zip(got, ref):
             assert np.array_equal(a, b)
+
+
+def test_nonfinite_row_is_counted(monkeypatch):
+    e_map_batch = metric.e_map_batch
+
+    def one_nan_row(*args, **kwargs):
+        E = e_map_batch(*args, **kwargs)
+        E[7] = np.nan
+        return E
+
+    monkeypatch.setattr(metric, "e_map_batch", one_nan_row)
+    rep = doubling_ratio(HEIS, HEIS_FRAME, ORIGIN3, 0.25, N=20_000, seed=101)
+    assert rep["nonfinite"] == 1
+    rep = poincare_check(HEIS, HEIS_FRAME, Poly.var(3, 0), ORIGIN3, 0.25,
+                         N=20_000, seed=101)
+    assert rep["nonfinite"] == 1

@@ -178,6 +178,7 @@ def test_poincare_single_function(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["rows"][0]["rhs"] > 0
+    assert rep["nonfinite"] == 0
 
 
 def test_pinv_sweep(tmp_path, capsys):
@@ -277,3 +278,23 @@ def test_point_of_wrong_dimension_exits_2(capsys, argv, flag):
     code, out, err = run_cli(capsys, argv[0], "--model", "heisenberg", *argv[1:])
     assert code == 2 and out == ""
     assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("bracket", "--word", "1a"), "--word"),
+    (("bracket", "--word", "123"), "--word"),
+    (("bracket", "--word", "121"), "--word"),
+    (("limit-check", "--word", "13", "--at", "0,0,0"), "--word"),
+    (("emap", "--frame", "1,2", "--radius", "0.5", "--center", "0,0,0",
+      "--h", "0,0,0"), "--frame"),
+    (("emap", "--frame", "1,2,9", "--radius", "0.5", "--center", "0,0,0",
+      "--h", "0,0,0"), "--frame"),
+    (("emap", "--frame", "1,x,4", "--radius", "0.5", "--center", "0,0,0",
+      "--h", "0,0,0"), "--frame"),
+    (("flow", "--field", "0", "--t", "0.1", "--at", "0,0,0"), "--field"),
+    (("flow", "--field", "3", "--t", "0.1", "--at", "0,0,0"), "--field"),
+])
+def test_bad_index_input_exits_2(capsys, argv, flag):
+    code, out, err = run_cli(capsys, argv[0], "--model", "heisenberg", *argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag}") and err.count("\n") == 1

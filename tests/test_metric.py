@@ -198,3 +198,22 @@ def test_fp_ratio_vanishes_along_horizontal():
     est = fl_distance(HEIS, ORIGIN, y)
     ratio = est.value / delta**0.5
     assert ratio <= 1.2 * delta**0.5
+
+
+# (fl = cc, rho) on the first criterion-13 pairs
+CRITERION_13_PAIRS = [
+    (0.6950925963414254, 0.407274432688765),
+    (0.7575893533804712, 0.24647376851761746),
+    (1.960237531179851, 0.45460989292415205),
+]
+
+
+def test_distance_values_pinned_on_criterion_13_pairs():
+    rng = np.random.default_rng(13)
+    for i, (d_fl, d_rho) in enumerate(CRITERION_13_PAIRS):
+        a = tuple(rng.uniform(-0.2, 0.2, 3))
+        b = tuple(rng.uniform(-0.2, 0.2, 3))
+        fl, cc, rho = estimate_all(HEIS, HEIS_FRAME, a, b, seed=i)
+        assert fl.ok() and cc.ok() and rho.ok()
+        for est, want in ((fl, d_fl), (cc, d_fl), (rho, d_rho)):
+            assert est.value == pytest.approx(want, rel=1e-9)

@@ -314,3 +314,98 @@ def test_exact_flow_forward_then_back_returns_start(name, j, t, seed):
     X0 = np.random.default_rng(seed).uniform(-1, 1, size=(4, system.n))
     back = system.flow_batch(-j, t, system.flow_batch(j, t, X0))
     assert np.abs(back - X0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("field", [0, 3, -3])
+def test_flow_rejects_letter_outside_alphabet(field):
+    with pytest.raises(ValueError):
+        HEIS.flow(field, 0.1, (0.0, 0.0, 0.0))
+
+
+def _mixture_rk4(system, keys, U, T, Y, steps):
+    """Reference: the mixture field as one closure, integrated by RK4."""
+    fns = [system.batch_fn(k) for k in keys]
+
+    def fld(P):
+        acc = U[:, 0, None] * fns[0](P)
+        for j in range(1, len(fns)):
+            acc = acc + U[:, j, None] * fns[j](P)
+        return acc
+
+    return flows.rk4_batch(fld, T, Y, steps=steps)
+
+
+def _mixture_keys(system):
+    return [tuple(range(1, system.m + 1)), tuple(CommutatorFrame(system).words)]
+
+
+def test_mixture_flow_heisenberg_closed_form():
+    rng = np.random.default_rng(5)
+    X0 = rng.uniform(-1, 1, size=(50, 3))
+    U = rng.uniform(-2, 2, size=(50, 3))
+    T = rng.uniform(-1.5, 1.5, size=50)
+    got = HEIS.mixture_flow_batch((1, 2, (1, 2)), U, T, X0)
+    (x, y, z), (a, b, c) = X0.T, U.T
+    ref = np.stack([x + T * a, y + T * b, z + T * c + T * (x * b - y * a) / 2], axis=1)
+    assert np.abs(got - ref).max() <= 1e-14
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_BUILDERS))
+def test_mixture_flow_one_hot_is_generator_flow(name):
+    system = load_model(name)
+    rng = np.random.default_rng(23)
+    X0 = rng.uniform(-1, 1, size=(32, system.n))
+    T = rng.uniform(-1.5, 1.5, size=32)
+    keys = tuple(range(1, system.m + 1))
+    for j in keys:
+        U = np.zeros((32, system.m))
+        U[:, j - 1] = 1.0
+        got = system.mixture_flow_batch(keys, U, T, X0)
+        assert np.abs(got - system.flow_batch(j, T, X0)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_BUILDERS))
+def test_mixture_flow_matches_fine_rk4(name):
+    system = load_model(name)
+    rng = np.random.default_rng(29)
+    X0 = rng.uniform(-1, 1, size=(32, system.n))
+    T = rng.uniform(-0.5, 0.5, size=32)
+    for keys in _mixture_keys(system):
+        U = rng.uniform(-1, 1, size=(32, len(keys)))
+        ref = _mixture_rk4(system, keys, U, T, X0, steps=64)
+        assert np.abs(system.mixture_flow_batch(keys, U, T, X0) - ref).max() <= 1e-10
+
+
+def test_non_triangular_mixture_flows_by_rk4():
+    # x d/dx on the line, alone and mixed with the constant field d/dx
+    lin = VectorFieldSystem(
+        [PolyMap([Poly.var(1, 0)]), PolyMap([Poly.const(1, 1)])],
+        step=1, name="linear1d",
+    )
+    rng = np.random.default_rng(31)
+    X0 = rng.uniform(-1, 1, size=(6, 1))
+    for keys in ((1,), (1, 2)):
+        U = rng.uniform(-1, 1, size=(6, len(keys)))
+        got = lin.mixture_flow_batch(keys, U, 0.25, X0, steps=5)
+        assert np.array_equal(got, _mixture_rk4(lin, keys, U, 0.25, X0, steps=5))
+    U = rng.uniform(-1, 1, size=(6, 1))
+    got = lin.mixture_flow_batch((1,), U, 0.25, X0, steps=5)
+    assert np.allclose(got[:, 0], X0[:, 0] * np.exp(0.25 * U[:, 0]), rtol=1e-6)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(sorted(MODEL_BUILDERS)),
+    frame_words=st.booleans(),
+    t=st.floats(-1.0, 1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_mixture_flow_forward_then_back_returns_start(name, frame_words, t, seed):
+    system = load_model(name)
+    keys = _mixture_keys(system)[frame_words]
+    rng = np.random.default_rng(seed)
+    X0 = rng.uniform(-1, 1, size=(4, system.n))
+    U = rng.uniform(-1, 1, size=(4, len(keys)))
+    there = system.mixture_flow_batch(keys, U, t, X0)
+    back = system.mixture_flow_batch(keys, U, -t, there)
+    assert np.abs(back - X0).max() <= 1e-12

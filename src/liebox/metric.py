@@ -495,6 +495,13 @@ def ball_membership(
     class, so the same rule is a valid one-sided test for the weighted ball
     (default) and for the control ball (kind="cc"); rejected points may
     still lie in the ball.
+
+    Each row stops on its own: once the undamped step it just took is at the
+    floating-point floor (max |dH| <= 1e-12), its residual is evaluated once
+    more at the new H and the row leaves the batch.  A residual at or below
+    ``tol`` alone does not stop a row, since such a row can still move by
+    about 1e-5 in H.  Rows that never reach the floor (slow or non-finite
+    rows) run all ``max_iter`` iterations.
     """
     if kind not in ("rho", "cc"):
         raise ValueError("kind must be 'rho' or 'cc'")
@@ -507,11 +514,19 @@ def ball_membership(
     M = chart_leg_count(frame, I)
     eps_accept = 1.0 / M
     H = np.zeros((N, n))
+    res = np.empty(N)
     degs = np.array([frame.degree(i) for i in I], dtype=float)
     ridge = 1e-12 * np.eye(n)
-    for _ in range(max_iter):
-        E = e_map_batch(frame, I, x, r, H, steps=steps)
-        R = pts - E
+    live = np.arange(N)
+    settled = np.zeros(N, dtype=bool)
+    for it in range(max_iter + 1):
+        E = e_map_batch(frame, I, x, r, H[live], steps=steps)
+        R = pts[live] - E
+        done = settled | (it == max_iter)
+        res[live[done]] = np.linalg.norm(R[done], axis=1)
+        live, E, R = live[~done], E[~done], R[~done]
+        if not live.size:
+            break
         cols = [
             (r ** frame.degree(i)) * system.batch_fn(frame.word(i))(E) for i in I
         ]
@@ -522,9 +537,8 @@ def ball_membership(
             dH = (np.linalg.pinv(J) @ R[..., None])[..., 0]
         cap = np.maximum(np.abs(dH).max(axis=1), 1e-300)
         dH *= np.minimum(1.0, 0.5 / cap)[:, None]
-        H = H + dH
-    E = e_map_batch(frame, I, x, r, H, steps=steps)
-    res = np.linalg.norm(pts - E, axis=1)
+        H[live] += dH
+        settled = cap <= 1e-12
     boxn = (np.abs(H) ** (1.0 / degs)).max(axis=1)
     mask = (res <= tol) & (boxn <= eps_accept)
     return mask, H, res

@@ -12,6 +12,7 @@ from liebox.ballbox import (
     ad_coefficient_bound,
     doubling_ratio,
     express_in_frame,
+    frame_candidates,
     inclusion_check,
     invert_chart,
     lambda_I,
@@ -24,16 +25,18 @@ from liebox.ballbox import (
     select_maximal,
 )
 from liebox.poly import Poly, PolyMap
-from liebox.vfield import VectorFieldSystem, load_model
+from liebox.vfield import MODEL_BUILDERS, VectorFieldSystem, load_model
 
 HEIS = load_model("heisenberg")
 GRUSHIN = load_model("grushin")
 FLAT3 = load_model("flat3")
 ENGEL = load_model("engel")
+MARTINET = load_model("martinet")
 HEIS_FRAME = CommutatorFrame(HEIS)
 GRUSHIN_FRAME = CommutatorFrame(GRUSHIN)
 FLAT3_FRAME = CommutatorFrame(FLAT3)
 ENGEL_FRAME = CommutatorFrame(ENGEL)
+MARTINET_FRAME = CommutatorFrame(MARTINET)
 ORIGIN3 = (0.0, 0.0, 0.0)
 # (system, frame, center) at radius 0.5, eps 0.3, c 0.05
 CHART_CASES = {
@@ -270,6 +273,53 @@ def test_doubling_counts_pinned(system, frame, counts):
     assert rep["nonfinite"] == 0
 
 
+def test_doubling_counts_pinned_martinet():
+    rep = doubling_ratio(MARTINET, MARTINET_FRAME, ORIGIN3, 0.25, N=20_000, seed=101)
+    assert (rep["outer_count"], rep["inner_count"]) == (9091, 278)
+    assert rep["nonfinite"] == 0
+
+
+def test_poincare_counts_pinned_heisenberg():
+    rep = poincare_check(HEIS, HEIS_FRAME, Poly.var(3, 0), ORIGIN3, 0.5,
+                         N=20_000, seed=5)
+    assert (rep["inner_count"], rep["outer_count"]) == (347, 6081)
+    assert rep["nonfinite"] == 0
+
+
+def _select_maximal_all_exact(frame, x, r):
+    """Reference: an exact determinant for every candidate, first best kept."""
+    scores = [
+        (I, float(abs(lambda_I(frame, I, x))) * r ** frame.ell(I))
+        for I in frame_candidates(frame)
+    ]
+    best = max(s for _, s in scores)
+    return next(I for I, s in scores if s == best), best, scores
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_BUILDERS))
+def test_select_maximal_matches_all_exact_scan(name):
+    system = load_model(name)
+    frame = CommutatorFrame(system)
+    rng = np.random.default_rng(17)
+    points = [(0.0,) * system.n, (0.5,) + (0.0,) * (system.n - 1)]
+    points += [tuple(rng.uniform(-1, 1, system.n)) for _ in range(3)]
+    for x in points:
+        for r in (0.01, 0.25, 1.0):
+            I, score, scores = _select_maximal_all_exact(frame, x, r)
+            triple = select_maximal(frame, x, r)
+            assert triple.I == I and repr(triple.score) == repr(score)
+            assert triple.candidates == len(scores)
+            assert 1 <= triple.exact_dets <= triple.candidates
+
+
+def test_select_maximal_tie_keeps_first():
+    # the columns of the words 12 and 21 are opposite, so (1, 2, 4) and
+    # (1, 2, 5) tie at every point and radius
+    _, score, scores = _select_maximal_all_exact(HEIS_FRAME, ORIGIN3, 0.5)
+    assert [I for I, s in scores if s == score] == [(1, 2, 4), (1, 2, 5)]
+    assert select_maximal(HEIS_FRAME, ORIGIN3, 0.5).I == (1, 2, 4)
+
+
 def _invert_all_halvings(frame, I, x, r, Y):
     """Reference: every row evaluates all 10 step halvings each iteration."""
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -320,14 +370,20 @@ def test_invert_chart_full_step_first_matches_all_halvings():
 
 
 def test_nonfinite_row_is_counted(monkeypatch):
-    e_map_batch = metric.e_map_batch
+    default_rng = np.random.default_rng
 
-    def one_nan_row(*args, **kwargs):
-        E = e_map_batch(*args, **kwargs)
-        E[7] = np.nan
-        return E
+    class OneNanSample:
+        """The seeded stream, with sample point 7 made non-finite."""
 
-    monkeypatch.setattr(metric, "e_map_batch", one_nan_row)
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def uniform(self, *args, **kwargs):
+            pts = self.rng.uniform(*args, **kwargs)
+            pts[7] = np.nan
+            return pts
+
+    monkeypatch.setattr(ballbox.np.random, "default_rng", OneNanSample)
     rep = doubling_ratio(HEIS, HEIS_FRAME, ORIGIN3, 0.25, N=20_000, seed=101)
     assert rep["nonfinite"] == 1
     rep = poincare_check(HEIS, HEIS_FRAME, Poly.var(3, 0), ORIGIN3, 0.25,

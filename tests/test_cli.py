@@ -144,6 +144,7 @@ def test_ballbox_inclusion(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["maximal_frame"] == [1, 2, 4]
+    assert "candidates" in rep and "exact_dets" in rep
     assert rep["inclusion"]["solved_fraction"] == 1.0
 
 

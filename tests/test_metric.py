@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from liebox import ballbox
 from liebox.approxexp import CommutatorFrame, e_map_batch
 from liebox.metric import (
     ball_membership,
@@ -175,6 +176,47 @@ def test_ball_membership_singular_fallback_solves_each_row(monkeypatch):
     assert mask.shape == (6,)
     assert (mask == ref).all() and mask[:5].all() and not mask[5]
     assert np.abs(H[:5] - H_ref[:5]).max() < 1e-10
+
+
+def _membership_fixed_iterations(system, frame, I, x, r, pts, max_iter=8, steps=2):
+    """Reference: every row runs all ``max_iter`` quasi-Newton iterations."""
+    n = system.n
+    H = np.zeros((len(pts), n))
+    ridge = 1e-12 * np.eye(n)
+    for _ in range(max_iter):
+        E = e_map_batch(frame, I, x, r, H, steps=steps)
+        cols = [
+            (r ** frame.degree(i)) * system.batch_fn(frame.word(i))(E) for i in I
+        ]
+        J = np.stack(cols, axis=2) + ridge
+        dH = np.linalg.solve(J, (pts - E)[..., None])[..., 0]
+        cap = np.maximum(np.abs(dH).max(axis=1), 1e-300)
+        H = H + dH * np.minimum(1.0, 0.5 / cap)[:, None]
+    res = np.linalg.norm(pts - e_map_batch(frame, I, x, r, H, steps=steps), axis=1)
+    degs = np.array([frame.degree(i) for i in I], dtype=float)
+    boxn = (np.abs(H) ** (1.0 / degs)).max(axis=1)
+    tol = 1e-8 + 1e-6 * r
+    return (res <= tol) & (boxn <= 1.0 / chart_leg_count(frame, I)), H, res
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "grushin", "engel", "martinet"])
+def test_ball_membership_matches_fixed_iteration_loop(name):
+    system = load_model(name)
+    frame = CommutatorFrame(system)
+    x = (0.0,) * system.n
+    for r in (0.25, 0.5):
+        I = ballbox.select_maximal(frame, x, r).I
+        lo, hi = ballbox._bounding_box(frame, I, x, 2 * r)
+        tol = 1e-8 + 1e-6 * r
+        for seed in (101, 5):
+            pts = np.random.default_rng(seed).uniform(lo, hi, size=(20_000, system.n))
+            mask, H, res = ball_membership(system, frame, I, x, r, pts)
+            ref, H_ref, res_ref = _membership_fixed_iterations(
+                system, frame, I, x, r, pts
+            )
+            assert np.array_equal(mask, ref)
+            assert np.abs(H - H_ref).max() <= 1e-12
+            assert np.array_equal(res <= tol, res_ref <= tol)
 
 
 def test_fefferman_phong_bounded():

@@ -6,12 +6,18 @@ l = 1).  The almost-exponential map chains one approximate exponential per
 frame entry, with the radius folded into the leg times: a scaled commutator
 r^l Y flown for parameter h uses leg times |h|^(1/l) * r over the original
 generators, which is exactly the scaled-generator composition.
+``e_map_batch`` is the one chart; ``e_map`` is one of its rows and
+``chart_jacobians`` its one central-difference Jacobian.  ``exp_ap`` and
+``c_map`` compose adaptive DOPRI5 legs, the reference the chart is tested on.
 """
 
 import numpy as np
 
 from .vfield import all_words
 from .words import check_word
+
+# RK4 steps per leg of e_map and jacobian_e on fields that are not triangular
+_SCALAR_STEPS = 32
 
 
 def c_map_legs(letters, tau):
@@ -100,21 +106,19 @@ def in_box(h, degrees, eps):
 
 
 def e_map(frame, I, x, r, h):
-    """Almost-exponential chart: chained approximate exponentials (DOPRI5 legs).
+    """Almost-exponential chart at one point h: one row of ``e_map_batch``.
 
     The last frame entry is applied to x first.  Scaling: entry k of degree
     l contributes legs at times |h_k|**(1/l) * r over the original
-    generators, the inverse branch when h_k < 0.
+    generators, the inverse branch when h_k < 0.  A field that is not
+    triangular (x d/dx, say) flows by 32-step RK4 per leg: on x d/dx at r = 1
+    the error is 3e-11 at h = 0.3 and 3e-8 at h = 1 (DOPRI5: 2e-11, 1e-10).
     """
     I = frame.check_index_tuple(I)
     if not 0 < r <= 1:
         raise ValueError("radius must be in (0, 1]")
-    y = tuple(float(v) for v in x)
-    for k in range(len(I) - 1, -1, -1):
-        w = frame.word(I[k])
-        t_eff = h[k] * r ** len(w)
-        y = exp_ap(frame.system, t_eff, w, y)
-    return y
+    H = np.asarray(h, dtype=float)[None]
+    return tuple(float(v) for v in e_map_batch(frame, I, x, r, H, steps=_SCALAR_STEPS)[0])
 
 
 def e_map_batch(frame, I, x, r, H, steps=4):
@@ -149,21 +153,26 @@ def e_map_batch(frame, I, x, r, H, steps=4):
     return Y
 
 
-def jacobian_e(frame, I, x, r, h, delta=1e-5):
-    """Central-difference Jacobian of the chart at h, plus its determinant."""
+def chart_jacobians(frame, I, x, r, H, d, steps):
+    """Central-difference chart Jacobians at the rows of H, shape (N, n, n).
+
+    Column k of Jacobian i steps h_ik by +-d_ik, where ``d`` has shape (N, n)
+    or (N, 1).  All 2nN shifted points go through one ``e_map_batch`` call.
+    """
+    N, n = H.shape
+    shift = d[:, :, None] * np.eye(n)
+    points = np.stack([H[:, None] + shift, H[:, None] - shift], axis=1).reshape(-1, n)
+    P = e_map_batch(frame, I, x, r, points, steps=steps).reshape(N, 2, n, n)
+    return ((P[:, 0] - P[:, 1]) / (2 * d)[:, :, None]).transpose(0, 2, 1)
+
+
+def jacobian_e(frame, I, x, r, h):
+    """Jacobian of ``e_map`` at h, column k stepped by 1e-5 * max(1, |h_k|), and its det."""
     I = frame.check_index_tuple(I)
-    n = frame.system.n
-    h = [float(v) for v in h]
-    cols = []
-    for k in range(n):
-        d = delta * max(1.0, abs(h[k]))
-        hp, hm = list(h), list(h)
-        hp[k] += d
-        hm[k] -= d
-        yp = np.asarray(e_map(frame, I, x, r, hp))
-        ym = np.asarray(e_map(frame, I, x, r, hm))
-        cols.append((yp - ym) / (2 * d))
-    J = np.stack(cols, axis=1)
+    if not 0 < r <= 1:  # as in e_map; e_map_batch takes r > 1 for doubling's 2r
+        raise ValueError("radius must be in (0, 1]")
+    H = np.asarray(h, dtype=float)[None]
+    J = chart_jacobians(frame, I, x, r, H, 1e-5 * np.maximum(1.0, np.abs(H)), _SCALAR_STEPS)[0]
     return J, float(np.linalg.det(J))
 
 

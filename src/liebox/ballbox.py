@@ -17,7 +17,7 @@ import numpy as np
 
 from .linalg import min_norm_solve
 from .metric import ball_membership, chart_leg_count, control_endpoints
-from .approxexp import e_map_batch, box_norm
+from .approxexp import box_norm, chart_jacobians, e_map_batch
 from .approxexp import e_map  # noqa: F401  (the perfbench tracer patches ballbox.e_map)
 from .words import as_fraction
 
@@ -196,10 +196,7 @@ def invert_chart(frame, I, x, r, Y):
             break
         h = H[rows]
         d = 1e-6 * np.maximum(1.0, np.abs(h).max(axis=1))
-        shift = d[:, None, None] * np.eye(n)
-        P = E(np.stack([h[:, None] + shift, h[:, None] - shift], axis=1))
-        P = P.reshape(-1, 2, n, n)
-        J = ((P[:, 0] - P[:, 1]) / (2 * d)[:, None, None]).transpose(0, 2, 1)
+        J = chart_jacobians(frame, I, x, r, h, d[:, None], 6)
         try:
             step = np.linalg.solve(J, R[rows][..., None])[..., 0]
         except np.linalg.LinAlgError:

@@ -1,12 +1,10 @@
 """Explicit Runge-Kutta integrators for polynomial vector fields.
 
-An adaptive Dormand-Prince 5(4) scheme integrates single trajectories at
-tight tolerances; its error control is what makes the tolerance contract
-hold on arbitrary user models.  A fixed-step classical RK4 (scalar, and
-vectorized over rows) serves the batches that have no exact flow: fields
-that are not triangular.  ``VectorFieldSystem.flow_batch`` flows triangular
-generators exactly, and ``VectorFieldSystem.mixture_flow_batch`` does the
-same for the constant-control mixtures of ``metric.control_endpoints``.
+Adaptive Dormand-Prince 5(4) integrates single trajectories at tight
+tolerances (``VectorFieldSystem.flow``); its error control makes the
+tolerance contract hold on arbitrary user models.  Vectorized fixed-step RK4
+serves batches of non-triangular fields, which have no exact flow.  The
+scalar ``rk4`` has no library caller; ``perfbench`` traces it by name.
 """
 
 import numpy as np

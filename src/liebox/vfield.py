@@ -208,12 +208,8 @@ class VectorFieldSystem:
         P = np.concatenate([U, np.asarray(Y, dtype=float)], axis=-1)
         return exact(np.asarray(T, dtype=float), P)[..., len(keys):]
 
-    def flow(self, field, t, x, fast=False, steps=32):
-        """Point of the flow of a generator (signed letter) or a PolyMap.
-
-        ``fast`` switches to fixed-step RK4 for optimizer loops; default is
-        the adaptive integrator at the configured tolerances.
-        """
+    def flow(self, field, t, x):
+        """Adaptive DOPRI5 flow of a signed letter or a PolyMap at the configured tolerances."""
         if isinstance(field, PolyMap):
             fn = field.compile_scalar()
         else:
@@ -221,8 +217,6 @@ class VectorFieldSystem:
             fn = self._scalar_fn(j, self.field(j))
             if field < 0:
                 t = -t
-        if fast:
-            return flows.rk4(fn, t, x, steps=steps)
         c = self.config
         return flows.dopri5(
             fn, t, x, rtol=c.rtol, atol=c.atol, box=c.box, max_steps=c.max_steps

@@ -17,7 +17,9 @@ from liebox.approxexp import (
     jacobian_e,
     scaled_columns,
 )
-from liebox.vfield import load_model
+from liebox.ballbox import select_maximal
+from liebox.poly import Poly, PolyMap
+from liebox.vfield import VectorFieldSystem, load_model
 
 HEIS = load_model("heisenberg")
 GRUSHIN = load_model("grushin")
@@ -165,14 +167,79 @@ def test_jacobian_comparability_small_box():
             assert 0.5 <= det / det0 <= 2.0
 
 
+def _dopri5_chart(frame, I, x, r, h):
+    """Independent chart reference: one adaptive exp_ap per frame entry, last first."""
+    y = tuple(x)
+    for k in range(len(I) - 1, -1, -1):
+        w = frame.word(I[k])
+        y = exp_ap(frame.system, h[k] * r ** len(w), w, y)
+    return np.array(y)
+
+
+CHART_CASES = (
+    ("heisenberg", (0.0, 0.0, 0.0)),
+    ("grushin", (1.0, 0.0)),
+    ("engel", (0.0, 0.0, 0.0, 0.0)),
+    ("martinet", (0.0, 0.0, 0.0)),
+)
+
+
 def test_e_map_batch_matches_scalar():
-    rng = np.random.default_rng(11)
-    H = rng.uniform(-0.3, 0.3, size=(24, 3))
     r = 0.5
-    Y = e_map_batch(HEIS_FRAME, HEIS_MAXIMAL, (0.0, 0.0, 0.0), r, H, steps=4)
-    for i in range(H.shape[0]):
-        ref = e_map(HEIS_FRAME, HEIS_MAXIMAL, (0.0, 0.0, 0.0), r, H[i])
-        assert np.allclose(Y[i], ref, atol=1e-10), i
+    for name, x in CHART_CASES:
+        frame = CommutatorFrame(load_model(name))
+        I = select_maximal(frame, x, r).I
+        rng = np.random.default_rng(11)
+        H = rng.uniform(-0.3, 0.3, size=(24, len(x)))
+        Y = e_map_batch(frame, I, x, r, H, steps=4)
+        for i in range(H.shape[0]):
+            ref = _dopri5_chart(frame, I, x, r, H[i])
+            assert np.allclose(Y[i], ref, atol=1e-10), (name, i)
+            assert np.allclose(e_map(frame, I, x, r, H[i]), ref, atol=1e-10), (name, i)
+
+
+def test_jacobian_e_matches_dopri5_differences():
+    r = 0.5
+    for name, x in CHART_CASES:
+        frame = CommutatorFrame(load_model(name))
+        I = select_maximal(frame, x, r).I
+        degrees = [frame.degree(i) for i in I]
+        rng = np.random.default_rng(12)
+        for _ in range(4):
+            h = np.array([0.2**d * v for d, v in zip(degrees, rng.uniform(-1, 1, len(I)))])
+            cols = []
+            for k in range(len(I)):
+                e = np.zeros(len(I))
+                e[k] = 1e-5 * max(1.0, abs(h[k]))
+                up = _dopri5_chart(frame, I, x, r, h + e)
+                dn = _dopri5_chart(frame, I, x, r, h - e)
+                cols.append((up - dn) / (2 * e[k]))
+            J_ref = np.stack(cols, axis=1)
+            det_ref = np.linalg.det(J_ref)
+            J, det = jacobian_e(frame, I, x, r, h)
+            assert np.allclose(J, J_ref, rtol=0, atol=1e-9), (name, h)
+            assert abs(det - det_ref) <= 1e-9 * abs(det_ref), (name, h, det, det_ref)
+
+
+@pytest.mark.parametrize("chart", (e_map, jacobian_e))
+@pytest.mark.parametrize("r", (0.0, 1.5))
+def test_scalar_chart_rejects_radius_outside_unit_interval(chart, r):
+    with pytest.raises(ValueError):
+        chart(HEIS_FRAME, HEIS_MAXIMAL, (0.0, 0.0, 0.0), r, (0.1, 0.0, 0.0))
+
+
+def test_chart_on_non_triangular_field_is_32_step_rk4():
+    # x d/dx has no terminating Lie series, so the chart legs take RK4
+    frame = CommutatorFrame(
+        VectorFieldSystem([PolyMap([Poly.var(1, 0)])], step=1, name="linear1d")
+    )
+    for h in (0.3, 1.0):
+        exact = 1.3 * math.exp(h)
+        y = e_map(frame, (1,), (1.3,), 1.0, (h,))
+        assert y[0] == e_map_batch(frame, (1,), (1.3,), 1.0, [[h]], steps=32)[0, 0]
+        assert abs(y[0] - exact) < 1e-7
+        _, det = jacobian_e(frame, (1,), (1.3,), 1.0, (h,))
+        assert abs(det - exact) <= 1e-6 * exact
 
 
 def test_invert_legs_round_trip():

@@ -1,0 +1,68 @@
+"""The per-layer tracer of ``perfbench/spans.py`` against the library.
+
+The tracer rebinds library attributes by name and reads rows and outcomes
+from fixed argument positions and return shapes, so a rename or a reshaped
+call breaks traced benchmark runs only.  This test installs it in-process on
+the modules the benchmark imports, runs one small call per traced layer of
+the chart, inclusion, doubling and distance paths, and checks that the
+layers they reach recorded calls and rows.
+"""
+
+import importlib
+import importlib.util
+import pathlib
+import types
+
+SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+MODULES = ("words", "freelie", "ncpoly", "poly", "flows", "vfield", "linalg",
+           "approxexp", "metric", "ballbox")
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_tracer_installs_and_counts_every_reached_layer():
+    spans = _load_spans()
+    lb = types.SimpleNamespace(
+        **{m: importlib.import_module(f"liebox.{m}") for m in MODULES})
+    originals = (lb.approxexp.e_map, lb.ballbox.e_map_batch,
+                 lb.vfield.VectorFieldSystem.batch_fn, lb.poly.Poly.compile_batch)
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer, lb)
+        tracer.op = 0
+        system = lb.vfield.load_model("heisenberg")
+        frame = lb.approxexp.CommutatorFrame(system)
+        x, r, I = (0.0, 0.0, 0.0), 0.5, (1, 2, 4)
+        lb.approxexp.e_map(frame, I, x, r, (0.1, -0.2, 0.05))
+        lb.approxexp.jacobian_e(frame, I, x, r, (0.1, -0.2, 0.05))
+        rep = lb.ballbox.inclusion_check(system, frame, I, x, r, eps=0.3, samples=10,
+                                         seed=3, collision_pairs=10)
+        assert rep["solved_fraction"] == 1.0
+        lb.ballbox.doubling_ratio(system, frame, x, 0.25, N=200, seed=5)
+        lb.metric.estimate_all(system, frame, x, (0.05, 0.02, 0.01), seed=1)
+        times = tracer.layer_times(True)
+        counts = {name: tracer.counts[tracer.layer(name)] for name in tracer.names}
+    finally:
+        tracer.restore()
+    for name in ("vfield.load_model", "approxexp.e_map", "approxexp.jacobian_e",
+                 "ballbox.inclusion_check", "ballbox.sample_rho_targets",
+                 "ballbox.select_maximal", "ballbox.doubling_ratio",
+                 "metric.estimate_all", "metric.fl_distance", "metric.cc_distance",
+                 "metric.rho_distance", "metric._gauss_newton"):
+        assert times[name][0] > 0, name
+    for name in ("approxexp.e_map_batch", "metric.ball_membership",
+                 "metric.control_endpoints", "metric.arc_endpoints", "poly.batch_eval"):
+        assert times[name][0] > 0, name
+        assert counts[name]["rows"] > 0, name
+    assert counts["metric.ball_membership"]["accepted"] > 0
+    assert "feasible" in counts["metric._gauss_newton"]
+    # the chart runs on exact flows: no adaptive leg is reached
+    assert times.get("flows.dopri5", (0,))[0] == 0
+    assert times.get("vfield.compose_flows", (0,))[0] == 0
+    assert originals == (lb.approxexp.e_map, lb.ballbox.e_map_batch,
+                         lb.vfield.VectorFieldSystem.batch_fn, lb.poly.Poly.compile_batch)

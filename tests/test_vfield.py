@@ -150,7 +150,7 @@ def test_fast_flow_matches_adaptive_on_nilpotent_models():
         x0 = tuple(0.2 for _ in range(system.n))
         for j in range(1, system.m + 1):
             a = system.flow(j, 0.37, x0)
-            b = system.flow(j, 0.37, x0, fast=True, steps=8)
+            b = flows.rk4(system.field(j).compile_scalar(), 0.37, x0, steps=8)
             assert max(abs(u - v) for u, v in zip(a, b)) < 1e-12
 
 

@@ -7,17 +7,16 @@ frame entry, with the radius folded into the leg times: a scaled commutator
 r^l Y flown for parameter h uses leg times |h|^(1/l) * r over the original
 generators, which is exactly the scaled-generator composition.
 ``e_map_batch`` is the one chart; ``e_map`` is one of its rows and
-``chart_jacobians`` its one central-difference Jacobian.  ``exp_ap`` and
-``c_map`` compose adaptive DOPRI5 legs, the reference the chart is tested on.
+``chart_jacobians`` its one central-difference Jacobian.  Its legs are exact
+on triangular fields and ``flows.RK4_STEPS``-step RK4 otherwise.  ``exp_ap``
+and ``c_map`` compose adaptive DOPRI5 legs, the reference the chart is tested
+on.
 """
 
 import numpy as np
 
 from .vfield import all_words
 from .words import check_word
-
-# RK4 steps per leg of e_map and jacobian_e on fields that are not triangular
-_SCALAR_STEPS = 32
 
 
 def c_map_legs(letters, tau):
@@ -111,21 +110,22 @@ def e_map(frame, I, x, r, h):
     The last frame entry is applied to x first.  Scaling: entry k of degree
     l contributes legs at times |h_k|**(1/l) * r over the original
     generators, the inverse branch when h_k < 0.  A field that is not
-    triangular (x d/dx, say) flows by 32-step RK4 per leg: on x d/dx at r = 1
-    the error is 3e-11 at h = 0.3 and 3e-8 at h = 1 (DOPRI5: 2e-11, 1e-10).
+    triangular (x d/dx, say) flows by ``flows.RK4_STEPS`` = 32-step RK4 per
+    leg: on x d/dx at r = 1 the error is 3e-11 at h = 0.3 and 3e-8 at h = 1
+    (DOPRI5: 2e-11, 1e-10).
     """
     I = frame.check_index_tuple(I)
     if not 0 < r <= 1:
         raise ValueError("radius must be in (0, 1]")
     H = np.asarray(h, dtype=float)[None]
-    return tuple(float(v) for v in e_map_batch(frame, I, x, r, H, steps=_SCALAR_STEPS)[0])
+    return tuple(float(v) for v in e_map_batch(frame, I, x, r, H)[0])
 
 
-def e_map_batch(frame, I, x, r, H, steps=4):
+def e_map_batch(frame, I, x, r, H):
     """Vectorized chart over H of shape (N, n).
 
     Legs are ``VectorFieldSystem.flow_batch``: exact for triangular fields,
-    fixed-step RK4 with ``steps`` steps otherwise.
+    ``flows.RK4_STEPS``-step RK4 otherwise.
     """
     I = frame.check_index_tuple(I)
     system = frame.system
@@ -136,7 +136,7 @@ def e_map_batch(frame, I, x, r, H, steps=4):
         ell = len(w)
         hk = H[:, k]
         if ell == 1:
-            Y = system.flow_batch(w[0], hk * r, Y, steps=steps)
+            Y = system.flow_batch(w[0], hk * r, Y)
             continue
         tau = np.abs(hk) ** (1.0 / ell) * r
         for branch, legs in (
@@ -148,12 +148,12 @@ def e_map_batch(frame, I, x, r, H, steps=4):
             sub = Y[branch]
             tb = tau[branch]
             for j, unit_t in legs:
-                sub = system.flow_batch(j, unit_t * tb, sub, steps=steps)
+                sub = system.flow_batch(j, unit_t * tb, sub)
             Y[branch] = sub
     return Y
 
 
-def chart_jacobians(frame, I, x, r, H, d, steps):
+def chart_jacobians(frame, I, x, r, H, d):
     """Central-difference chart Jacobians at the rows of H, shape (N, n, n).
 
     Column k of Jacobian i steps h_ik by +-d_ik, where ``d`` has shape (N, n)
@@ -162,7 +162,7 @@ def chart_jacobians(frame, I, x, r, H, d, steps):
     N, n = H.shape
     shift = d[:, :, None] * np.eye(n)
     points = np.stack([H[:, None] + shift, H[:, None] - shift], axis=1).reshape(-1, n)
-    P = e_map_batch(frame, I, x, r, points, steps=steps).reshape(N, 2, n, n)
+    P = e_map_batch(frame, I, x, r, points).reshape(N, 2, n, n)
     return ((P[:, 0] - P[:, 1]) / (2 * d)[:, :, None]).transpose(0, 2, 1)
 
 
@@ -172,7 +172,7 @@ def jacobian_e(frame, I, x, r, h):
     if not 0 < r <= 1:  # as in e_map; e_map_batch takes r > 1 for doubling's 2r
         raise ValueError("radius must be in (0, 1]")
     H = np.asarray(h, dtype=float)[None]
-    J = chart_jacobians(frame, I, x, r, H, 1e-5 * np.maximum(1.0, np.abs(H)), _SCALAR_STEPS)[0]
+    J = chart_jacobians(frame, I, x, r, H, 1e-5 * np.maximum(1.0, np.abs(H)))[0]
     return J, float(np.linalg.det(J))
 
 

@@ -62,15 +62,19 @@ def lambda_I(frame, I, x):
     return _columns_det(_exact_columns(frame, x), I)
 
 
-def frame_candidates(frame, max_candidates=20000):
+MAX_CANDIDATES = 20000
+
+
+def frame_candidates(frame):
     """Index tuples without repetition, in deterministic enumeration order.
 
-    Above the cap, a pivoted-QR beam over a reference point grid picks the
-    strongest 2n columns first (deterministic), then enumerates those.
+    Above ``MAX_CANDIDATES`` tuples, a pivoted-QR beam over a reference point
+    grid picks the strongest 2n columns first (deterministic), then
+    enumerates those.
     """
     n = frame.system.n
     combos = math.comb(frame.q, n)
-    if combos <= max_candidates:
+    if combos <= MAX_CANDIDATES:
         return list(itertools.combinations(range(1, frame.q + 1), n))
     # beam: rank columns by norm of the coefficient maps at the origin-ish
     ref = np.zeros(n) + 0.1
@@ -82,15 +86,13 @@ def frame_candidates(frame, max_candidates=20000):
     return list(itertools.combinations(keep, n))
 
 
-def lambda_vector(frame, x, r, top_k=None):
-    """Scaled determinant tuple over candidate frames, largest first if top_k."""
+def lambda_vector(frame, x, r):
+    """Scaled determinant tuple over candidate frames, in enumeration order."""
     col = _exact_columns(frame, x)
     rows = []
     for I in frame_candidates(frame):
         lam = _columns_det(col, I)
         rows.append((I, lam, float(abs(lam)) * r ** frame.ell(I)))
-    if top_k is not None:
-        rows = sorted(rows, key=lambda t: -t[2])[:top_k]
     return rows
 
 
@@ -184,7 +186,7 @@ def invert_chart(frame, I, x, r, Y):
     halvings = 0.5 ** np.arange(1, 10)
 
     def E(H):
-        return e_map_batch(frame, I, x, r, H.reshape(-1, n), steps=6)
+        return e_map_batch(frame, I, x, r, H.reshape(-1, n))
 
     H = np.zeros((k, n))
     R = Y - E(H)
@@ -196,7 +198,7 @@ def invert_chart(frame, I, x, r, Y):
             break
         h = H[rows]
         d = 1e-6 * np.maximum(1.0, np.abs(h).max(axis=1))
-        J = chart_jacobians(frame, I, x, r, h, d[:, None], 6)
+        J = chart_jacobians(frame, I, x, r, h, d[:, None])
         try:
             step = np.linalg.solve(J, R[rows][..., None])[..., 0]
         except np.linalg.LinAlgError:
@@ -239,15 +241,18 @@ def newton_invert(frame, I, x, r, y, eps):
             "box_norm": bn, "in_box": bool(bn < eps or not h.any())}
 
 
-def sample_rho_targets(system, frame, x, scale, count, seed, segments=4, steps=3):
-    """Endpoints of random admissible weighted paths: certified rho <= scale."""
+def sample_rho_targets(system, frame, x, scale, count, seed):
+    """Endpoints of random admissible weighted paths: certified rho <= scale.
+
+    Each path has 4 constant-control segments over the whole frame.
+    """
     rng = np.random.default_rng(seed)
-    B = rng.uniform(-1, 1, size=(count, segments, frame.q))
+    B = rng.uniform(-1, 1, size=(count, 4, frame.q))
     norms = np.linalg.norm(B, axis=2, keepdims=True)
     B /= np.maximum(norms, 1.0)  # per-segment |b| <= 1
     weights = np.array([scale ** frame.degree(j) for j in range(1, frame.q + 1)])
     U = B * weights[None, None, :]
-    return control_endpoints(system, U, x, frame.words, steps=steps)
+    return control_endpoints(system, U, x, frame.words)
 
 
 def inclusion_check(
@@ -274,7 +279,7 @@ def inclusion_check(
     rng = np.random.default_rng(seed + 1)
     H = rng.uniform(-1, 1, size=(2 * collision_pairs, system.n))
     H *= (eps ** np.array(degrees, dtype=float))[None, :]
-    pts = e_map_batch(frame, I, x, r, H, steps=6)
+    pts = e_map_batch(frame, I, x, r, H)
     A, B = pts[:collision_pairs], pts[collision_pairs:]
     HA, HB = H[:collision_pairs], H[collision_pairs:]
     sep = np.abs(HA - HB).max(axis=1)
@@ -339,7 +344,7 @@ def _bounding_box(frame, I, x, r, margin=1.3):
     degrees = [frame.degree(i) for i in I]
     axes = [np.array([-((1.0 / M) ** d), 0.0, (1.0 / M) ** d]) for d in degrees]
     grid = np.array(list(itertools.product(*axes)))
-    pts = e_map_batch(frame, I, x, r, grid, steps=4)
+    pts = e_map_batch(frame, I, x, r, grid)
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     center = 0.5 * (lo + hi)
@@ -356,15 +361,14 @@ def _nonfinite_rows(res_outer, res_inner):
     return int((~np.isfinite(res_outer) | ~np.isfinite(res_inner)).sum())
 
 
-def doubling_ratio(system, frame, x, r, N=100_000, seed=0, eta=0.5, kind="rho"):
+def doubling_ratio(system, frame, x, r, N=100_000, seed=0, kind="rho"):
     """Monte Carlo volume ratio of the radius-2r and radius-r balls.
 
     Both memberships run on one uniform stream over a box adapted to the
     outer ball, with the maximal frame selected once at radius r and reused,
     so the two acceptance regions are exact dilates on homogeneous models.
     """
-    triple = select_maximal(frame, x, r, eta=eta)
-    I = triple.I
+    I = select_maximal(frame, x, r).I
     lo, hi = _bounding_box(frame, I, x, 2 * r)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(lo, hi, size=(N, system.n))
@@ -391,7 +395,7 @@ def doubling_ratio(system, frame, x, r, N=100_000, seed=0, eta=0.5, kind="rho"):
     }
 
 
-def poincare_suite(system, frame, fs, x, r, C_enlarge=2.0, N=100_000, seed=0, eta=0.5):
+def poincare_suite(system, frame, fs, x, r, C_enlarge=2.0, N=100_000, seed=0):
     """Monte Carlo mean-oscillation vs horizontal-gradient integrals.
 
     One shared sample stream over the enlarged ball's bounding box, with the
@@ -399,8 +403,7 @@ def poincare_suite(system, frame, fs, x, r, C_enlarge=2.0, N=100_000, seed=0, et
     Both integrals are box-volume * accepted-fraction * sample mean; the
     per-function ratio is the empirical constant.
     """
-    triple = select_maximal(frame, x, r, eta=eta)
-    I = triple.I
+    I = select_maximal(frame, x, r).I
     R = C_enlarge * r
     lo, hi = _bounding_box(frame, I, x, R)
     rng = np.random.default_rng(seed)
@@ -436,11 +439,9 @@ def poincare_suite(system, frame, fs, x, r, C_enlarge=2.0, N=100_000, seed=0, et
     return reports
 
 
-def poincare_check(system, frame, f, x, r, C_enlarge=2.0, N=100_000, seed=0, eta=0.5):
+def poincare_check(system, frame, f, x, r, C_enlarge=2.0, N=100_000, seed=0):
     """Single-function form of the shared-stream suite."""
-    return poincare_suite(
-        system, frame, [f], x, r, C_enlarge=C_enlarge, N=N, seed=seed, eta=eta
-    )[0]
+    return poincare_suite(system, frame, [f], x, r, C_enlarge=C_enlarge, N=N, seed=seed)[0]
 
 
 def maximality_stability(system, frame, x, r, seed=0, samples=20, reach=0.01):

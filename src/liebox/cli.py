@@ -34,11 +34,17 @@ from .metric import cc_distance, fl_distance, rho_distance
 from .ncpoly import NCPoly, is_trivial
 from .poly import Poly
 from .vfield import MODEL_BUILDERS, load_model
-from .words import check_word, pi_table
+from .words import MAX_ORDER, check_word, pi_table
 
 
 class UsageError(Exception):
     pass
+
+
+def _require(ok, message):
+    """A usage error with ``message`` unless ``ok`` (NaN compares false)."""
+    if not ok:
+        raise UsageError(message)
 
 
 def _parse_point(text, n, flag):
@@ -139,6 +145,8 @@ def _json_default(obj):
 
 
 def cmd_pi_table(args):
+    _require(1 <= args.order <= MAX_ORDER,
+             f"--order must be in 1..{MAX_ORDER}, got {args.order}")
     table = pi_table(args.order)
     rows = table.rows()
     rep = _report(args, "pi-table", {
@@ -203,6 +211,8 @@ def _run_identity(item):
 
 
 def cmd_identities(args):
+    _require(args.max_degree <= MAX_ORDER,
+             f"--max-degree must be at most {MAX_ORDER}, got {args.max_degree}")
     instances = _identity_instances(args.family, args.max_degree, args.alphabet)
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
@@ -278,6 +288,8 @@ def cmd_limit_check(args):
     system = _load_system(args.model)
     w = _parse_word(args.word, system)
     x = _parse_point(args.at, system.n, "--at")
+    _require(args.t_min > 0 and args.t_max > 0, "--t-min and --t-max must be positive")
+    _require(args.t_count >= 1, f"--t-count must be at least 1, got {args.t_count}")
     psi = Poly.var(system.n, args.psi_var if args.psi_var >= 0 else system.n - 1)
     ts = list(np.geomspace(args.t_min, args.t_max, args.t_count))
     rep_data = system.bracket_limit_order(w, psi, x, ts)
@@ -303,6 +315,7 @@ def cmd_emap(args):
     I = _parse_frame(args.frame, frame)
     x = _parse_point(args.center, system.n, "--center")
     h = _parse_point(args.h, system.n, "--h")
+    _require(0 < args.radius <= 1, f"--radius must be in (0, 1], got {args.radius}")
     point = e_map(frame, I, x, args.radius, h)
     J, det = jacobian_e(frame, I, x, args.radius, h)
     degrees = [frame.degree(i) for i in I]
@@ -320,6 +333,9 @@ def cmd_ballbox(args):
     system = _load_system(args.model)
     frame = CommutatorFrame(system)
     x = _parse_point(args.center, system.n, "--center")
+    _require(args.radius > 0, f"--radius must be positive, got {args.radius}")
+    _require(0 < args.eps <= 1, f"--eps must be in (0, 1], got {args.eps}")
+    _require(args.samples >= 1, f"--samples must be at least 1, got {args.samples}")
     triple = select_maximal(frame, x, args.radius, eta=args.eta)
     payload = {
         "maximal_frame": list(triple.I),
@@ -346,6 +362,7 @@ def cmd_distance(args):
     system = _load_system(args.model)
     x = _parse_point(getattr(args, "from"), system.n, "--from")
     y = _parse_point(args.to, system.n, "--to")
+    _require(args.segments >= 1, f"--segments must be at least 1, got {args.segments}")
     est = fl_distance(system, x, y, max_segments=args.segments, seed=args.seed)
     if args.kind != "fl":
         est = cc_distance(
@@ -374,6 +391,8 @@ def cmd_doubling(args):
     system = _load_system(args.model)
     frame = CommutatorFrame(system)
     x = _parse_point(args.center, system.n, "--center")
+    _require(args.radius > 0, f"--radius must be positive, got {args.radius}")
+    _require(args.n >= 1, f"--n must be at least 1, got {args.n}")
     rep_d = doubling_ratio(
         system, frame, x, args.radius, N=args.n, seed=args.seed, kind=args.kind
     )
@@ -389,6 +408,10 @@ def cmd_poincare(args):
     suite = acceptance.poincare_suite_functions()
     if system.n != 3:
         raise UsageError("built-in test functions are for 3-dimensional models")
+    _require(args.radius > 0, f"--radius must be positive, got {args.radius}")
+    _require(args.n >= 1, f"--n must be at least 1, got {args.n}")
+    _require(args.enlarge > 0, f"--enlarge must be positive, got {args.enlarge}")
+    _require(-1 <= args.f < len(suite), f"--f must be in -1..{len(suite) - 1}, got {args.f}")
     chosen = suite if args.f < 0 else [suite[args.f]]
     reports = poincare_suite(
         system, frame, chosen, x, args.radius, C_enlarge=args.enlarge,

@@ -3,11 +3,15 @@
 Adaptive Dormand-Prince 5(4) integrates single trajectories at tight
 tolerances (``VectorFieldSystem.flow``); its error control makes the
 tolerance contract hold on arbitrary user models.  Vectorized fixed-step RK4
-serves batches of non-triangular fields, which have no exact flow.  The
-scalar ``rk4`` has no library caller; ``perfbench`` traces it by name.
+serves batches of non-triangular fields, which have no exact flow: every
+batched leg there takes ``RK4_STEPS`` steps.  The scalar ``rk4`` has no
+library caller; ``perfbench`` traces it by name.
 """
 
 import numpy as np
+
+# Steps per batched RK4 leg of a non-triangular field (the only fallback).
+RK4_STEPS = 32
 
 
 class DomainEscapeError(RuntimeError):

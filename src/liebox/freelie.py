@@ -8,12 +8,7 @@ surviving terms say exactly what went wrong.
 
 from fractions import Fraction
 
-from .words import (
-    DEFAULT_MAX_ORDER,
-    apply_perm,
-    check_word,
-    pi_support,
-)
+from .words import apply_perm, check_word, pi_support
 
 
 class WordSum:
@@ -95,7 +90,7 @@ class WordSum:
         return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
 
-def expand_nested(w, max_order=DEFAULT_MAX_ORDER):
+def expand_nested(w):
     """Associative expansion of the right-nested commutator of the word ``w``.
 
     Returns the signed sum over the 2**(l-1) permutations with nonzero
@@ -103,7 +98,7 @@ def expand_nested(w, max_order=DEFAULT_MAX_ORDER):
     """
     w = check_word(w)
     out = WordSum()
-    for p, s in pi_support(len(w), max_order):
+    for p, s in pi_support(len(w)):
         out._add(apply_perm(p, w), s)
     return out
 
@@ -132,7 +127,7 @@ def check_jacobi(u, v, w):
     )
 
 
-def check_generalized_jacobi(v, w, max_order=DEFAULT_MAX_ORDER):
+def check_generalized_jacobi(v, w):
     """Residual of the bracket-recombination identity for words v, w.
 
     The bracket of the two nested commutators must equal the signed sum of
@@ -140,22 +135,22 @@ def check_generalized_jacobi(v, w, max_order=DEFAULT_MAX_ORDER):
     LHS - RHS.
     """
     v, w = check_word(v), check_word(w)
-    lhs = assoc_bracket(expand_nested(v, max_order), expand_nested(w, max_order))
+    lhs = assoc_bracket(expand_nested(v), expand_nested(w))
     rhs = WordSum()
-    for p, s in pi_support(len(v), max_order):
-        rhs = rhs + expand_nested(apply_perm(p, v) + w, max_order).scale(s)
+    for p, s in pi_support(len(v)):
+        rhs = rhs + expand_nested(apply_perm(p, v) + w).scale(s)
     return lhs - rhs
 
 
-def check_J2(v, max_order=DEFAULT_MAX_ORDER):
+def check_J2(v):
     """Residual of the self-recombination identity with the 1/l factor."""
     v = check_word(v)
     ell = len(v)
     if ell < 2:
         raise ValueError("need |v| >= 2")
-    acc = expand_nested(v, max_order).scale(ell)
-    for p, s in pi_support(ell, max_order):
-        acc = acc - expand_nested(apply_perm(p, v), max_order).scale(s)
+    acc = expand_nested(v).scale(ell)
+    for p, s in pi_support(ell):
+        acc = acc - expand_nested(apply_perm(p, v)).scale(s)
     return acc.scale(Fraction(1, ell))
 
 
@@ -170,7 +165,7 @@ class FResult:
         return self.residual.is_zero()
 
 
-def check_F(ell, p, b, v=None, w=(), max_order=DEFAULT_MAX_ORDER):
+def check_F(ell, p, b, v=None, w=()):
     """Double sum over permutations and index subsets; zero for p < l.
 
     ``b`` lists the exponents (b_1..b_p), each >= 0 with sum >= 1; exponent
@@ -193,18 +188,18 @@ def check_F(ell, p, b, v=None, w=(), max_order=DEFAULT_MAX_ORDER):
     from itertools import combinations
 
     residual = WordSum()
-    for perm, s in pi_support(ell, max_order):
+    for perm, s in pi_support(ell):
         pv = apply_perm(perm, v)
         for idx in combinations(range(ell), p):
             word = ()
             for k in range(p - 1, -1, -1):
                 word += (pv[idx[k]],) * b[k]
             word += w
-            residual = residual + expand_nested(word, max_order).scale(s)
+            residual = residual + expand_nested(word).scale(s)
     return FResult(residual, known_failure=(p == ell))
 
 
-def signed_expansion(v, max_order=DEFAULT_MAX_ORDER):
+def signed_expansion(v):
     """Left/right-placement form of the nested-commutator expansion.
 
     Each sign vector k in {-1,+1}^(l-1) builds one word: start from the last
@@ -252,7 +247,7 @@ def comma_bracket_word(v, signs, w_letter):
     return word + (w_letter,)
 
 
-def check_giochetto(v, w, max_order=DEFAULT_MAX_ORDER):
+def check_giochetto(v, w):
     """Residual of the prepended-letter recombination; expected zero.
 
     ``v`` has length n+1 and ``w`` is a single letter; the check sums the
@@ -264,13 +259,13 @@ def check_giochetto(v, w, max_order=DEFAULT_MAX_ORDER):
     if len(w) != 1:
         raise ValueError("w must be a single letter")
     n = len(v) - 1
-    residual = expand_nested(w + v, max_order)
+    residual = expand_nested(w + v)
     from itertools import product
 
     for signs in product((1, -1), repeat=n):
         negs = sum(1 for s in signs if s == -1)
         word = comma_bracket_word(v, signs, w[0])
-        residual = residual + expand_nested(word, max_order).scale((-1) ** negs)
+        residual = residual + expand_nested(word).scale((-1) ** negs)
     return residual
 
 

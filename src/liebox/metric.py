@@ -9,7 +9,10 @@ Gauss-Newton shooting (with finite-difference Jacobians evaluated as one
 vectorized batch) finds feasible paths; a bisection over the scale with
 projection-constrained re-solves then tightens the value.  Cross-seeding
 guarantees the admissible-class orderings: an arc path is imported into the
-control pool, a control path into the weighted pool.
+control pool, a control path into the weighted pool.  Paths flow exactly on
+triangular fields and by ``flows.RK4_STEPS``-step RK4 legs on any other
+field; the feasibility tolerance, bisection depth and iteration caps are
+module constants.
 """
 
 import math
@@ -21,6 +24,12 @@ from .approxexp import c_map_legs, e_map_batch
 from .linalg import min_norm_solve
 
 FEAS_TOL = 1e-9
+# Bisection probes per distance estimate, and random arc templates after the
+# canonical ones in ``fl_distance``.
+_BISECT_ITERS = 40
+_RANDOM_TEMPLATES = 4
+# Quasi-Newton iterations of ``ball_membership`` for a row that never settles.
+_MEMBERSHIP_ITERS = 8
 
 
 @dataclass
@@ -38,7 +47,7 @@ class DistanceEstimate:
 # -- batched path endpoint maps -------------------------------------------------
 
 
-def arc_endpoints(system, letters, T, x, steps=3):
+def arc_endpoints(system, letters, T, x):
     """Endpoints of arc paths: flow each letter for its (signed) time.
 
     ``T`` has shape (N, len(letters)); returns (N, n).
@@ -46,11 +55,11 @@ def arc_endpoints(system, letters, T, x, steps=3):
     T = np.atleast_2d(np.asarray(T, dtype=float))
     Y = np.broadcast_to(np.asarray(x, dtype=float), (T.shape[0], system.n)).copy()
     for i, j in enumerate(letters):
-        Y = system.flow_batch(j, T[:, i], Y, steps=steps)
+        Y = system.flow_batch(j, T[:, i], Y)
     return Y
 
 
-def control_endpoints(system, U, x, keys, steps=3):
+def control_endpoints(system, U, x, keys):
     """Endpoints of piecewise-constant control paths over the given fields.
 
     ``keys`` are letters or words; ``U`` has shape (N, segments, len(keys)):
@@ -61,7 +70,7 @@ def control_endpoints(system, U, x, keys, steps=3):
     N, k, _ = U.shape
     Y = np.broadcast_to(np.asarray(x, dtype=float), (N, system.n)).copy()
     for seg in range(k):
-        Y = system.mixture_flow_batch(keys, U[:, seg, :], 1.0 / k, Y, steps=steps)
+        Y = system.mixture_flow_batch(keys, U[:, seg, :], 1.0 / k, Y)
     return Y
 
 
@@ -108,7 +117,12 @@ def _gauss_newton(endpoint_batch, theta0, target, tol, max_iter=20, proj=None):
 # -- the flow-arc estimator -------------------------------------------------------
 
 
-def _arc_templates(system, max_segments, rng, extra_random=4):
+def _feasibility_tol(dx):
+    """Endpoint residual at which a path counts as reaching a target dx away."""
+    return FEAS_TOL * (1.0 + dx) + 1e-8
+
+
+def _arc_templates(system, max_segments, rng):
     seqs = []
     for j in range(1, system.m + 1):
         seqs.append((j,))
@@ -121,7 +135,7 @@ def _arc_templates(system, max_segments, rng, extra_random=4):
                 base.extend([j, k])
             for L in range(2, max_segments + 1):
                 seqs.append(tuple(base[:L]))
-    for _ in range(extra_random):
+    for _ in range(_RANDOM_TEMPLATES):
         L = int(rng.integers(2, max_segments + 1))
         seqs.append(tuple(int(a) for a in rng.integers(1, system.m + 1, size=L)))
     # dedupe, preserve order
@@ -145,17 +159,7 @@ def _arc_inits(letters, dx_norm, rng, s_max):
     return inits
 
 
-def fl_distance(
-    system,
-    x,
-    y,
-    max_segments=8,
-    bisect_iters=40,
-    seed=0,
-    seed_paths=(),
-    steps=3,
-    tol=None,
-):
+def fl_distance(system, x, y, max_segments=8, seed=0, seed_paths=()):
     """Arc-path distance estimate: min sum of arc times over feasible paths.
 
     Feasibility at scale r means a sequence of single-generator arcs from x
@@ -166,18 +170,17 @@ def fl_distance(
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     dx = float(np.linalg.norm(y - x))
-    if tol is None:
-        tol = FEAS_TOL * (1.0 + dx) + 1e-8
+    tol = _feasibility_tol(dx)
     if dx <= tol:
         return DistanceEstimate("fl", 0.0, "ok", {"form": "legs", "legs": []})
     rng = np.random.default_rng(seed)
     candidates = []
     templates = _arc_templates(system, max_segments, rng)
-    n_canonical = len(templates) - 4  # the trailing ones are random fill-ins
+    n_canonical = len(templates) - _RANDOM_TEMPLATES
     for ti, letters in enumerate(templates):
         if len(candidates) >= 8 or (ti >= n_canonical and len(candidates) >= 3):
             break
-        ep = lambda T, L=letters: arc_endpoints(system, L, T, x, steps=steps)
+        ep = lambda T, L=letters: arc_endpoints(system, L, T, x)
         for theta0 in _arc_inits(letters, dx, rng, system.s):
             theta, res = _gauss_newton(ep, theta0, y, tol)
             if res <= tol:
@@ -186,7 +189,7 @@ def fl_distance(
         if cert and cert.get("form") == "legs" and cert["legs"]:
             letters = tuple(abs(j) for j, _ in cert["legs"])
             theta0 = np.array([t if j > 0 else -t for j, t in cert["legs"]])
-            ep = lambda T, L=letters: arc_endpoints(system, L, T, x, steps=steps)
+            ep = lambda T, L=letters: arc_endpoints(system, L, T, x)
             theta, res = _gauss_newton(ep, theta0, y, tol)
             if res <= tol:
                 candidates.append((float(np.abs(theta).sum()), letters, theta))
@@ -196,12 +199,12 @@ def fl_distance(
     best_val, best_letters, best_theta = candidates[0]
     trace = [(best_val, True)]
     lo, hi = 0.0, best_val
-    for _ in range(bisect_iters):
+    for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         if mid <= 0:
             break
         proj = lambda th, m=mid: th * min(1.0, m / max(np.abs(th).sum(), 1e-300))
-        ep = lambda T, L=best_letters: arc_endpoints(system, L, T, x, steps=steps)
+        ep = lambda T, L=best_letters: arc_endpoints(system, L, T, x)
         theta, res = _gauss_newton(
             ep, best_theta * (mid / best_val), y, tol, max_iter=5, proj=proj
         )
@@ -297,26 +300,13 @@ def _legs_to_controls(legs, k, d, letter_of_col):
 
 
 def _control_estimate(
-    kind,
-    system,
-    keys,
-    degrees,
-    value_fn,
-    x,
-    y,
-    segments,
-    bisect_iters,
-    seed,
-    seed_certs,
+    kind, system, keys, degrees, value_fn, x, y, segments, seed, seed_certs,
     imported_value,
-    steps,
-    tol,
 ):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     dx = float(np.linalg.norm(y - x))
-    if tol is None:
-        tol = FEAS_TOL * (1.0 + dx) + 1e-8
+    tol = _feasibility_tol(dx)
     d = len(keys)
     if dx <= tol:
         return DistanceEstimate(
@@ -326,7 +316,7 @@ def _control_estimate(
     shape = (segments, d)
 
     def ep(batch):
-        return control_endpoints(system, batch.reshape(-1, *shape), x, keys, steps=steps)
+        return control_endpoints(system, batch.reshape(-1, *shape), x, keys)
 
     rng = np.random.default_rng(seed)
     inits = [np.asarray(c, dtype=float) for c in seed_certs]
@@ -348,7 +338,7 @@ def _control_estimate(
         candidates.sort(key=lambda c: c[0])
         best_val, best_U = candidates[0]
         lo, hi = 0.0, best_val
-        for _ in range(bisect_iters):
+        for _ in range(_BISECT_ITERS):
             mid = 0.5 * (lo + hi)
             if mid <= 0:
                 break
@@ -381,9 +371,7 @@ def _control_estimate(
     return DistanceEstimate(kind, value, "ok", cert, trace)
 
 
-def cc_distance(
-    system, x, y, segments=8, bisect_iters=40, seed=0, fl_cert=None, steps=3, tol=None
-):
+def cc_distance(system, x, y, segments=8, seed=0, fl_cert=None):
     """Control-distance estimate over piecewise-constant generator mixtures.
 
     Any arc certificate passed as ``fl_cert`` is admissible here, so its
@@ -403,24 +391,11 @@ def cc_distance(
             {"form": "legs", "legs": fl_cert["legs"]},
         )
     return _control_estimate(
-        "cc", system, keys, degrees, _cc_value, x, y, segments, bisect_iters,
-        seed, seeds, imported, steps, tol,
+        "cc", system, keys, degrees, _cc_value, x, y, segments, seed, seeds, imported
     )
 
 
-def rho_distance(
-    system,
-    frame,
-    x,
-    y,
-    segments=8,
-    bisect_iters=40,
-    seed=0,
-    cc_cert=None,
-    cc_value=None,
-    steps=3,
-    tol=None,
-):
+def rho_distance(system, frame, x, y, segments=8, seed=0, cc_cert=None, cc_value=None):
     """Weighted-frame distance estimate over all commutator directions.
 
     A control certificate embeds with identical value (the generators are
@@ -440,7 +415,7 @@ def rho_distance(
         imported = (cc_value, cc_cert)
     return _control_estimate(
         "rho", system, frame.words, degrees, lambda U: _rho_value(U, degrees),
-        x, y, segments, bisect_iters, seed, seeds, imported, steps, tol,
+        x, y, segments, seed, seeds, imported,
     )
 
 
@@ -482,9 +457,7 @@ def chart_leg_count(frame, I):
     )
 
 
-def ball_membership(
-    system, frame, I, x, r, pts, max_iter=8, steps=2, tol=None, kind="rho"
-):
+def ball_membership(system, frame, I, x, r, pts, kind="rho"):
     """Vectorized membership test for the radius-r ball of the chosen kind.
 
     Inverts the almost-exponential chart at scale r by quasi-Newton (exact
@@ -498,10 +471,10 @@ def ball_membership(
 
     Each row stops on its own: once the undamped step it just took is at the
     floating-point floor (max |dH| <= 1e-12), its residual is evaluated once
-    more at the new H and the row leaves the batch.  A residual at or below
-    ``tol`` alone does not stop a row, since such a row can still move by
-    about 1e-5 in H.  Rows that never reach the floor (slow or non-finite
-    rows) run all ``max_iter`` iterations.
+    more at the new H and the row leaves the batch.  A row is accepted only
+    with residual at most 1e-8 + 1e-6 * r, but such a residual alone does not
+    stop a row, since the row can still move by about 1e-5 in H.  Rows that
+    never reach the floor (slow or non-finite rows) run all 8 iterations.
     """
     if kind not in ("rho", "cc"):
         raise ValueError("kind must be 'rho' or 'cc'")
@@ -509,8 +482,7 @@ def ball_membership(
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     N = pts.shape[0]
     n = system.n
-    if tol is None:
-        tol = 1e-8 + 1e-6 * r
+    tol = 1e-8 + 1e-6 * r
     M = chart_leg_count(frame, I)
     eps_accept = 1.0 / M
     H = np.zeros((N, n))
@@ -519,10 +491,10 @@ def ball_membership(
     ridge = 1e-12 * np.eye(n)
     live = np.arange(N)
     settled = np.zeros(N, dtype=bool)
-    for it in range(max_iter + 1):
-        E = e_map_batch(frame, I, x, r, H[live], steps=steps)
+    for it in range(_MEMBERSHIP_ITERS + 1):
+        E = e_map_batch(frame, I, x, r, H[live])
         R = pts[live] - E
-        done = settled | (it == max_iter)
+        done = settled | (it == _MEMBERSHIP_ITERS)
         res[live[done]] = np.linalg.norm(R[done], axis=1)
         live, E, R = live[~done], E[~done], R[~done]
         if not live.size:

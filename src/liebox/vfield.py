@@ -158,12 +158,12 @@ class VectorFieldSystem:
             self._batch_fns[key] = fn
         return fn
 
-    def flow_batch(self, j, T, Y, steps=4):
+    def flow_batch(self, j, T, Y):
         """Flow of a signed generator letter for times T over rows of Y.
 
         ``T`` is a scalar or has one entry per row.  A triangular field
         flows exactly (its terminating Lie series, compiled at first use);
-        any other field falls back to fixed-step RK4 with ``steps`` steps.
+        any other field falls back to ``flows.RK4_STEPS``-step RK4.
         """
         if j < 0:
             j, T = -j, -np.asarray(T, dtype=float)
@@ -174,10 +174,10 @@ class VectorFieldSystem:
             )
         exact = self._exact_flows[j]
         if exact is None:
-            return flows.rk4_batch(self.batch_fn(j), T, Y, steps=steps)
+            return flows.rk4_batch(self.batch_fn(j), T, Y, steps=flows.RK4_STEPS)
         return exact(np.asarray(T, dtype=float), np.asarray(Y, dtype=float))
 
-    def mixture_flow_batch(self, keys, U, T, Y, steps=4):
+    def mixture_flow_batch(self, keys, U, T, Y):
         """Flow of the mixture sum_j U[:, j] X_{keys[j]} for times T over rows of Y.
 
         ``keys`` are letters or words, ``U`` holds one row of constant
@@ -185,7 +185,7 @@ class VectorFieldSystem:
         row.  Triangular fields flow exactly: the controls become leading
         variables of one triangular lifted field (``control_mixture``) whose
         Lie series is compiled at first use.  Any other field falls back to
-        fixed-step RK4 with ``steps`` steps.
+        ``flows.RK4_STEPS``-step RK4.
         """
         keys = tuple(keys)
         if keys not in self._exact_flows:
@@ -204,7 +204,7 @@ class VectorFieldSystem:
                     acc = acc + U[:, j, None] * fns[j](P)
                 return acc
 
-            return flows.rk4_batch(fld, T, Y, steps=steps)
+            return flows.rk4_batch(fld, T, Y, steps=flows.RK4_STEPS)
         P = np.concatenate([U, np.asarray(Y, dtype=float)], axis=-1)
         return exact(np.asarray(T, dtype=float), P)[..., len(keys):]
 

@@ -11,7 +11,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
-DEFAULT_MAX_ORDER = 8
+# Longest permutation order (word length) the expansions accept.
+MAX_ORDER = 8
 
 Word = tuple
 Perm = tuple
@@ -45,7 +46,7 @@ def apply_perm(p, w):
 
 
 @lru_cache(maxsize=None)
-def pi_coefficient(sigma, max_order=DEFAULT_MAX_ORDER):
+def pi_coefficient(sigma):
     """Coefficient in {-1, 0, +1} of the permutation ``sigma``.
 
     Recursion on the order l: value 1 at l=1; for l > 1 the permutation must
@@ -54,32 +55,31 @@ def pi_coefficient(sigma, max_order=DEFAULT_MAX_ORDER):
     """
     sigma = check_perm(sigma)
     ell = len(sigma)
-    if not 1 <= ell <= max_order:
-        raise ValueError(f"order {ell} outside 1..{max_order}")
+    if not 1 <= ell <= MAX_ORDER:
+        raise ValueError(f"order {ell} outside 1..{MAX_ORDER}")
     if ell == 1:
         return 1
-    rest_args = {"max_order": max_order} if max_order != DEFAULT_MAX_ORDER else {}
     if sigma[0] == 1:
-        return pi_coefficient(tuple(a - 1 for a in sigma[1:]), **rest_args)
+        return pi_coefficient(tuple(a - 1 for a in sigma[1:]))
     if sigma[-1] == 1:
-        return -pi_coefficient(tuple(a - 1 for a in sigma[:-1]), **rest_args)
+        return -pi_coefficient(tuple(a - 1 for a in sigma[:-1]))
     return 0
 
 
 @lru_cache(maxsize=None)
-def pi_support(ell, max_order=DEFAULT_MAX_ORDER):
+def pi_support(ell):
     """All permutations with nonzero coefficient, as ``((perm, sign), ...)``.
 
     Built by the same recursion instead of scanning all l! permutations, so
     the result has exactly 2**(l-1) entries.  Order is fixed by the recursion
     (first-position branch before last-position branch), deterministically.
     """
-    if not 1 <= ell <= max_order:
-        raise ValueError(f"order {ell} outside 1..{max_order}")
+    if not 1 <= ell <= MAX_ORDER:
+        raise ValueError(f"order {ell} outside 1..{MAX_ORDER}")
     if ell == 1:
         return (((1,), 1),)
     out = []
-    for p, s in pi_support(ell - 1, max_order):
+    for p, s in pi_support(ell - 1):
         shifted = tuple(a + 1 for a in p)
         out.append(((1,) + shifted, s))
         out.append((shifted + (1,), -s))
@@ -89,11 +89,9 @@ def pi_support(ell, max_order=DEFAULT_MAX_ORDER):
 class PiTable:
     """Complete coefficient table for one order, in lexicographic perm order."""
 
-    def __init__(self, ell, max_order=DEFAULT_MAX_ORDER):
-        if not 1 <= ell <= max_order:
-            raise ValueError(f"order {ell} outside 1..{max_order}")
+    def __init__(self, ell):
+        support = dict(pi_support(ell))  # raises ValueError outside 1..MAX_ORDER
         self.order = ell
-        support = dict(pi_support(ell, max_order))
         self.entries = {
             p: support.get(p, 0) for p in permutations(range(1, ell + 1))
         }
@@ -115,14 +113,14 @@ class PiTable:
         ]
 
 
-def pi_table(ell, max_order=DEFAULT_MAX_ORDER):
-    return PiTable(ell, max_order)
+def pi_table(ell):
+    return PiTable(ell)
 
 
-def pi_weighted_words(w, max_order=DEFAULT_MAX_ORDER):
+def pi_weighted_words(w):
     """Pairs (permuted word, sign) over the nonzero support for ``w``."""
     w = check_word(w)
-    return [(apply_perm(p, w), s) for p, s in pi_support(len(w), max_order)]
+    return [(apply_perm(p, w), s) for p, s in pi_support(len(w))]
 
 
 def reversal_sign(ell):

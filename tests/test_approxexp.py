@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from liebox import flows
 from liebox.approxexp import (
     CommutatorFrame,
     box_norm,
@@ -191,7 +192,7 @@ def test_e_map_batch_matches_scalar():
         I = select_maximal(frame, x, r).I
         rng = np.random.default_rng(11)
         H = rng.uniform(-0.3, 0.3, size=(24, len(x)))
-        Y = e_map_batch(frame, I, x, r, H, steps=4)
+        Y = e_map_batch(frame, I, x, r, H)
         for i in range(H.shape[0]):
             ref = _dopri5_chart(frame, I, x, r, H[i])
             assert np.allclose(Y[i], ref, atol=1e-10), (name, i)
@@ -230,13 +231,13 @@ def test_scalar_chart_rejects_radius_outside_unit_interval(chart, r):
 
 def test_chart_on_non_triangular_field_is_32_step_rk4():
     # x d/dx has no terminating Lie series, so the chart legs take RK4
-    frame = CommutatorFrame(
-        VectorFieldSystem([PolyMap([Poly.var(1, 0)])], step=1, name="linear1d")
-    )
+    lin = VectorFieldSystem([PolyMap([Poly.var(1, 0)])], step=1, name="linear1d")
+    frame = CommutatorFrame(lin)
+    assert flows.RK4_STEPS == 32
     for h in (0.3, 1.0):
         exact = 1.3 * math.exp(h)
         y = e_map(frame, (1,), (1.3,), 1.0, (h,))
-        assert y[0] == e_map_batch(frame, (1,), (1.3,), 1.0, [[h]], steps=32)[0, 0]
+        assert y[0] == flows.rk4_batch(lin.batch_fn(1), h, [[1.3]], steps=32)[0, 0]
         assert abs(y[0] - exact) < 1e-7
         _, det = jacobian_e(frame, (1,), (1.3,), 1.0, (h,))
         assert abs(det - exact) <= 1e-6 * exact

@@ -328,7 +328,7 @@ def _invert_all_halvings(frame, I, x, r, Y):
     halvings = 0.5 ** np.arange(10)
 
     def E(H):
-        return ballbox.e_map_batch(frame, I, x, r, H.reshape(-1, n), steps=6)
+        return ballbox.e_map_batch(frame, I, x, r, H.reshape(-1, n))
 
     H = np.zeros((k, n))
     R = Y - E(H)

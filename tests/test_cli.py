@@ -299,3 +299,30 @@ def test_bad_index_input_exits_2(capsys, argv, flag):
     code, out, err = run_cli(capsys, argv[0], "--model", "heisenberg", *argv[1:])
     assert code == 2 and out == ""
     assert err.startswith(f"error: {flag}") and err.count("\n") == 1
+
+
+HEIS_CENTER = ("--model", "heisenberg", "--center", "0,0,0")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("emap", *HEIS_CENTER, "--frame", "1,2,4", "--radius", "1.5", "--h", "0.1,0.2,0.01"),
+     "--radius"),
+    (("ballbox", *HEIS_CENTER, "--radius", "0"), "--radius"),
+    (("ballbox", *HEIS_CENTER, "--radius", "0.5", "--check-inclusion", "--samples", "0"),
+     "--samples"),
+    (("ballbox", *HEIS_CENTER, "--radius", "0.5", "--check-inclusion", "--eps", "2"), "--eps"),
+    (("distance", "--kind", "fl", "--model", "heisenberg", "--from", "0,0,0",
+      "--to", "0,0,0.01", "--segments", "0"), "--segments"),
+    (("poincare", *HEIS_CENTER, "--radius", "0.5", "--n", "2000", "--f", "99"), "--f"),
+    (("poincare", *HEIS_CENTER, "--radius", "0.5", "--n", "2000", "--enlarge", "0"),
+     "--enlarge"),
+    (("doubling", *HEIS_CENTER, "--radius", "0.25", "--n", "0"), "--n"),
+    (("limit-check", "--model", "heisenberg", "--word", "12", "--at", "0,0,0",
+      "--t-count", "0"), "--t-count"),
+    (("pi-table", "--order", "9"), "--order"),
+    (("identities", "--family", "otto", "--max-degree", "9"), "--max-degree"),
+])
+def test_number_out_of_range_exits_2(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1

@@ -178,13 +178,13 @@ def test_ball_membership_singular_fallback_solves_each_row(monkeypatch):
     assert np.abs(H[:5] - H_ref[:5]).max() < 1e-10
 
 
-def _membership_fixed_iterations(system, frame, I, x, r, pts, max_iter=8, steps=2):
+def _membership_fixed_iterations(system, frame, I, x, r, pts, max_iter=8):
     """Reference: every row runs all ``max_iter`` quasi-Newton iterations."""
     n = system.n
     H = np.zeros((len(pts), n))
     ridge = 1e-12 * np.eye(n)
     for _ in range(max_iter):
-        E = e_map_batch(frame, I, x, r, H, steps=steps)
+        E = e_map_batch(frame, I, x, r, H)
         cols = [
             (r ** frame.degree(i)) * system.batch_fn(frame.word(i))(E) for i in I
         ]
@@ -192,7 +192,7 @@ def _membership_fixed_iterations(system, frame, I, x, r, pts, max_iter=8, steps=
         dH = np.linalg.solve(J, (pts - E)[..., None])[..., 0]
         cap = np.maximum(np.abs(dH).max(axis=1), 1e-300)
         H = H + dH * np.minimum(1.0, 0.5 / cap)[:, None]
-    res = np.linalg.norm(pts - e_map_batch(frame, I, x, r, H, steps=steps), axis=1)
+    res = np.linalg.norm(pts - e_map_batch(frame, I, x, r, H), axis=1)
     degs = np.array([frame.degree(i) for i in I], dtype=float)
     boxn = (np.abs(H) ** (1.0 / degs)).max(axis=1)
     tol = 1e-8 + 1e-6 * r
@@ -259,3 +259,23 @@ def test_distance_values_pinned_on_criterion_13_pairs():
         assert fl.ok() and cc.ok() and rho.ok()
         for est, want in ((fl, d_fl), (cc, d_fl), (rho, d_rho)):
             assert est.value == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("a, b", [
+    ((0.08, -0.14), (-0.28, -0.29)),
+    ((0.19, 0.25), (0.06, 0.14)),
+    ((0.03, 0.26), (0.19, -0.3)),
+])
+def test_fl_certificate_on_non_triangular_field_reaches_target(a, b):
+    # X2 = (y, x) is not triangular, so the arcs are RK4 legs; the DOPRI5
+    # replay of the certificate must land on the target
+    one, zero = Poly.const(2, 1), Poly.zero(2)
+    system = VectorFieldSystem(
+        [PolyMap([one, zero]), PolyMap([Poly.var(2, 1), Poly.var(2, 0)])],
+        step=2, name="xy",
+    )
+    assert not system.field(2).is_triangular()
+    est = fl_distance(system, a, b)
+    assert est.ok()
+    end = system.compose_flows(est.certificate["legs"], a)
+    assert np.linalg.norm(np.subtract(end, b)) <= 1e-7

@@ -280,26 +280,34 @@ def test_exact_batch_flow_matches_rk4(name):
             system.batch_fn(j), -0.7, X0, steps=8)).max() <= 1e-12
 
 
+def _counting_rk4(monkeypatch):
+    """Patch ``flows.rk4_batch`` to record the step count of every call."""
+    calls = []
+    rk4_batch = flows.rk4_batch
+
+    def counting(fb, T, Y0, steps):
+        calls.append(steps)
+        return rk4_batch(fb, T, Y0, steps=steps)
+
+    monkeypatch.setattr(flows, "rk4_batch", counting)
+    return calls
+
+
 def test_non_triangular_field_flows_by_rk4(monkeypatch):
     lin = VectorFieldSystem([PolyMap([Poly.var(1, 0)])], step=1, name="linear1d")
     assert not lin.field(1).is_triangular()
     X0 = np.array([[1.3], [-0.4]])
     T = np.array([0.8, -0.5])
-    got = lin.flow_batch(1, T, X0, steps=6)
-    assert np.array_equal(got, flows.rk4_batch(lin.batch_fn(1), T, X0, steps=6))
-    assert np.allclose(got[:, 0], X0[:, 0] * np.exp(T), rtol=1e-5)
-    calls = []
-    rk4_batch = flows.rk4_batch
-
-    def counting(fb, T, Y0, steps=4):
-        calls.append(steps)
-        return rk4_batch(fb, T, Y0, steps=steps)
-
-    monkeypatch.setattr(flows, "rk4_batch", counting)
+    ref = flows.rk4_batch(lin.batch_fn(1), T, X0, steps=flows.RK4_STEPS)
+    calls = _counting_rk4(monkeypatch)
+    got = lin.flow_batch(1, T, X0)
+    assert calls == [flows.RK4_STEPS]
+    assert np.array_equal(got, ref)
+    assert np.allclose(got[:, 0], X0[:, 0] * np.exp(T), rtol=1e-8)
     frame = CommutatorFrame(lin)
-    E = e_map_batch(frame, (1,), (1.0,), 0.5, np.array([[0.4], [-0.2]]), steps=5)
-    assert calls == [5]
-    assert np.allclose(E[:, 0], np.exp(0.5 * np.array([0.4, -0.2])), rtol=1e-6)
+    E = e_map_batch(frame, (1,), (1.0,), 0.5, np.array([[0.4], [-0.2]]))
+    assert calls == [flows.RK4_STEPS] * 2
+    assert np.allclose(E[:, 0], np.exp(0.5 * np.array([0.4, -0.2])), rtol=1e-10)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -376,7 +384,7 @@ def test_mixture_flow_matches_fine_rk4(name):
         assert np.abs(system.mixture_flow_batch(keys, U, T, X0) - ref).max() <= 1e-10
 
 
-def test_non_triangular_mixture_flows_by_rk4():
+def test_non_triangular_mixture_flows_by_rk4(monkeypatch):
     # x d/dx on the line, alone and mixed with the constant field d/dx
     lin = VectorFieldSystem(
         [PolyMap([Poly.var(1, 0)]), PolyMap([Poly.const(1, 1)])],
@@ -384,13 +392,16 @@ def test_non_triangular_mixture_flows_by_rk4():
     )
     rng = np.random.default_rng(31)
     X0 = rng.uniform(-1, 1, size=(6, 1))
+    calls = _counting_rk4(monkeypatch)
     for keys in ((1,), (1, 2)):
         U = rng.uniform(-1, 1, size=(6, len(keys)))
-        got = lin.mixture_flow_batch(keys, U, 0.25, X0, steps=5)
-        assert np.array_equal(got, _mixture_rk4(lin, keys, U, 0.25, X0, steps=5))
+        got = lin.mixture_flow_batch(keys, U, 0.25, X0)
+        assert calls == [flows.RK4_STEPS]
+        assert np.array_equal(got, _mixture_rk4(lin, keys, U, 0.25, X0, steps=flows.RK4_STEPS))
+        calls.clear()
     U = rng.uniform(-1, 1, size=(6, 1))
-    got = lin.mixture_flow_batch((1,), U, 0.25, X0, steps=5)
-    assert np.allclose(got[:, 0], X0[:, 0] * np.exp(0.25 * U[:, 0]), rtol=1e-6)
+    got = lin.mixture_flow_batch((1,), U, 0.25, X0)
+    assert np.allclose(got[:, 0], X0[:, 0] * np.exp(0.25 * U[:, 0]), rtol=1e-10)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -110,15 +110,9 @@ class MaximalTriple:
     I: tuple
     x: tuple
     r: float
-    eta: float
     score: float
-    max_score: float
     candidates: int = 0
     exact_dets: int = 0
-
-    @property
-    def eta_maximal(self):
-        return self.score > self.eta * self.max_score or self.score == self.max_score
 
 
 # Float pre-rank margins of ``select_maximal``: relative, and absolute in
@@ -126,7 +120,7 @@ class MaximalTriple:
 _RANK_REL, _RANK_ABS = 1e-6, 1e-9
 
 
-def select_maximal(frame, x, r, eta=0.5):
+def select_maximal(frame, x, r):
     """Frame with the largest |det| * r^degree score; ties keep the first.
 
     Every candidate is first scored by one batched float determinant at x,
@@ -159,8 +153,7 @@ def select_maximal(frame, x, r, eta=0.5):
     if best_score <= 0.0:
         raise HormanderError(f"all frame determinants vanish at {tuple(x)}")
     return MaximalTriple(
-        I=best_I, x=tuple(float(v) for v in x), r=float(r), eta=eta,
-        score=best_score, max_score=best_score,
+        I=best_I, x=tuple(float(v) for v in x), r=float(r), score=best_score,
         candidates=len(cands), exact_dets=len(near),
     )
 
@@ -299,7 +292,7 @@ def inclusion_check(
 # -- frame-coefficient recovery ----------------------------------------------------
 
 
-def express_in_frame(frame, v, x, tol=1e-8):
+def express_in_frame(frame, v, x):
     """Min-norm coefficients of a vector over the frame columns at x."""
     Y = np.stack(
         [frame.map(i)(np.asarray(x, dtype=float)) for i in range(1, frame.q + 1)],
@@ -310,7 +303,7 @@ def express_in_frame(frame, v, x, tol=1e-8):
         "coefficients": b,
         "residual": residual,
         "rank": rank,
-        "in_span": residual <= tol * (1.0 + float(np.linalg.norm(v))),
+        "in_span": residual <= 1e-8 * (1.0 + float(np.linalg.norm(v))),
         "sup_norm": float(np.abs(b).max()) if b.size else 0.0,
     }
 
@@ -338,7 +331,7 @@ def ad_coefficient_bound(system, frame, Z, w, x, times):
 # -- volume harnesses ------------------------------------------------------------
 
 
-def _bounding_box(frame, I, x, r, margin=1.3):
+def _bounding_box(frame, I, x, r):
     """Euclidean box containing the chart image of the acceptance region."""
     M = chart_leg_count(frame, I)
     degrees = [frame.degree(i) for i in I]
@@ -348,7 +341,7 @@ def _bounding_box(frame, I, x, r, margin=1.3):
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo) * margin + 1e-12
+    half = 0.5 * (hi - lo) * 1.3 + 1e-12
     return center - half, center + half
 
 
@@ -444,8 +437,9 @@ def poincare_check(system, frame, f, x, r, C_enlarge=2.0, N=100_000, seed=0):
     return poincare_suite(system, frame, [f], x, r, C_enlarge=C_enlarge, N=N, seed=seed)[0]
 
 
-def maximality_stability(system, frame, x, r, seed=0, samples=20, reach=0.01):
+def maximality_stability(system, frame, x, r, seed=0):
     """Fraction of nearby points (short admissible paths) keeping the frame."""
+    samples, reach = 20, 0.01
     base = select_maximal(frame, x, r).I
     targets = sample_rho_targets(system, frame, x, reach * r, samples, seed)
     same = sum(

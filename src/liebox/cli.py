@@ -336,7 +336,7 @@ def cmd_ballbox(args):
     _require(args.radius > 0, f"--radius must be positive, got {args.radius}")
     _require(0 < args.eps <= 1, f"--eps must be in (0, 1], got {args.eps}")
     _require(args.samples >= 1, f"--samples must be at least 1, got {args.samples}")
-    triple = select_maximal(frame, x, args.radius, eta=args.eta)
+    triple = select_maximal(frame, x, args.radius)
     payload = {
         "maximal_frame": list(triple.I),
         "words": ["".join(map(str, frame.word(i))) for i in triple.I],
@@ -438,16 +438,25 @@ def _read_csv_matrix(path):
             rows = [
                 [float(v) for v in line] for line in csv.reader(fh) if line
             ]
-        return np.array(rows)
+        M = np.array(rows)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}")
     except ValueError as exc:  # a non-numeric cell or ragged rows
         raise UsageError(f"malformed matrix file {path}: {exc}")
+    _require(M.size > 0, f"malformed matrix file {path}: no rows")
+    _require(np.isfinite(M).all(), f"malformed matrix file {path}: non-finite entry")
+    return M
 
 
 def cmd_pinv(args):
     A = _read_csv_matrix(args.matrix)
     b = _read_csv_matrix(args.rhs).reshape(-1)
+    _require(b.size == A.shape[0],
+             f"--rhs has {b.size} entries for a matrix of {A.shape[0]} rows")
+    _require(args.lam_min > 0 and args.lam_max > 0,
+             f"--lam-min and --lam-max must be positive, "
+             f"got {args.lam_min} and {args.lam_max}")
+    _require(args.lam_count >= 1, f"--lam-count must be at least 1, got {args.lam_count}")
     x, rank, residual = min_norm_solve(A, b)
     payload = {
         "solution": x.tolist(),
@@ -560,7 +569,6 @@ def build_parser():
     sp.add_argument("--model", required=True)
     sp.add_argument("--center", required=True)
     sp.add_argument("--radius", type=float, required=True)
-    sp.add_argument("--eta", type=float, default=0.5)
     sp.add_argument("--check-inclusion", action="store_true")
     sp.add_argument("--eps", type=float, default=0.3)
     sp.add_argument("--c", type=float, default=0.05)

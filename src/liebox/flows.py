@@ -1,10 +1,11 @@
 """Explicit Runge-Kutta integrators for polynomial vector fields.
 
-Adaptive Dormand-Prince 5(4) integrates single trajectories at tight
-tolerances (``VectorFieldSystem.flow``); its error control makes the
-tolerance contract hold on arbitrary user models.  Vectorized fixed-step RK4
-serves batches of non-triangular fields, which have no exact flow: every
-batched leg there takes ``RK4_STEPS`` steps.  The scalar ``rk4`` has no
+Adaptive Dormand-Prince 5(4) integrates single trajectories at the fixed
+tolerances below (``VectorFieldSystem.flow``); its error control makes the
+tolerance contract hold on arbitrary user models, and a trajectory that
+leaves the domain box raises.  Vectorized fixed-step RK4 serves batches of
+non-triangular fields, which have no exact flow: every batched leg there
+takes ``RK4_STEPS`` steps.  The scalar ``rk4`` has no
 library caller; ``perfbench`` traces it by name.
 """
 
@@ -12,6 +13,11 @@ import numpy as np
 
 # Steps per batched RK4 leg of a non-triangular field (the only fallback).
 RK4_STEPS = 32
+# DOPRI5 per-step error tolerances, domain box half-width and step cap.
+DOPRI5_RTOL = 1e-10
+DOPRI5_ATOL = 1e-10
+DOMAIN_BOX = 10.0
+DOPRI5_MAX_STEPS = 100_000
 
 
 class DomainEscapeError(RuntimeError):
@@ -44,19 +50,19 @@ _B4 = (
 )
 
 
-def _check_box(y, box):
-    if box is not None and any(abs(v) > box for v in y):
-        raise DomainEscapeError(f"point {tuple(y)} escaped box +-{box}")
+def _check_box(y):
+    if any(abs(v) > DOMAIN_BOX for v in y):
+        raise DomainEscapeError(f"point {tuple(y)} escaped box +-{DOMAIN_BOX}")
 
 
-def dopri5(f, t, y0, rtol=1e-10, atol=1e-10, box=None, max_steps=100_000):
+def dopri5(f, t, y0):
     """Integrate y' = f(y) from 0 to t (t may be negative); returns a tuple.
 
     ``f`` maps a tuple of floats to a tuple of floats.  Error per step is
-    controlled against atol + rtol*|y| componentwise.
+    controlled against DOPRI5_ATOL + DOPRI5_RTOL*|y| componentwise.
     """
     y = tuple(float(v) for v in y0)
-    _check_box(y, box)
+    _check_box(y)
     if t == 0:
         return y
     sign = 1.0 if t > 0 else -1.0
@@ -68,7 +74,7 @@ def dopri5(f, t, y0, rtol=1e-10, atol=1e-10, box=None, max_steps=100_000):
     h = total
     n = len(y)
     k = [None] * 7
-    for _ in range(max_steps):
+    for _ in range(DOPRI5_MAX_STEPS):
         if s >= total:
             return y
         h = min(h, total - s)
@@ -86,19 +92,19 @@ def dopri5(f, t, y0, rtol=1e-10, atol=1e-10, box=None, max_steps=100_000):
         err = 0.0
         for i in range(n):
             e = h * sum((_B5[j] - _B4[j]) * k[j][i] for j in range(7))
-            sc = atol + rtol * max(abs(y[i]), abs(y5[i]))
+            sc = DOPRI5_ATOL + DOPRI5_RTOL * max(abs(y[i]), abs(y5[i]))
             err += (e / sc) ** 2
         err = (err / n) ** 0.5
         if err <= 1.0:
             y = y5
-            _check_box(y, box)
+            _check_box(y)
             s += h
             h *= min(5.0, max(0.2, 0.9 * (err + 1e-300) ** -0.2))
         else:
             h *= max(0.2, 0.9 * err**-0.2)
         if h < 1e-14 * total:
             raise StepUnderflowError(f"step underflow at s={s} of {total}")
-    raise StepUnderflowError(f"exceeded {max_steps} steps")
+    raise StepUnderflowError(f"exceeded {DOPRI5_MAX_STEPS} steps")
 
 
 def rk4(f, t, y0, steps=8):

@@ -86,9 +86,6 @@ class WordSum:
             bits.append(f"{self.terms[w]}*{''.join(map(str, w))}")
         return "WordSum(" + " + ".join(bits) + ")"
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
 
 def expand_nested(w):
     """Associative expansion of the right-nested commutator of the word ``w``.

@@ -32,16 +32,16 @@ def tychonoff_solve(A, b, lam):
     return np.linalg.solve(R, Q.T @ rhs)
 
 
-def min_norm_solve(A, b, rank_tol=RANK_TOL):
+def min_norm_solve(A, b):
     """Minimum-norm least-squares solution, rank and residual norm.
 
-    Singular values below rank_tol * sigma_max are treated as zero.
+    Singular values below RANK_TOL * sigma_max are treated as zero.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     if s.size and s[0] > 0:
-        rank = int(np.sum(s > rank_tol * s[0]))
+        rank = int(np.sum(s > RANK_TOL * s[0]))
     else:
         rank = 0
     beta = U.T @ b
@@ -90,11 +90,11 @@ def lambda_sweep(A, b, lams):
     return rows
 
 
-def recover_controls(system, points, velocities, tol=1e-8):
+def recover_controls(system, points, velocities):
     """Min-norm horizontal controls along a path, one solve per sample.
 
     Each velocity is expressed in the generator columns at the same point;
-    a residual above tol * (1 + |velocity|) flags a non-horizontal sample.
+    a residual above 1e-8 * (1 + |velocity|) flags a non-horizontal sample.
     Returns (controls, residuals, flags, max_norm).
     """
     controls, residuals, flags = [], [], []
@@ -103,6 +103,6 @@ def recover_controls(system, points, velocities, tol=1e-8):
         b, _, res = min_norm_solve(X, np.asarray(v, dtype=float))
         controls.append(b)
         residuals.append(res)
-        flags.append(res > tol * (1.0 + np.linalg.norm(v)))
+        flags.append(res > 1e-8 * (1.0 + np.linalg.norm(v)))
     max_norm = max((float(np.linalg.norm(c)) for c in controls), default=0.0)
     return controls, residuals, flags, max_norm

@@ -6,13 +6,14 @@ distance searches over sequences of single-generator arcs, the control
 distance over piecewise-constant generator mixtures, and the weighted frame
 distance over mixtures of all commutators with degree-weighted speeds.
 Gauss-Newton shooting (with finite-difference Jacobians evaluated as one
-vectorized batch) finds feasible paths; a bisection over the scale with
-projection-constrained re-solves then tightens the value.  Cross-seeding
-guarantees the admissible-class orderings: an arc path is imported into the
-control pool, a control path into the weighted pool.  Paths flow exactly on
-triangular fields and by ``flows.RK4_STEPS``-step RK4 legs on any other
-field; the feasibility tolerance, bisection depth and iteration caps are
-module constants.
+vectorized batch) finds feasible paths.  The arc estimator reports its best
+shooting solution; the control and weighted estimators then tighten theirs
+by a bisection over the scale with projection-constrained re-solves.
+Cross-seeding guarantees the admissible-class orderings: an arc path is
+imported into the control pool, a control path into the weighted pool.
+Paths flow exactly on triangular fields and by ``flows.RK4_STEPS``-step RK4
+legs on any other field; the feasibility tolerance, bisection depth and
+iteration caps are module constants.
 """
 
 import math
@@ -24,8 +25,9 @@ from .approxexp import c_map_legs, e_map_batch
 from .linalg import min_norm_solve
 
 FEAS_TOL = 1e-9
-# Bisection probes per distance estimate, and random arc templates after the
-# canonical ones in ``fl_distance``.
+# Bisection probes per control or weighted distance estimate (the arc
+# estimator has no bisection), and random arc templates after the canonical
+# ones in ``fl_distance``.
 _BISECT_ITERS = 40
 _RANDOM_TEMPLATES = 4
 # Quasi-Newton iterations of ``ball_membership`` for a row that never settles.
@@ -162,10 +164,11 @@ def _arc_inits(letters, dx_norm, rng, s_max):
 def fl_distance(system, x, y, max_segments=8, seed=0, seed_paths=()):
     """Arc-path distance estimate: min sum of arc times over feasible paths.
 
-    Feasibility at scale r means a sequence of single-generator arcs from x
-    to y with total flowed time at most r (arc times at unit speed); the
-    bisection lowers r with L1-projected re-solves, so the reported value is
-    the smallest scale at which a feasible path was actually found.
+    A feasible path is a sequence of single-generator arcs from x to y; its
+    value is the total flowed time (arc times at unit speed).  The reported
+    value is the smallest among the paths Gauss-Newton shooting reached from
+    the arc templates and from ``seed_paths``, and the trace holds that one
+    value.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -197,33 +200,13 @@ def fl_distance(system, x, y, max_segments=8, seed=0, seed_paths=()):
         return DistanceEstimate("fl", math.inf, "budget_exhausted", None)
     candidates.sort(key=lambda c: c[0])
     best_val, best_letters, best_theta = candidates[0]
-    trace = [(best_val, True)]
-    lo, hi = 0.0, best_val
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if mid <= 0:
-            break
-        proj = lambda th, m=mid: th * min(1.0, m / max(np.abs(th).sum(), 1e-300))
-        ep = lambda T, L=best_letters: arc_endpoints(system, L, T, x)
-        theta, res = _gauss_newton(
-            ep, best_theta * (mid / best_val), y, tol, max_iter=5, proj=proj
-        )
-        feasible = res <= tol
-        trace.append((mid, feasible))
-        if feasible:
-            hi = float(np.abs(theta).sum())
-            best_theta, best_val = theta, hi
-        else:
-            lo = mid
-        if hi - lo <= 1e-3 * hi:
-            break
     legs = [
         (int(j) if t >= 0 else -int(j), abs(float(t)))
         for j, t in zip(best_letters, best_theta)
         if abs(t) > 1e-14
     ]
     return DistanceEstimate(
-        "fl", best_val, "ok", {"form": "legs", "legs": legs}, trace
+        "fl", best_val, "ok", {"form": "legs", "legs": legs}, [(best_val, True)]
     )
 
 
@@ -419,15 +402,14 @@ def rho_distance(system, frame, x, y, segments=8, seed=0, cc_cert=None, cc_value
     )
 
 
-def estimate_all(system, frame, x, y, segments=8, seed=0):
+def estimate_all(system, frame, x, y, seed=0):
     """fl, cc and rho estimates with the cross-seeding that fixes ordering."""
-    fl = fl_distance(system, x, y, max_segments=segments, seed=seed)
+    fl = fl_distance(system, x, y, seed=seed)
     cc = cc_distance(
-        system, x, y, segments=segments, seed=seed,
-        fl_cert=fl.certificate if fl.ok() else None,
+        system, x, y, seed=seed, fl_cert=fl.certificate if fl.ok() else None,
     )
     rho = rho_distance(
-        system, frame, x, y, segments=segments, seed=seed,
+        system, frame, x, y, seed=seed,
         cc_cert=cc.certificate if cc.ok() else None,
         cc_value=cc.value if cc.ok() else None,
     )
@@ -516,7 +498,7 @@ def ball_membership(system, frame, I, x, r, pts, kind="rho"):
     return mask, H, res
 
 
-def fefferman_phong_check(system, x, directions, scales, s, seed=0, segments=8):
+def fefferman_phong_check(system, x, directions, scales, s, seed=0):
     """Sup of d_hat / |x-y|^(1/s) per Euclidean scale, over fixed directions.
 
     The same direction set is reused at every scale so the per-scale suprema
@@ -529,7 +511,7 @@ def fefferman_phong_check(system, x, directions, scales, s, seed=0, segments=8):
         for u in directions:
             u = np.asarray(u, dtype=float)
             y = x + delta * u / np.linalg.norm(u)
-            est = fl_distance(system, x, y, max_segments=segments, seed=seed)
+            est = fl_distance(system, x, y, seed=seed)
             if est.ok():
                 worst = max(worst, est.value / delta ** (1.0 / s))
             else:

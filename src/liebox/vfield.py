@@ -4,14 +4,13 @@ A system holds m polynomial fields on R^n plus a step bound s; the nested
 commutator coefficients f_w for every word up to length s are computed
 eagerly and exactly from the permutation-coefficient formula.  Flows are the
 only numeric operation: single trajectories run the adaptive integrator at
-the configured tolerances, and batched generator flows and constant-control
-mixture flows are exact for triangular fields.
+the fixed tolerances of ``flows``, and batched generator flows and
+constant-control mixture flows are exact for triangular fields.
 """
 
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -19,14 +18,6 @@ import numpy as np
 from . import flows
 from .poly import Poly, PolyMap, control_mixture, directional_derivative, lie_bracket
 from .words import apply_perm, check_word, pi_support
-
-
-@dataclass
-class FlowConfig:
-    rtol: float = 1e-10
-    atol: float = 1e-10
-    box: float = 10.0
-    max_steps: int = 100_000
 
 
 def all_words(m, max_len, min_len=1):
@@ -40,7 +31,7 @@ def all_words(m, max_len, min_len=1):
 class VectorFieldSystem:
     """m polynomial fields on R^n with the commutator family up to step s."""
 
-    def __init__(self, fields, step, name="custom", config=None):
+    def __init__(self, fields, step, name="custom"):
         self.fields = tuple(fields)
         self.m = len(self.fields)
         self.n = self.fields[0].n
@@ -48,7 +39,6 @@ class VectorFieldSystem:
             raise ValueError("field dimensions disagree")
         self.s = int(step)
         self.name = name
-        self.config = config or FlowConfig()
         self.words = all_words(self.m, self.s)
         self._fw = {}
         for w in self.words:
@@ -209,7 +199,7 @@ class VectorFieldSystem:
         return exact(np.asarray(T, dtype=float), P)[..., len(keys):]
 
     def flow(self, field, t, x):
-        """Adaptive DOPRI5 flow of a signed letter or a PolyMap at the configured tolerances."""
+        """Adaptive DOPRI5 flow of a signed letter or a PolyMap."""
         if isinstance(field, PolyMap):
             fn = field.compile_scalar()
         else:
@@ -217,10 +207,7 @@ class VectorFieldSystem:
             fn = self._scalar_fn(j, self.field(j))
             if field < 0:
                 t = -t
-        c = self.config
-        return flows.dopri5(
-            fn, t, x, rtol=c.rtol, atol=c.atol, box=c.box, max_steps=c.max_steps
-        )
+        return flows.dopri5(fn, t, x)
 
     def compose_flows(self, legs, x):
         """Apply flow legs (signed letter, time) in sequence, first leg first."""
@@ -272,8 +259,9 @@ class VectorFieldSystem:
             "slope": slope,
         }
 
-    def _pullback_gradient(self, psi_fn, Z, s, p, delta=1e-6):
+    def _pullback_gradient(self, psi_fn, Z, s, p):
         """Gradient of psi(e^{-sZ} .) at p by central differences."""
+        delta = 1e-6
         grad = []
         for i in range(self.n):
             pp = list(p)
@@ -284,14 +272,15 @@ class VectorFieldSystem:
             grad.append((up - dn) / (2 * delta))
         return grad
 
-    def conjugated_derivative_check(self, Z, w, psi, y, t=0.1, h=1e-4):
-        """Residual of the flow-conjugation derivative identity at time t.
+    def conjugated_derivative_check(self, Z, w, psi, y):
+        """Residual of the flow-conjugation derivative identity at time t = 0.1.
 
-        Left side: central difference in t of  F(s) = (f_w . grad)(psi o
-        e^{-sZ}) evaluated at e^{sZ}y.  Right side: the ad-field acting the
-        same way at time t.  Smooth models make both sides well defined; the
-        residual should vanish at second order in h.
+        Left side: central difference, of step h = 1e-4, in t of  F(s) =
+        (f_w . grad)(psi o e^{-sZ}) evaluated at e^{sZ}y.  Right side: the
+        ad-field acting the same way at time t.  Smooth models make both
+        sides well defined; the residual should vanish at second order in h.
         """
+        t, h = 0.1, 1e-4
         w = check_word(w, alphabet=self.m)
         psi_fn = psi.compile_scalar()
         fw = self.commutator_coeffs(w)
@@ -419,19 +408,16 @@ DILATION_WEIGHTS = {
 }
 
 
-def load_model(name_or_path, config=None):
+def load_model(name_or_path):
     """Built-in model by name, or a JSON model file by path."""
     if name_or_path in MODEL_BUILDERS:
-        sys = MODEL_BUILDERS[name_or_path]()
-        if config is not None:
-            sys.config = config
-        return sys
+        return MODEL_BUILDERS[name_or_path]()
     with open(name_or_path) as fh:
         obj = json.load(fh)
-    return system_from_json(obj, config=config)
+    return system_from_json(obj)
 
 
-def system_from_json(obj, config=None):
+def system_from_json(obj):
     n = int(obj["n"])
     fields = []
     for comps in obj["fields"]:
@@ -441,7 +427,7 @@ def system_from_json(obj, config=None):
     if len(fields) != int(obj["m"]):
         raise ValueError("field count != m")
     return VectorFieldSystem(
-        fields, step=int(obj["s"]), name=obj.get("name", "file"), config=config
+        fields, step=int(obj["s"]), name=obj.get("name", "file")
     )
 
 

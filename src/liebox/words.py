@@ -117,12 +117,6 @@ def pi_table(ell):
     return PiTable(ell)
 
 
-def pi_weighted_words(w):
-    """Pairs (permuted word, sign) over the nonzero support for ``w``."""
-    w = check_word(w)
-    return [(apply_perm(p, w), s) for p, s in pi_support(len(w))]
-
-
 def reversal_sign(ell):
     """Sign relating a coefficient to the one of the reversed permutation."""
     return (-1) ** (ell + 1)

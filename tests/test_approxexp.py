@@ -52,7 +52,7 @@ def test_c_map_single_letter_is_flow():
 def test_c_map_commuting_returns_start():
     x = (0.3, -0.1, 0.2)
     y = c_map(FLAT3, 0.5, (1, 2), x)
-    assert max(abs(a - b) for a, b in zip(x, y)) <= 10 * FLAT3.config.atol
+    assert max(abs(a - b) for a, b in zip(x, y)) <= 10 * flows.DOPRI5_ATOL
 
 
 def test_c_map_heisenberg_vertical():
@@ -74,7 +74,7 @@ def test_exp_ap_compositional_inverse():
     for t in (0.3, -0.3, 0.01):
         y = exp_ap(HEIS, t, (1, 2), x)
         back = exp_ap(HEIS, -t, (1, 2), y)
-        assert max(abs(a - b) for a, b in zip(back, x)) <= 10 * HEIS.config.atol
+        assert max(abs(a - b) for a, b in zip(back, x)) <= 10 * flows.DOPRI5_ATOL
 
 
 def test_exp_ap_heisenberg_vertical_both_signs():
@@ -266,4 +266,4 @@ def test_exp_ap_inverse_all_models():
                 y = exp_ap(system, t, w, x)
                 back = exp_ap(system, -t, w, y)
                 err = max(abs(a - b) for a, b in zip(back, x))
-                assert err <= 10 * system.config.atol, (name, w, t, err)
+                assert err <= 10 * flows.DOPRI5_ATOL, (name, w, t, err)

@@ -72,7 +72,6 @@ def test_select_maximal_heisenberg():
     for x, r in ((ORIGIN3, 0.5), ((0.3, -0.2, 0.1), 0.2)):
         triple = select_maximal(HEIS_FRAME, x, r)
         assert triple.I == (1, 2, 4)
-        assert triple.eta_maximal
 
 
 def test_select_maximal_grushin():

@@ -138,7 +138,7 @@ def test_emap(capsys):
 def test_ballbox_inclusion(capsys):
     code, out, _ = run_cli(
         capsys, "ballbox", "--model", "heisenberg", "--center", "0,0,0",
-        "--radius", "0.5", "--eta", "0.5", "--check-inclusion",
+        "--radius", "0.5", "--check-inclusion",
         "--samples", "20",
     )
     assert code == 0
@@ -258,6 +258,26 @@ def test_pinv_non_numeric_cell_exits_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "pinv", "--matrix", str(amat), "--rhs", str(rhs))
     assert code == 2 and out == ""
     assert err.startswith("error: malformed matrix file") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("matrix, rhs, extra, message", [
+    ("", "", (), "malformed matrix file"),
+    ("1,2\n3,4\n", "", (), "malformed matrix file"),
+    ("1,2\n3,4\n", "1\n2\n3\n", (), "--rhs "),
+    ("nan,2\n3,4\n", "1\n2\n", (), "malformed matrix file"),
+    ("1,2\n3,4\n", "1\n2\n", ("--lambda-sweep", "--lam-min", "0"), "--lam-min "),
+    ("1,2\n3,4\n", "1\n2\n", ("--lambda-sweep", "--lam-max", "-1"), "--lam-min "),
+    ("1,2\n3,4\n", "1\n2\n", ("--lambda-sweep", "--lam-count", "0"), "--lam-count "),
+])
+def test_pinv_bad_input_exits_2(tmp_path, capsys, matrix, rhs, extra, message):
+    amat, bvec = tmp_path / "A.csv", tmp_path / "b.csv"
+    amat.write_text(matrix)
+    bvec.write_text(rhs)
+    code, out, err = run_cli(
+        capsys, "pinv", "--matrix", str(amat), "--rhs", str(bvec), *extra
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, flag", [

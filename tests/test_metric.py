@@ -279,3 +279,98 @@ def test_fl_certificate_on_non_triangular_field_reaches_target(a, b):
     assert est.ok()
     end = system.compose_flows(est.certificate["legs"], a)
     assert np.linalg.norm(np.subtract(end, b)) <= 1e-7
+
+
+def _heisenberg_phase(ratio):
+    """Root phi in [0, 2 pi) of (phi - sin phi) / (8 sin^2(phi/2)) = ratio."""
+    lo, hi = 0.0, 2.0 * math.pi
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if (mid - math.sin(mid)) / (8.0 * math.sin(0.5 * mid) ** 2) < ratio:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def heisenberg_distance(a, b):
+    """Exact Carnot-Caratheodory distance on the Heisenberg model.
+
+    Left-invariance gives d(a, b) = d(0, a^-1 b).  With r = |(x, y)| > 0 the
+    geodesic turns through the root phi of (phi - sin phi) / (8 sin^2(phi/2))
+    = |z| / r^2 and has length r (phi/2) / sin(phi/2); on the z-axis the
+    length is sqrt(4 pi |z|).  Reference: Agrachev, Barilari, Boscain, A
+    Comprehensive Introduction to Sub-Riemannian Geometry (CUP 2019).
+    """
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    dz = b[2] - a[2] - 0.5 * (a[0] * b[1] - a[1] * b[0])
+    r = math.hypot(dx, dy)
+    if r == 0.0:
+        return math.sqrt(4.0 * math.pi * abs(dz))
+    if dz == 0.0:
+        return r
+    phi = _heisenberg_phase(abs(dz) / (r * r))
+    return r * (0.5 * phi) / math.sin(0.5 * phi)
+
+
+def test_distances_against_exact_heisenberg_distance():
+    # first 20 criterion-13 pairs; fl/exact measured 1.105-1.226
+    rng = np.random.default_rng(13)
+    for i in range(20):
+        a = tuple(rng.uniform(-0.2, 0.2, 3))
+        b = tuple(rng.uniform(-0.2, 0.2, 3))
+        fl, cc, _ = estimate_all(HEIS, HEIS_FRAME, a, b, seed=i)
+        exact = heisenberg_distance(a, b)
+        assert exact <= cc.value * (1 + 1e-9)
+        assert cc.value <= fl.value + 1e-6
+        assert fl.value / exact <= 1.25
+
+
+# fl_distance(seed=i) for pairs i = 0, 1, 2 drawn from default_rng(rng seed)
+# in [-0.3, 0.3]^n: (value, certificate legs)
+FL_PINS = {
+    "grushin": (31, [
+        (1.0487851894998843,
+         [(1, 0.11369731556071845), (2, 0.6831259602897495), (-1, 0.2519619136494162)]),
+        (0.6807109838159094, [(-1, 0.37573011785319427), (-2, 0.3049808659627152)]),
+        (1.4682581404861768,
+         [(1, 0.17825071092206704), (2, 0.8787217364934015), (-1, 0.41128569307070834)]),
+    ]),
+    "engel": (32, [
+        (2.7912748481198943,
+         [(1, 0.8542490590596916), (-2, 0.03921047791682488), (1, 0.47629316927709453),
+          (2, 0.34300727442356427), (-1, 1.01471959366185), (-2, 0.06379527378086948)]),
+        (0.5362094479412824,
+         [(-1, 0.023120651978502948), (2, 0.3354358721198034), (-1, 0.11420626191011628),
+          (-2, 0.06344666193285985)]),
+        (3.434079897356136,
+         [(-1, 0.7188758485568908), (2, 0.23883526662376844), (1, 1.55049826080998),
+          (2, 0.21262745659895074), (-1, 0.7132430647665463)]),
+    ]),
+    "martinet": (33, [
+        (3.1415844590472553,
+         [(-1, 1.1006856051193048), (-2, 0.5208374058543946), (1, 0.9870499950409858),
+          (2, 0.5330114530325699)]),
+        (1.8020666231509863,
+         [(1, 0.5566213821375303), (-2, 0.36263232099443415), (-1, 0.7007823812047921),
+          (2, 0.1820305388142297)]),
+        (0.672334643944642,
+         [(1, 0.08257977610375736), (2, 0.27651230529353765), (1, 0.31324256254734706)]),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FL_PINS))
+def test_fl_values_pinned_off_heisenberg(name):
+    system = load_model(name)
+    rng_seed, pins = FL_PINS[name]
+    rng = np.random.default_rng(rng_seed)
+    for i, (value, legs) in enumerate(pins):
+        a = rng.uniform(-0.3, 0.3, system.n)
+        b = rng.uniform(-0.3, 0.3, system.n)
+        est = fl_distance(system, a, b, seed=i)
+        assert est.value == pytest.approx(value, rel=1e-9)
+        got = est.certificate["legs"]
+        assert [j for j, _ in got] == [j for j, _ in legs]
+        assert [t for _, t in got] == pytest.approx([t for _, t in legs], rel=1e-9)
+        assert est.trace == [(est.value, True)]

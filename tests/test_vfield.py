@@ -137,7 +137,7 @@ def test_flow_reversibility_all_models():
                 y = system.flow(j, t, x0)
                 back = system.flow(j, -t, y)
                 err = max(abs(a - b) for a, b in zip(back, x0))
-                assert err <= 10 * system.config.atol, (system.name, j, t, err)
+                assert err <= 10 * flows.DOPRI5_ATOL, (system.name, j, t, err)
 
 
 def test_flow_domain_escape():

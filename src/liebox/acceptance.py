@@ -5,6 +5,7 @@ here, not configurable: these are the exit criteria of the build.
 """
 
 import math
+import os
 import time
 from dataclasses import dataclass
 from itertools import product
@@ -36,11 +37,26 @@ ORDER4_SIGNS = {
 
 @dataclass
 class CriterionResult:
+    """One criterion's outcome.  ``elapsed`` is wall time, the budget's clock;
+    ``cpu_s`` is this process's CPU time, and ``load_before``/``load_after``
+    the host's 1-minute load average around the run (nan where the platform
+    has none), so a wall time can be read against how loaded the host was."""
+
     number: int
     name: str
     passed: bool
     elapsed: float
     details: dict
+    cpu_s: float = math.nan
+    load_before: float = math.nan
+    load_after: float = math.nan
+
+    def summary(self):
+        return (
+            f"ACCEPTANCE {self.number:02d} {self.name}: "
+            f"{'PASS' if self.passed else 'FAIL'} ({self.elapsed:.1f}s, "
+            f"cpu {self.cpu_s:.1f}s, load {self.load_before:.2f}->{self.load_after:.2f})"
+        )
 
 
 def _words(max_len, alphabet, min_len=1):
@@ -339,14 +355,25 @@ CRITERIA = [
 ]
 
 
+def _load_average():
+    try:
+        return os.getloadavg()[0]
+    except (AttributeError, OSError):  # no load average on this platform
+        return math.nan
+
+
 def run_criterion(number, name, fn, budget):
-    t0 = time.time()
+    load_before = _load_average()
+    cpu0 = time.process_time()
+    t0 = time.perf_counter()
     passed, details = fn()
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
+    cpu_s = time.process_time() - cpu0
     if elapsed > budget:
         passed = False
         details = dict(details, over_budget=f"{elapsed:.1f}s > {budget:.0f}s")
-    return CriterionResult(number, name, passed, elapsed, details)
+    return CriterionResult(number, name, passed, elapsed, details,
+                           cpu_s, load_before, _load_average())
 
 
 def run_criteria(numbers=None, emit=print):
@@ -357,8 +384,5 @@ def run_criteria(numbers=None, emit=print):
         result = run_criterion(number, name, fn, budget)
         results.append(result)
         if emit:
-            emit(
-                f"ACCEPTANCE {number:02d} {name}: "
-                f"{'PASS' if result.passed else 'FAIL'} ({result.elapsed:.1f}s)"
-            )
+            emit(result.summary())
     return results

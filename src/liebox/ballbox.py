@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .linalg import min_norm_solve
-from .metric import ball_membership, chart_leg_count, control_endpoints
+from .metric import ball_membership, chart_leg_count, control_endpoints, membership_mask
 from .approxexp import box_norm, chart_jacobians, e_map_batch
 from .approxexp import e_map  # noqa: F401  (the perfbench tracer patches ballbox.e_map)
 from .words import as_fraction
@@ -345,30 +345,31 @@ def _bounding_box(frame, I, x, r):
     return center - half, center + half
 
 
-def _nonfinite_rows(res_outer, res_inner):
-    """Sample rows whose membership residual is not finite in either call.
+def _nonfinite_rows(res):
+    """Sample rows whose membership residual is not finite.
 
-    Such rows fail both membership tests, so they drop out of the counts;
+    Such rows fail both membership masks, so they drop out of the counts;
     reporting them keeps a numerical breakdown from passing as a small ball.
     """
-    return int((~np.isfinite(res_outer) | ~np.isfinite(res_inner)).sum())
+    return int((~np.isfinite(res)).sum())
 
 
 def doubling_ratio(system, frame, x, r, N=100_000, seed=0, kind="rho"):
     """Monte Carlo volume ratio of the radius-2r and radius-r balls.
 
-    Both memberships run on one uniform stream over a box adapted to the
-    outer ball, with the maximal frame selected once at radius r and reused,
-    so the two acceptance regions are exact dilates on homogeneous models.
+    One uniform stream over a box adapted to the outer ball, with the maximal
+    frame selected once at radius r and reused.  One membership solve runs at
+    radius 2r; the inner mask is read off that solve by the chart's dilation
+    (``metric.membership_mask``), so the inner acceptance region is the exact
+    chart dilate of the outer one on every model.  ``nonfinite`` counts the
+    rows whose residual in that one solve is not finite.
     """
     I = select_maximal(frame, x, r).I
     lo, hi = _bounding_box(frame, I, x, 2 * r)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(lo, hi, size=(N, system.n))
-    mask_outer, _, res_outer = ball_membership(
-        system, frame, I, x, 2 * r, pts, kind=kind
-    )
-    mask_inner, _, res_inner = ball_membership(system, frame, I, x, r, pts, kind=kind)
+    mask_outer, H, res = ball_membership(system, frame, I, x, 2 * r, pts, kind=kind)
+    mask_inner = membership_mask(frame, I, 2 * r, H, res, r)
     k2, k1 = int(mask_outer.sum()), int(mask_inner.sum())
     if k1 == 0:
         raise RuntimeError("zero inner-ball count; enlarge N or the box")
@@ -380,7 +381,7 @@ def doubling_ratio(system, frame, x, r, N=100_000, seed=0, kind="rho"):
         "outer_count": k2,
         "inner_count": k1,
         "N": int(N),
-        "nonfinite": _nonfinite_rows(res_outer, res_inner),
+        "nonfinite": _nonfinite_rows(res),
         "I": I,
         "r": float(r),
         "seed": seed,
@@ -393,8 +394,12 @@ def poincare_suite(system, frame, fs, x, r, C_enlarge=2.0, N=100_000, seed=0):
 
     One shared sample stream over the enlarged ball's bounding box, with the
     two membership masks computed once and reused for every test function.
-    Both integrals are box-volume * accepted-fraction * sample mean; the
-    per-function ratio is the empirical constant.
+    One membership solve runs at the enlarged radius R = C_enlarge * r; the
+    radius-r mask is read off that solve by the chart's dilation
+    (``metric.membership_mask``), and ``nonfinite`` counts the rows whose
+    residual in that one solve is not finite.  Both integrals are box-volume
+    * accepted-fraction * sample mean; the per-function ratio is the
+    empirical constant.
     """
     I = select_maximal(frame, x, r).I
     R = C_enlarge * r
@@ -402,9 +407,9 @@ def poincare_suite(system, frame, fs, x, r, C_enlarge=2.0, N=100_000, seed=0):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(lo, hi, size=(N, system.n))
     box_vol = float(np.prod(hi - lo))
-    mask_in, _, res_in = ball_membership(system, frame, I, x, r, pts)
-    mask_out, _, res_out = ball_membership(system, frame, I, x, R, pts)
-    nonfinite = _nonfinite_rows(res_out, res_in)
+    mask_out, H, res = ball_membership(system, frame, I, x, R, pts)
+    mask_in = membership_mask(frame, I, R, H, res, r)
+    nonfinite = _nonfinite_rows(res)
     k_in, k_out = int(mask_in.sum()), int(mask_out.sum())
     if k_in == 0 or k_out == 0:
         raise RuntimeError("empty ball sample; enlarge N")

@@ -480,7 +480,9 @@ def cmd_suite(args):
     rep = _report(args, "suite", {
         "results": [
             {"criterion": r.number, "name": r.name, "passed": r.passed,
-             "elapsed_s": round(r.elapsed, 2), "details": r.details}
+             "elapsed_s": round(r.elapsed, 2), "cpu_s": round(r.cpu_s, 2),
+             "load_before": r.load_before, "load_after": r.load_after,
+             "details": r.details}
             for r in results
         ],
         "all_passed": all(r.passed for r in results),

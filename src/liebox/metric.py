@@ -137,6 +137,11 @@ def _arc_templates(system, max_segments, rng):
                 base.extend([j, k])
             for L in range(2, max_segments + 1):
                 seqs.append(tuple(base[:L]))
+    # every letter in turn, so that a generic target of a model with m > 2
+    # generators has a template; for m = 2 these repeat the pairs above
+    cycle = [1 + i % system.m for i in range(max_segments)]
+    for L in range(2, max_segments + 1):
+        seqs.append(tuple(cycle[:L]))
     for _ in range(_RANDOM_TEMPLATES):
         L = int(rng.integers(2, max_segments + 1))
         seqs.append(tuple(int(a) for a in rng.integers(1, system.m + 1, size=L)))
@@ -457,6 +462,7 @@ def ball_membership(system, frame, I, x, r, pts, kind="rho"):
     with residual at most 1e-8 + 1e-6 * r, but such a residual alone does not
     stop a row, since the row can still move by about 1e-5 in H.  Rows that
     never reach the floor (slow or non-finite rows) run all 8 iterations.
+    The acceptance rule is ``membership_mask`` at R = r.
     """
     if kind not in ("rho", "cc"):
         raise ValueError("kind must be 'rho' or 'cc'")
@@ -464,12 +470,8 @@ def ball_membership(system, frame, I, x, r, pts, kind="rho"):
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     N = pts.shape[0]
     n = system.n
-    tol = 1e-8 + 1e-6 * r
-    M = chart_leg_count(frame, I)
-    eps_accept = 1.0 / M
     H = np.zeros((N, n))
     res = np.empty(N)
-    degs = np.array([frame.degree(i) for i in I], dtype=float)
     ridge = 1e-12 * np.eye(n)
     live = np.arange(N)
     settled = np.zeros(N, dtype=bool)
@@ -493,9 +495,25 @@ def ball_membership(system, frame, I, x, r, pts, kind="rho"):
         dH *= np.minimum(1.0, 0.5 / cap)[:, None]
         H[live] += dH
         settled = cap <= 1e-12
-    boxn = (np.abs(H) ** (1.0 / degs)).max(axis=1)
-    mask = (res <= tol) & (boxn <= eps_accept)
-    return mask, H, res
+    return membership_mask(frame, I, r, H, res, r), H, res
+
+
+def membership_mask(frame, I, R, H, res, r):
+    """Acceptance mask of the radius-r ball from a membership solve at R >= r.
+
+    ``H`` and ``res`` are the box coordinates and residuals that
+    ``ball_membership`` returned at radius R.  The chart dilates exactly:
+    E_r(h) = E_R(delta_{r/R} h), with delta_lam multiplying h_k by
+    lam**l_k, because the leg times |h_k|**(1/l_k) * r depend on h and r only
+    through that product.  The radius-r coordinates of a row are therefore
+    delta_{R/r} H, with the same chart point and residual, and their box gauge
+    is R/r times that of H.  A row is accepted when its residual is at most
+    1e-8 + 1e-6 * r and that gauge is at most 1/M, M the chart's leg count.
+    """
+    degs = np.array([frame.degree(i) for i in I], dtype=float)
+    boxn = (np.abs(H) ** (1.0 / degs)).max(axis=1) * (R / r)
+    tol = 1e-8 + 1e-6 * r
+    return (res <= tol) & (boxn <= 1.0 / chart_leg_count(frame, I))
 
 
 def fefferman_phong_check(system, x, directions, scales, s, seed=0):

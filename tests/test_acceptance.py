@@ -14,10 +14,7 @@ IDS = [f"{n:02d}-{name}" for n, name, _, _ in CRITERIA]
 @pytest.mark.parametrize("number,name,fn,budget", CRITERIA, ids=IDS)
 def test_acceptance_criterion(number, name, fn, budget, capsys):
     result = run_criterion(number, name, fn, budget)
-    line = (
-        f"ACCEPTANCE {number:02d} {name}: "
-        f"{'PASS' if result.passed else 'FAIL'} ({result.elapsed:.1f}s)"
-    )
+    line = result.summary()
     with capsys.disabled():
         print(line, flush=True)
     assert result.passed, f"{line}\ndetails: {result.details}"

@@ -250,6 +250,16 @@ def test_suite_selected_criteria(capsys):
     assert "ACCEPTANCE 04" in out
 
 
+def test_suite_reports_cpu_time_and_load(tmp_path, capsys):
+    path = tmp_path / "suite.json"
+    code, out, _ = run_cli(capsys, "suite", "--criteria", "1", "--out", str(path))
+    assert code == 0
+    assert "cpu " in out and "load " in out
+    (res,) = json.loads(path.read_text())["results"]
+    assert res["cpu_s"] >= 0 and res["elapsed_s"] >= 0
+    assert {"load_before", "load_after"} <= set(res)
+
+
 def test_pinv_non_numeric_cell_exits_2(tmp_path, capsys):
     amat = tmp_path / "bad.csv"
     amat.write_text("a,b\n1,2\n")

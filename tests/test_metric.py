@@ -12,6 +12,7 @@ from liebox.metric import (
     estimate_all,
     fefferman_phong_check,
     fl_distance,
+    membership_mask,
     reverse_certificate,
     rho_distance,
 )
@@ -219,6 +220,31 @@ def test_ball_membership_matches_fixed_iteration_loop(name):
             assert np.array_equal(res <= tol, res_ref <= tol)
 
 
+@pytest.mark.parametrize("name, x", [
+    ("heisenberg", (0.0, 0.0, 0.0)),
+    ("grushin", (0.0, 0.0)),
+    ("grushin", (1.0, 0.0)),
+    ("engel", (0.0, 0.0, 0.0, 0.0)),
+    ("martinet", (0.0, 0.0, 0.0)),
+    ("flat3", (0.0, 0.0, 0.0)),
+], ids=["heisenberg", "grushin-origin", "grushin-1-0", "engel", "martinet", "flat3"])
+def test_membership_mask_by_dilation_matches_direct_solve(name, x):
+    """One solve at R gives the radius-r mask of a direct solve at r, bitwise."""
+    system = load_model(name)
+    frame = CommutatorFrame(system)
+    for r in (0.25, 0.5):
+        I = ballbox.select_maximal(frame, x, r).I
+        for scale in (1.5, 2.0, 3.0):
+            R = scale * r
+            lo, hi = ballbox._bounding_box(frame, I, x, R)
+            for seed in (101, 5):
+                pts = np.random.default_rng(seed).uniform(lo, hi, size=(20_000, system.n))
+                _, H, res = ball_membership(system, frame, I, x, R, pts)
+                direct = ball_membership(system, frame, I, x, r, pts)[0]
+                assert direct.any()
+                assert np.array_equal(membership_mask(frame, I, R, H, res, r), direct)
+
+
 def test_fefferman_phong_bounded():
     directions = [
         (1.0, 0.0, 0.0),
@@ -374,3 +400,16 @@ def test_fl_values_pinned_off_heisenberg(name):
         assert [j for j, _ in got] == [j for j, _ in legs]
         assert [t for _, t in got] == pytest.approx([t for _, t in legs], rel=1e-9)
         assert est.trace == [(est.value, True)]
+
+
+def test_fl_reaches_generic_flat3_targets():
+    # no template alternating two letters reaches a target that moves all three
+    # coordinates; the cyclic template 1, 2, 3 does, at the L1 displacement
+    flat3 = load_model("flat3")
+    rng = np.random.default_rng(103)
+    for _ in range(10):
+        a = rng.uniform(-0.3, 0.3, 3)
+        b = rng.uniform(-0.3, 0.3, 3)
+        est = fl_distance(flat3, a, b, seed=0)
+        assert est.status == "ok"
+        assert abs(est.value - np.abs(b - a).sum()) <= 1e-7

@@ -43,7 +43,12 @@ def test_tracer_installs_and_counts_every_reached_layer():
         rep = lb.ballbox.inclusion_check(system, frame, I, x, r, eps=0.3, samples=10,
                                          seed=3, collision_pairs=10)
         assert rep["solved_fraction"] == 1.0
+        membership = tracer.counts[tracer.layer("metric.ball_membership")]
+        calls0 = tracer.layer_times(True)["metric.ball_membership"][0]
+        rows0 = membership["rows"]
         lb.ballbox.doubling_ratio(system, frame, x, 0.25, N=200, seed=5)
+        doubling_calls = tracer.layer_times(True)["metric.ball_membership"][0] - calls0
+        doubling_rows = membership["rows"] - rows0
         lb.metric.estimate_all(system, frame, x, (0.05, 0.02, 0.01), seed=1)
         times = tracer.layer_times(True)
         counts = {name: tracer.counts[tracer.layer(name)] for name in tracer.names}
@@ -60,6 +65,8 @@ def test_tracer_installs_and_counts_every_reached_layer():
         assert times[name][0] > 0, name
         assert counts[name]["rows"] > 0, name
     assert counts["metric.ball_membership"]["accepted"] > 0
+    # one membership solve per doubling ratio: the inner mask is read off it
+    assert (doubling_calls, doubling_rows) == (1, 200)
     assert "feasible" in counts["metric._gauss_newton"]
     # the chart runs on exact flows: no adaptive leg is reached
     assert times.get("flows.dopri5", (0,))[0] == 0

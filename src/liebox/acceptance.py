@@ -25,7 +25,7 @@ from .linalg import lambda_sweep, matrix_with_spectrum, min_norm_solve, tychonof
 from .metric import estimate_all, fefferman_phong_check
 from .ncpoly import NCPoly, is_trivial
 from .poly import Poly
-from .vfield import load_model
+from .vfield import all_words, load_model
 from .words import pi_table
 
 ORDER3_SIGNS = {(1, 2, 3): 1, (1, 3, 2): -1, (2, 3, 1): -1, (3, 2, 1): 1}
@@ -59,11 +59,6 @@ class CriterionResult:
         )
 
 
-def _words(max_len, alphabet, min_len=1):
-    for ell in range(min_len, max_len + 1):
-        yield from product(range(1, alphabet + 1), repeat=ell)
-
-
 def criterion_01_pi_tables():
     t3 = pi_table(3)
     t4 = pi_table(4)
@@ -73,13 +68,13 @@ def criterion_01_pi_tables():
 
 def criterion_02_generalized_jacobi():
     checked = failed = 0
-    for v in _words(5, 3):
-        for w in _words(6 - len(v), 3):
+    for v in all_words(3, 5):
+        for w in all_words(3, 6 - len(v)):
             checked += 1
             if not check_generalized_jacobi(v, w).is_zero():
                 failed += 1
     j2_checked = j2_failed = 0
-    for v in _words(6, 3, min_len=2):
+    for v in all_words(3, 6, 2):
         j2_checked += 1
         if not check_J2(v).is_zero():
             j2_failed += 1

@@ -6,17 +6,20 @@ l = 1).  The almost-exponential map chains one approximate exponential per
 frame entry, with the radius folded into the leg times: a scaled commutator
 r^l Y flown for parameter h uses leg times |h|^(1/l) * r over the original
 generators, which is exactly the scaled-generator composition.
-``e_map_batch`` is the one chart; ``e_map`` is one of its rows and
-``chart_jacobians`` its one central-difference Jacobian.  Its legs are exact
-on triangular fields and ``flows.RK4_STEPS``-step RK4 otherwise.  ``exp_ap``
-and ``c_map`` compose adaptive DOPRI5 legs, the reference the chart is tested
-on.
+``e_map_batch`` is the one chart; ``e_map`` is one of its rows,
+``jacobian_e`` its central-difference Jacobian and ``invert_chart`` its one
+inverse.  Its legs are exact on triangular fields and ``flows.RK4_STEPS``-step
+RK4 otherwise.  ``exp_ap`` and ``c_map`` compose adaptive DOPRI5 legs, the
+reference the chart is tested on.
 """
 
 import numpy as np
 
 from .vfield import all_words
 from .words import check_word
+
+# Quasi-Newton iterations of ``invert_chart`` for a row that never settles.
+_INVERT_ITERS = 50
 
 
 def c_map_legs(letters, tau):
@@ -96,12 +99,9 @@ class CommutatorFrame:
 
 
 def box_norm(h, degrees):
-    """max_k |h_k|**(1/ell_k), the anisotropic box gauge."""
-    return max(abs(v) ** (1.0 / d) for v, d in zip(h, degrees))
-
-
-def in_box(h, degrees, eps):
-    return box_norm(h, degrees) < eps
+    """max_k |h_k|**(1/ell_k) over the last axis of h, the anisotropic box gauge."""
+    degs = np.asarray(degrees, dtype=float)
+    return (np.abs(h) ** (1.0 / degs)).max(axis=-1)
 
 
 def e_map(frame, I, x, r, h):
@@ -153,27 +153,67 @@ def e_map_batch(frame, I, x, r, H):
     return Y
 
 
-def chart_jacobians(frame, I, x, r, H, d):
-    """Central-difference chart Jacobians at the rows of H, shape (N, n, n).
-
-    Column k of Jacobian i steps h_ik by +-d_ik, where ``d`` has shape (N, n)
-    or (N, 1).  All 2nN shifted points go through one ``e_map_batch`` call.
-    """
-    N, n = H.shape
-    shift = d[:, :, None] * np.eye(n)
-    points = np.stack([H[:, None] + shift, H[:, None] - shift], axis=1).reshape(-1, n)
-    P = e_map_batch(frame, I, x, r, points).reshape(N, 2, n, n)
-    return ((P[:, 0] - P[:, 1]) / (2 * d)[:, :, None]).transpose(0, 2, 1)
-
-
 def jacobian_e(frame, I, x, r, h):
-    """Jacobian of ``e_map`` at h, column k stepped by 1e-5 * max(1, |h_k|), and its det."""
+    """Jacobian of ``e_map`` at h, column k stepped by 1e-5 * max(1, |h_k|), and its det.
+
+    Central differences: all 2n shifted points go through one
+    ``e_map_batch`` call.
+    """
     I = frame.check_index_tuple(I)
     if not 0 < r <= 1:  # as in e_map; e_map_batch takes r > 1 for doubling's 2r
         raise ValueError("radius must be in (0, 1]")
-    H = np.asarray(h, dtype=float)[None]
-    J = chart_jacobians(frame, I, x, r, H, 1e-5 * np.maximum(1.0, np.abs(H)))[0]
+    h = np.asarray(h, dtype=float)
+    n = h.size
+    d = 1e-5 * np.maximum(1.0, np.abs(h))
+    shift = d[:, None] * np.eye(n)
+    P = e_map_batch(frame, I, x, r, np.concatenate([h + shift, h - shift]))
+    J = ((P[:n] - P[n:]) / (2 * d)[:, None]).T
     return J, float(np.linalg.det(J))
+
+
+def invert_chart(frame, I, x, r, Y):
+    """Quasi-Newton solves of e_map(h) = y from h = 0, one row per target.
+
+    The Jacobian is the leading-order column matrix r^{l_k} Y_{i_k} taken at
+    the current chart point (plus a 1e-12 ridge; ``pinv`` when a batch is
+    singular), and every step is capped at 0.5 in max norm.  Each row stops
+    on its own: once the undamped step it just took is at the floating-point
+    floor (max |dH| <= 1e-12), its residual is evaluated once more at the new
+    H and the row leaves the batch.  Rows that never reach the floor (slow or
+    non-finite rows) run all ``_INVERT_ITERS`` iterations.  Returns the
+    solutions H and the residuals |y - e_map(H)|; each caller applies its
+    own acceptance rule.
+    """
+    I = frame.check_index_tuple(I)
+    system = frame.system
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    N, n = Y.shape
+    H = np.zeros((N, n))
+    res = np.empty(N)
+    ridge = 1e-12 * np.eye(n)
+    live = np.arange(N)
+    settled = np.zeros(N, dtype=bool)
+    for it in range(_INVERT_ITERS + 1):
+        E = e_map_batch(frame, I, x, r, H[live])
+        R = Y[live] - E
+        done = settled | (it == _INVERT_ITERS)
+        res[live[done]] = np.linalg.norm(R[done], axis=1)
+        live, E, R = live[~done], E[~done], R[~done]
+        if not live.size:
+            break
+        cols = [
+            (r ** frame.degree(i)) * system.batch_fn(frame.word(i))(E) for i in I
+        ]
+        J = np.stack(cols, axis=2) + ridge
+        try:
+            dH = np.linalg.solve(J, R[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            dH = (np.linalg.pinv(J) @ R[..., None])[..., 0]
+        cap = np.maximum(np.abs(dH).max(axis=1), 1e-300)
+        dH *= np.minimum(1.0, 0.5 / cap)[:, None]
+        H[live] += dH
+        settled = cap <= 1e-12
+    return H, res
 
 
 def scaled_columns(frame, I, x, r):

@@ -3,7 +3,7 @@
 Frame determinants are exact (Fraction arithmetic) at rational points; the
 selection rule scores |det| * r^(total degree) and keeps the winner, with
 ties broken by enumeration order.  The experiments are Monte Carlo or
-Newton-solve harnesses built on the chart and membership machinery; every
+chart-inversion harnesses built on the chart and membership machinery; every
 sampling routine takes an explicit seed and reports it back.
 """
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from .linalg import min_norm_solve
 from .metric import ball_membership, chart_leg_count, control_endpoints, membership_mask
-from .approxexp import box_norm, chart_jacobians, e_map_batch
+from .approxexp import box_norm, e_map_batch, invert_chart
 from .approxexp import e_map  # noqa: F401  (the perfbench tracer patches ballbox.e_map)
 from .words import as_fraction
 
@@ -161,76 +161,16 @@ def select_maximal(frame, x, r):
 # -- chart inversion ------------------------------------------------------------
 
 
-def invert_chart(frame, I, x, r, Y):
-    """Damped Newton solves of chart(h) = y from h = 0, one row per target.
+def newton_invert(frame, I, x, r, y, eps):
+    """Single-target ``invert_chart`` with the box gauge of the solve.
 
-    Every row runs the same algorithm on its own: central-difference
-    Jacobian, ``solve`` (``lstsq`` for a singular row), and the first of 10
-    step halvings that lowers the residual.  A row stops when its residual
-    drops to 1e-8 * r, when no halving helps, or after 50 iterations.
-    The full step is tried first; the 9 shorter ones are evaluated only for
-    the rows it does not improve.  Returns the solutions, their residuals
-    and the converged mask.
+    Converged means a residual of at most 1e-8 * r.
     """
     I = frame.check_index_tuple(I)
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    k, n = Y.shape
-    tol = 1e-8 * r
-    halvings = 0.5 ** np.arange(1, 10)
-
-    def E(H):
-        return e_map_batch(frame, I, x, r, H.reshape(-1, n))
-
-    H = np.zeros((k, n))
-    R = Y - E(H)
-    res = np.linalg.norm(R, axis=1)
-    live = np.ones(k, dtype=bool)
-    for _ in range(50):
-        rows = np.flatnonzero(live & (res > tol))
-        if not rows.size:
-            break
-        h = H[rows]
-        d = 1e-6 * np.maximum(1.0, np.abs(h).max(axis=1))
-        J = chart_jacobians(frame, I, x, r, h, d[:, None])
-        try:
-            step = np.linalg.solve(J, R[rows][..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            step = np.array([_solve_or_lstsq(*row) for row in zip(J, R[rows])])
-        h_new = h + step
-        R_new = Y[rows] - E(h_new)
-        r_new = np.linalg.norm(R_new, axis=1)
-        moved = r_new < res[rows]
-        back = np.flatnonzero(~moved)
-        if back.size:
-            cand = h[back, None] + step[back, None] * halvings[:, None]
-            Rc = Y[rows[back], None] - E(cand).reshape(cand.shape)
-            rc = np.linalg.norm(Rc, axis=2)
-            better = rc < res[rows[back], None]
-            hit = better.any(axis=1)
-            pick = better.argmax(axis=1)[hit]
-            sel = back[hit]
-            h_new[sel], R_new[sel] = cand[hit, pick], Rc[hit, pick]
-            r_new[sel] = rc[hit, pick]
-            moved[sel] = True
-        live[rows] = moved
-        take = rows[moved]
-        H[take], R[take], res[take] = h_new[moved], R_new[moved], r_new[moved]
-    return H, res, res <= tol
-
-
-def _solve_or_lstsq(J, b):
-    try:
-        return np.linalg.solve(J, b)
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(J, b, rcond=None)[0]
-
-
-def newton_invert(frame, I, x, r, y, eps):
-    """Single-target form of ``invert_chart`` with the box gauge of the solve."""
-    H, res, ok = invert_chart(frame, I, x, r, [y])
+    H, res = invert_chart(frame, I, x, r, [y])
     h = H[0]
-    bn = box_norm(h, [frame.degree(i) for i in frame.check_index_tuple(I)])
-    return {"h": h, "residual": float(res[0]), "converged": bool(ok[0]),
+    bn = float(box_norm(h, [frame.degree(i) for i in I]))
+    return {"h": h, "residual": float(res[0]), "converged": bool(res[0] <= 1e-8 * r),
             "box_norm": bn, "in_box": bool(bn < eps or not h.any())}
 
 
@@ -255,8 +195,9 @@ def inclusion_check(
     """Ball-box inclusion experiment plus a sampled injectivity probe.
 
     Targets are generated with certified weighted distance below
-    c * eps^s * r; each is inverted through the chart by damped Newton and
-    counted as covered when the solve lands strictly inside the eps-box.
+    c * eps^s * r; each is inverted through the chart (``invert_chart``) and
+    counted as covered when the solve converges (residual at most 1e-8 * r)
+    strictly inside the eps-box.
     """
     if not 0 < eps <= 1:
         raise ValueError("eps must be in (0, 1]: the chart box is unit scale")
@@ -264,10 +205,10 @@ def inclusion_check(
     s = system.s
     scale = c * eps**s * r
     targets = sample_rho_targets(system, frame, x, scale, samples, seed)
-    H, residuals, converged = invert_chart(frame, I, x, r, targets)
+    H, residuals = invert_chart(frame, I, x, r, targets)
     degrees = [frame.degree(i) for i in I]
-    norms = np.array([box_norm(h, degrees) for h in H])
-    solved = norms[converged & (norms < eps)]
+    norms = box_norm(H, degrees)
+    solved = norms[(residuals <= 1e-8 * r) & (norms < eps)]
     # collision probe: distinct box points should have distinct images
     rng = np.random.default_rng(seed + 1)
     H = rng.uniform(-1, 1, size=(2 * collision_pairs, system.n))
@@ -354,7 +295,7 @@ def _nonfinite_rows(res):
     return int((~np.isfinite(res)).sum())
 
 
-def doubling_ratio(system, frame, x, r, N=100_000, seed=0, kind="rho"):
+def doubling_ratio(system, frame, x, r, N=100_000, seed=0):
     """Monte Carlo volume ratio of the radius-2r and radius-r balls.
 
     One uniform stream over a box adapted to the outer ball, with the maximal
@@ -368,7 +309,7 @@ def doubling_ratio(system, frame, x, r, N=100_000, seed=0, kind="rho"):
     lo, hi = _bounding_box(frame, I, x, 2 * r)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(lo, hi, size=(N, system.n))
-    mask_outer, H, res = ball_membership(system, frame, I, x, 2 * r, pts, kind=kind)
+    mask_outer, H, res = ball_membership(system, frame, I, x, 2 * r, pts)
     mask_inner = membership_mask(frame, I, 2 * r, H, res, r)
     k2, k1 = int(mask_outer.sum()), int(mask_inner.sum())
     if k1 == 0:
@@ -385,7 +326,6 @@ def doubling_ratio(system, frame, x, r, N=100_000, seed=0, kind="rho"):
         "I": I,
         "r": float(r),
         "seed": seed,
-        "kind": kind,
     }
 
 
@@ -435,11 +375,6 @@ def poincare_suite(system, frame, fs, x, r, C_enlarge=2.0, N=100_000, seed=0):
             "seed": seed,
         })
     return reports
-
-
-def poincare_check(system, frame, f, x, r, C_enlarge=2.0, N=100_000, seed=0):
-    """Single-function form of the shared-stream suite."""
-    return poincare_suite(system, frame, [f], x, r, C_enlarge=C_enlarge, N=N, seed=seed)[0]
 
 
 def maximality_stability(system, frame, x, r, seed=0):

@@ -33,7 +33,7 @@ from .linalg import lambda_sweep, min_norm_solve
 from .metric import cc_distance, fl_distance, rho_distance
 from .ncpoly import NCPoly, is_trivial
 from .poly import Poly
-from .vfield import MODEL_BUILDERS, load_model
+from .vfield import MODEL_BUILDERS, all_words, load_model
 from .words import MAX_ORDER, check_word, pi_table
 
 
@@ -159,18 +159,14 @@ def cmd_pi_table(args):
 
 
 def _identity_instances(family, max_degree, alphabet):
-    words = lambda lo, hi: (
-        w for ell in range(lo, hi + 1)
-        for w in product(range(1, alphabet + 1), repeat=ell)
-    )
     if family == "otto":
         return [
             ("otto", v, w)
-            for v in words(1, max_degree - 1)
-            for w in words(1, max_degree - len(v))
+            for v in all_words(alphabet, max_degree - 1)
+            for w in all_words(alphabet, max_degree - len(v))
         ]
     if family == "j2":
-        return [("j2", v, None) for v in words(2, max_degree)]
+        return [("j2", v, None) for v in all_words(alphabet, max_degree, 2)]
     if family == "f":
         out = []
         for ell in range(2, min(max_degree, 5) + 1):
@@ -184,7 +180,7 @@ def _identity_instances(family, max_degree, alphabet):
     if family == "giochetto":
         return [
             ("giochetto", v, (w,))
-            for v in words(2, max_degree - 1)
+            for v in all_words(alphabet, max_degree - 1, 2)
             for w in range(1, alphabet + 1)
         ]
     raise UsageError(f"unknown identity family {family!r}")
@@ -323,7 +319,7 @@ def cmd_emap(args):
         "point": [float(v) for v in point],
         "jacobian": J.tolist(),
         "det": det,
-        "box_norm": box_norm(h, degrees) if any(h) else 0.0,
+        "box_norm": float(box_norm(h, degrees)) if any(h) else 0.0,
     })
     _emit(args, rep)
     return 0
@@ -394,7 +390,7 @@ def cmd_doubling(args):
     _require(args.radius > 0, f"--radius must be positive, got {args.radius}")
     _require(args.n >= 1, f"--n must be at least 1, got {args.n}")
     rep_d = doubling_ratio(
-        system, frame, x, args.radius, N=args.n, seed=args.seed, kind=args.kind
+        system, frame, x, args.radius, N=args.n, seed=args.seed
     )
     rep = _report(args, "doubling", rep_d)
     _emit(args, rep)
@@ -591,7 +587,6 @@ def build_parser():
     sp.add_argument("--model", required=True)
     sp.add_argument("--center", required=True)
     sp.add_argument("--radius", type=float, required=True)
-    sp.add_argument("--kind", choices=("rho", "cc"), default="rho")
     sp.add_argument("--n", type=int, default=100_000)
     common(sp)
     sp.set_defaults(func=cmd_doubling)

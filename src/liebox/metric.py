@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .approxexp import c_map_legs, e_map_batch
+from .approxexp import box_norm, c_map_legs, invert_chart
+from .approxexp import e_map_batch  # noqa: F401  (the perfbench tracer patches metric.e_map_batch)
 from .linalg import min_norm_solve
 
 FEAS_TOL = 1e-9
@@ -30,8 +31,6 @@ FEAS_TOL = 1e-9
 # ones in ``fl_distance``.
 _BISECT_ITERS = 40
 _RANDOM_TEMPLATES = 4
-# Quasi-Newton iterations of ``ball_membership`` for a row that never settles.
-_MEMBERSHIP_ITERS = 8
 
 
 @dataclass
@@ -125,6 +124,11 @@ def _feasibility_tol(dx):
 
 
 def _arc_templates(system, max_segments, rng):
+    """Deduplicated arc templates and how many of them are canonical.
+
+    The canonical templates come first; the random ones that repeat none of
+    them follow, so the count is taken before the random ones are added.
+    """
     seqs = []
     for j in range(1, system.m + 1):
         seqs.append((j,))
@@ -142,16 +146,11 @@ def _arc_templates(system, max_segments, rng):
     cycle = [1 + i % system.m for i in range(max_segments)]
     for L in range(2, max_segments + 1):
         seqs.append(tuple(cycle[:L]))
+    n_canonical = len(set(seqs))
     for _ in range(_RANDOM_TEMPLATES):
         L = int(rng.integers(2, max_segments + 1))
         seqs.append(tuple(int(a) for a in rng.integers(1, system.m + 1, size=L)))
-    # dedupe, preserve order
-    seen, out = set(), []
-    for s in seqs:
-        if s not in seen:
-            seen.add(s)
-            out.append(s)
-    return out
+    return list(dict.fromkeys(seqs)), n_canonical  # dedupe, preserve order
 
 
 def _arc_inits(letters, dx_norm, rng, s_max):
@@ -183,8 +182,7 @@ def fl_distance(system, x, y, max_segments=8, seed=0, seed_paths=()):
         return DistanceEstimate("fl", 0.0, "ok", {"form": "legs", "legs": []})
     rng = np.random.default_rng(seed)
     candidates = []
-    templates = _arc_templates(system, max_segments, rng)
-    n_canonical = len(templates) - _RANDOM_TEMPLATES
+    templates, n_canonical = _arc_templates(system, max_segments, rng)
     for ti, letters in enumerate(templates):
         if len(candidates) >= 8 or (ti >= n_canonical and len(candidates) >= 3):
             break
@@ -444,57 +442,19 @@ def chart_leg_count(frame, I):
     )
 
 
-def ball_membership(system, frame, I, x, r, pts, kind="rho"):
-    """Vectorized membership test for the radius-r ball of the chosen kind.
+def ball_membership(system, frame, I, x, r, pts):
+    """Vectorized membership test for the radius-r ball.
 
-    Inverts the almost-exponential chart at scale r by quasi-Newton (exact
-    leading-order Jacobian columns) and accepts a target when the recovered
-    box coordinate certifies an admissible path: the chart decomposes into
-    M single-generator arcs of time at most |h|_I * r, so |h|_I <= 1/M
-    certifies arc distance at most r.  An arc path is admissible for every
-    class, so the same rule is a valid one-sided test for the weighted ball
-    (default) and for the control ball (kind="cc"); rejected points may
-    still lie in the ball.
-
-    Each row stops on its own: once the undamped step it just took is at the
-    floating-point floor (max |dH| <= 1e-12), its residual is evaluated once
-    more at the new H and the row leaves the batch.  A row is accepted only
-    with residual at most 1e-8 + 1e-6 * r, but such a residual alone does not
-    stop a row, since the row can still move by about 1e-5 in H.  Rows that
-    never reach the floor (slow or non-finite rows) run all 8 iterations.
-    The acceptance rule is ``membership_mask`` at R = r.
+    Inverts the almost-exponential chart at scale r (``invert_chart``) and
+    accepts a target when the recovered box coordinate certifies an
+    admissible path: the chart decomposes into M single-generator arcs of
+    time at most |h|_I * r, so |h|_I <= 1/M certifies arc distance at most r.
+    An arc path is admissible for every class, so the same rule is a valid
+    one-sided test for the weighted and the control ball; rejected points may
+    still lie in the ball.  A row is accepted only with residual at most
+    1e-8 + 1e-6 * r.  The acceptance rule is ``membership_mask`` at R = r.
     """
-    if kind not in ("rho", "cc"):
-        raise ValueError("kind must be 'rho' or 'cc'")
-    I = frame.check_index_tuple(I)
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    N = pts.shape[0]
-    n = system.n
-    H = np.zeros((N, n))
-    res = np.empty(N)
-    ridge = 1e-12 * np.eye(n)
-    live = np.arange(N)
-    settled = np.zeros(N, dtype=bool)
-    for it in range(_MEMBERSHIP_ITERS + 1):
-        E = e_map_batch(frame, I, x, r, H[live])
-        R = pts[live] - E
-        done = settled | (it == _MEMBERSHIP_ITERS)
-        res[live[done]] = np.linalg.norm(R[done], axis=1)
-        live, E, R = live[~done], E[~done], R[~done]
-        if not live.size:
-            break
-        cols = [
-            (r ** frame.degree(i)) * system.batch_fn(frame.word(i))(E) for i in I
-        ]
-        J = np.stack(cols, axis=2) + ridge
-        try:
-            dH = np.linalg.solve(J, R[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            dH = (np.linalg.pinv(J) @ R[..., None])[..., 0]
-        cap = np.maximum(np.abs(dH).max(axis=1), 1e-300)
-        dH *= np.minimum(1.0, 0.5 / cap)[:, None]
-        H[live] += dH
-        settled = cap <= 1e-12
+    H, res = invert_chart(frame, I, x, r, pts)
     return membership_mask(frame, I, r, H, res, r), H, res
 
 
@@ -510,8 +470,7 @@ def membership_mask(frame, I, R, H, res, r):
     is R/r times that of H.  A row is accepted when its residual is at most
     1e-8 + 1e-6 * r and that gauge is at most 1/M, M the chart's leg count.
     """
-    degs = np.array([frame.degree(i) for i in I], dtype=float)
-    boxn = (np.abs(H) ** (1.0 / degs)).max(axis=1) * (R / r)
+    boxn = box_norm(H, [frame.degree(i) for i in I]) * (R / r)
     tol = 1e-8 + 1e-6 * r
     return (res <= tol) & (boxn <= 1.0 / chart_leg_count(frame, I))
 

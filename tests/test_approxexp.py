@@ -13,7 +13,6 @@ from liebox.approxexp import (
     e_map_batch,
     exp_ap,
     exp_ap_first_order_errors,
-    in_box,
     invert_legs,
     jacobian_e,
     scaled_columns,
@@ -100,8 +99,10 @@ def test_box_norm_cases():
     assert box_norm((0.3, -0.5), (1, 1)) == 0.5
     assert abs(box_norm((0.04,), (2,)) - 0.2) < 1e-15
     assert abs(box_norm((0.1, 0.001), (1, 3)) - 0.1) < 1e-12
-    assert in_box((0.04,), (2,), 0.21)
-    assert not in_box((0.04,), (2,), 0.2)
+    assert box_norm((0.04,), (2,)) < 0.21
+    assert not box_norm((0.04,), (2,)) < 0.2
+    H = np.array([[0.3, -0.5], [0.1, 0.001], [0.0, 0.0]])
+    assert np.array_equal(box_norm(H, (1, 3)), [box_norm(h, (1, 3)) for h in H])
 
 
 def test_e_map_at_zero_and_single_direction():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from liebox import ballbox
+from liebox import ballbox, metric
 from liebox.approxexp import CommutatorFrame, e_map_batch
 from liebox.metric import (
     ball_membership,
@@ -413,3 +413,14 @@ def test_fl_reaches_generic_flat3_targets():
         est = fl_distance(flat3, a, b, seed=0)
         assert est.status == "ok"
         assert abs(est.value - np.abs(b - a).sum()) <= 1e-7
+
+
+def test_arc_templates_count_canonical_before_random():
+    # seeds 1 and 2 draw a random template that repeats a canonical one; the
+    # canonical count must not shrink with it
+    canonical, n = metric._arc_templates(HEIS, 8, np.random.default_rng(0))
+    assert n == 16
+    for seed in (1, 2):
+        templates, n = metric._arc_templates(HEIS, 8, np.random.default_rng(seed))
+        assert n == 16 and templates[:n] == canonical[:n]
+        assert len(templates) < n + metric._RANDOM_TEMPLATES

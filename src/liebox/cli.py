@@ -209,7 +209,10 @@ def _run_identity(item):
 def cmd_identities(args):
     _require(args.max_degree <= MAX_ORDER,
              f"--max-degree must be at most {MAX_ORDER}, got {args.max_degree}")
+    _require(args.workers >= 1, f"--workers must be at least 1, got {args.workers}")
     instances = _identity_instances(args.family, args.max_degree, args.alphabet)
+    _require(instances, f"--family {args.family} has no instance at --max-degree "
+                        f"{args.max_degree} and --alphabet {args.alphabet}")
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(_run_identity, instances, chunksize=64))
@@ -234,7 +237,7 @@ def cmd_witness(args):
     try:
         with open(args.poly) as fh:
             P = NCPoly.from_json(json.load(fh))
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError, TypeError) as exc:
         raise UsageError(f"cannot read polynomial file: {exc}")
     flag, cert = is_trivial(P)
     payload = {"trivial": flag}

@@ -3,10 +3,13 @@
 Everything here is exact: coefficients are ints or Fractions, words are
 tuples.  Identity checks return the residual combination (a WordSum) rather
 than a boolean; callers assert that the residual is zero, and on failure the
-surviving terms say exactly what went wrong.
+surviving terms say exactly what went wrong.  Every residual that is a
+linear combination of nested commutators is accumulated in place by
+``nested_sum``.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 from .words import apply_perm, check_word, pi_support
 
@@ -50,11 +53,6 @@ class WordSum:
             out._add(w, -c)
         return out
 
-    def __neg__(self):
-        out = WordSum()
-        out.terms = {w: -c for w, c in self.terms.items()}
-        return out
-
     def scale(self, c):
         out = WordSum()
         if c != 0:
@@ -87,17 +85,27 @@ class WordSum:
         return "WordSum(" + " + ".join(bits) + ")"
 
 
+def nested_sum(pairs):
+    """Sum of c * expand_nested(w) over ``(w, c)`` pairs, in one WordSum.
+
+    Each right-nested commutator expands to the signed sum over the
+    2**(l-1) permutations with nonzero coefficient; the terms of all pairs
+    are added in place, so equal words cancel as they arrive.
+    """
+    out = WordSum()
+    for w, c in pairs:
+        w = check_word(w)
+        for p, s in pi_support(len(w)):
+            out._add(apply_perm(p, w), s * c)
+    return out
+
+
 def expand_nested(w):
     """Associative expansion of the right-nested commutator of the word ``w``.
 
-    Returns the signed sum over the 2**(l-1) permutations with nonzero
-    coefficient; every coefficient is +-1.
+    Every coefficient is +-1, one per permutation with nonzero coefficient.
     """
-    w = check_word(w)
-    out = WordSum()
-    for p, s in pi_support(len(w)):
-        out._add(apply_perm(p, w), s)
-    return out
+    return nested_sum([(w, 1)])
 
 
 def as_wordsum(x):
@@ -133,10 +141,7 @@ def check_generalized_jacobi(v, w):
     """
     v, w = check_word(v), check_word(w)
     lhs = assoc_bracket(expand_nested(v), expand_nested(w))
-    rhs = WordSum()
-    for p, s in pi_support(len(v)):
-        rhs = rhs + expand_nested(apply_perm(p, v) + w).scale(s)
-    return lhs - rhs
+    return lhs - nested_sum((apply_perm(p, v) + w, s) for p, s in pi_support(len(v)))
 
 
 def check_J2(v):
@@ -145,9 +150,7 @@ def check_J2(v):
     ell = len(v)
     if ell < 2:
         raise ValueError("need |v| >= 2")
-    acc = expand_nested(v).scale(ell)
-    for p, s in pi_support(ell):
-        acc = acc - expand_nested(apply_perm(p, v)).scale(s)
+    acc = nested_sum([(v, ell)] + [(apply_perm(p, v), -s) for p, s in pi_support(ell)])
     return acc.scale(Fraction(1, ell))
 
 
@@ -182,18 +185,16 @@ def check_F(ell, p, b, v=None, w=()):
     if not 1 <= p <= ell:
         raise ValueError(f"p={p} outside 1..{ell}")
 
-    from itertools import combinations
+    def terms():
+        for perm, s in pi_support(ell):
+            pv = apply_perm(perm, v)
+            for idx in combinations(range(ell), p):
+                word = ()
+                for k in range(p - 1, -1, -1):
+                    word += (pv[idx[k]],) * b[k]
+                yield word + w, s
 
-    residual = WordSum()
-    for perm, s in pi_support(ell):
-        pv = apply_perm(perm, v)
-        for idx in combinations(range(ell), p):
-            word = ()
-            for k in range(p - 1, -1, -1):
-                word += (pv[idx[k]],) * b[k]
-            word += w
-            residual = residual + expand_nested(word).scale(s)
-    return FResult(residual, known_failure=(p == ell))
+    return FResult(nested_sum(terms()), known_failure=(p == ell))
 
 
 def signed_expansion(v):
@@ -222,48 +223,19 @@ def signed_expansion(v):
     return out
 
 
-def comma_bracket_word(v, signs, w_letter):
-    """Word for the comma-bracket: letters of v placed by sign, w always last.
-
-    ``signs`` has one entry per letter v_1..v_n; the block starts at v_{n+1};
-    a +1 letter goes left of the block, a -1 letter right of it, and the
-    comma letter is appended after everything.
-    """
-    v = check_word(v)
-    n = len(v) - 1
-    if len(signs) != n:
-        raise ValueError("need one sign per leading letter")
-    word = (v[-1],)
-    for j in range(n - 1, -1, -1):
-        if signs[j] == 1:
-            word = (v[j],) + word
-        elif signs[j] == -1:
-            word = word + (v[j],)
-        else:
-            raise ValueError("signs must be +-1")
-    return word + (w_letter,)
-
-
 def check_giochetto(v, w):
     """Residual of the prepended-letter recombination; expected zero.
 
-    ``v`` has length n+1 and ``w`` is a single letter; the check sums the
-    nested commutator of w.v with the signed comma-bracket terms over all
-    sign vectors of the first n letters.
+    ``v`` has length n+1 and ``w`` is a single letter; the check adds to the
+    nested commutator of w.v the nested commutators of u.w over the words u
+    of ``signed_expansion(v)``, equal words collected with their signs.
     """
     v = check_word(v)
     w = check_word(w)
     if len(w) != 1:
         raise ValueError("w must be a single letter")
-    n = len(v) - 1
-    residual = expand_nested(w + v)
-    from itertools import product
-
-    for signs in product((1, -1), repeat=n):
-        negs = sum(1 for s in signs if s == -1)
-        word = comma_bracket_word(v, signs, w[0])
-        residual = residual + expand_nested(word).scale((-1) ** negs)
-    return residual
+    placed = signed_expansion(v).terms.items()
+    return nested_sum([(w + v, 1)] + [(u + w, c) for u, c in placed])
 
 
 def check_baker():
@@ -273,16 +245,11 @@ def check_baker():
     all expected zero.
     """
     a, b = 1, 2
-    e = expand_nested
-    report = {
-        "order4_swap": e((1, 2, 1, 2)) - e((2, 1, 1, 2)),
-        "order4_antisym": e((1, 2, 1, 2)) + e((1, 2, 2, 1)),
-        "order4_reversal": e((1, 2, 1, 2)).scale(2) + e((2, 1, 2, 1)).scale(2),
-        "order6_intermediate": e((b, b, b, a, b, a)) - e((b, b, a, b, b, a)),
-        "order6_baker": (
-            e((a, b, b, b, b, a))
-            - e((b, a, b, b, b, a)).scale(2)
-            + e((b, b, a, b, b, a))
-        ),
+    combos = {
+        "order4_swap": {(1, 2, 1, 2): 1, (2, 1, 1, 2): -1},
+        "order4_antisym": {(1, 2, 1, 2): 1, (1, 2, 2, 1): 1},
+        "order4_reversal": {(1, 2, 1, 2): 2, (2, 1, 2, 1): 2},
+        "order6_intermediate": {(b, b, b, a, b, a): 1, (b, b, a, b, b, a): -1},
+        "order6_baker": {(a, b, b, b, b, a): 1, (b, a, b, b, b, a): -2, (b, b, a, b, b, a): 1},
     }
-    return report
+    return {name: nested_sum(c.items()) for name, c in combos.items()}

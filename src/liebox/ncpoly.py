@@ -13,65 +13,29 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
+from .freelie import WordSum
 from .poly import Poly
 from .words import as_fraction
 
 
-class NCPoly:
-    """Sparse table of words over {1..alphabet} with Fraction coefficients."""
+class NCPoly(WordSum):
+    """A WordSum over the letters 1..alphabet with Fraction coefficients."""
 
-    __slots__ = ("alphabet", "terms")
+    __slots__ = ("alphabet",)
 
     def __init__(self, alphabet, terms=None):
+        super().__init__()
         self.alphabet = int(alphabet)
-        self.terms = {}
         if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for w, c in items:
+            for w, c in terms.items() if isinstance(terms, dict) else terms:
                 w = tuple(int(a) for a in w)
                 if any(not 1 <= a <= self.alphabet for a in w):
                     raise ValueError(f"word {w} outside alphabet 1..{self.alphabet}")
-                c = as_fraction(c)
-                if c != 0:
-                    acc = self.terms.get(w, Fraction(0)) + c
-                    if acc == 0:
-                        self.terms.pop(w, None)
-                    else:
-                        self.terms[w] = acc
+                self._add(w, as_fraction(c))
 
     @classmethod
     def from_wordsum(cls, s, alphabet):
         return cls(alphabet, s.terms)
-
-    def __add__(self, other):
-        out = NCPoly(max(self.alphabet, other.alphabet))
-        out.terms = dict(self.terms)
-        for w, c in other.terms.items():
-            acc = out.terms.get(w, Fraction(0)) + c
-            if acc == 0:
-                out.terms.pop(w, None)
-            else:
-                out.terms[w] = acc
-        return out
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        out = NCPoly(self.alphabet)
-        c = as_fraction(c)
-        if c != 0:
-            out.terms = {w: c * v for w, v in self.terms.items()}
-        return out
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, NCPoly)
-            and self.terms == other.terms
-        )
 
     def degree(self):
         return max((len(w) for w in self.terms), default=0)
@@ -144,11 +108,7 @@ def multilinearize(P, var):
             for bit, pos in enumerate(positions):
                 if (mask >> bit) & 1:
                     nw[pos] = new
-            acc = out.terms.get(tuple(nw), Fraction(0)) + c
-            if acc == 0:
-                out.terms.pop(tuple(nw), None)
-            else:
-                out.terms[tuple(nw)] = acc
+            out._add(tuple(nw), c)
     return out
 
 

@@ -65,6 +65,30 @@ def test_identities_workers_match(capsys):
     assert a["rows"] == b["rows"]
 
 
+@pytest.mark.parametrize("argv, instances", [
+    (("--family", "f", "--max-degree", "4"), 11),
+    (("--family", "giochetto", "--max-degree", "4", "--alphabet", "2"), 24),
+])
+def test_identities_f_and_giochetto(capsys, argv, instances):
+    code, out, _ = run_cli(capsys, "identities", *argv)
+    assert code == 0
+    rep = json.loads(out)
+    assert (rep["instances"], rep["failures"]) == (instances, 0)
+
+
+@pytest.mark.parametrize("family, bound", [
+    ("otto", ("--alphabet", "0")),
+    ("j2", ("--alphabet", "-2")),
+    ("giochetto", ("--max-degree", "0")),
+    ("f", ("--max-degree", "-3")),
+    ("otto", ("--max-degree", "0")),
+])
+def test_identities_without_instances_exit_2(capsys, family, bound):
+    code, out, err = run_cli(capsys, "identities", "--family", family, *bound)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: --family {family} has no instance") and err.count("\n") == 1
+
+
 def test_witness_nontrivial(tmp_path, capsys):
     poly = {
         "degree": 2,
@@ -85,11 +109,17 @@ def test_witness_nontrivial(tmp_path, capsys):
 
 
 def test_witness_bad_file(tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    code, _, err = run_cli(capsys, "witness", "--poly", str(path))
-    assert code == 2
-    assert "error" in err
+    for name, text in (
+        ("syntax.json", "{not json"),
+        ("list.json", "[]"),
+        ("terms.json", json.dumps({"alphabet": 2, "terms": 5})),
+        ("coeff.json", json.dumps({"alphabet": 2, "terms": [{"word": [1, 2], "coeff": None}]})),
+    ):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "witness", "--poly", str(path))
+        assert code == 2 and out == "", name
+        assert err.startswith("error: cannot read polynomial file") and err.count("\n") == 1
 
 
 def test_bracket_value(capsys):
@@ -351,6 +381,7 @@ HEIS_CENTER = ("--model", "heisenberg", "--center", "0,0,0")
       "--t-count", "0"), "--t-count"),
     (("pi-table", "--order", "9"), "--order"),
     (("identities", "--family", "otto", "--max-degree", "9"), "--max-degree"),
+    (("identities", "--family", "j2", "--max-degree", "3", "--workers", "0"), "--workers"),
 ])
 def test_number_out_of_range_exits_2(capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv)

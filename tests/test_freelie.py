@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -12,8 +13,8 @@ from liebox.freelie import (
     check_generalized_jacobi,
     check_giochetto,
     check_jacobi,
-    comma_bracket_word,
     expand_nested,
+    nested_sum,
     signed_expansion,
 )
 
@@ -66,6 +67,23 @@ def test_expand_term_count_distinct_letters():
         s = expand_nested(w)
         assert len(s) == 2 ** (ell - 1)
         assert all(c in (-1, 1) for c in s.terms.values())
+
+
+def test_nested_sum_matches_scaled_oracle_sum():
+    rng = random.Random(5)
+    for _ in range(50):
+        pairs = [
+            (tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 5))),
+             Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 6))
+        ]
+        expected = {}
+        for w, c in pairs:
+            for u, s in oracle_expand(w).items():
+                expected[u] = expected.get(u, 0) + s * c
+        assert nested_sum(pairs).terms == {u: c for u, c in expected.items() if c}
+    # a pair and its negative cancel to the empty table
+    assert nested_sum([((1, 2, 3), 2), ((1, 2, 3), -2)]).terms == {}
 
 
 def test_wordsum_algebra():
@@ -156,12 +174,6 @@ def test_signed_expansion_equals_pi_expansion():
         assert signed_expansion(v) == expand_nested(v), v
 
 
-def test_comma_word_convention():
-    # all-minus except the third letter: [v3 v4 v2 v1 w]
-    assert comma_bracket_word((1, 2, 3, 4), (-1, -1, 1), 5) == (3, 4, 2, 1, 5)
-    assert comma_bracket_word((1, 2), (1,), 9) == (1, 2, 9)
-
-
 def test_giochetto_cases():
     assert check_giochetto((1, 2), (3,)).is_zero()
     # v = b^4 a with a=1, b=2, prepended letter a
@@ -174,8 +186,14 @@ def test_giochetto_cases():
 
 
 def test_giochetto_binomial_collection():
-    # collecting equal words in the b^4 a case gives the binomial combination
+    # collecting equal words in the b^4 a case gives the binomial combination;
+    # the placement word b^4 a gets w = a appended and [a, a] = 0 drops it
     a, b = 1, 2
+    assert signed_expansion((b, b, b, b, a)).terms == {
+        (b, b, b, b, a): 1, (b, b, b, a, b): -4, (b, b, a, b, b): 6,
+        (b, a, b, b, b): -4, (a, b, b, b, b): 1,
+    }
+    assert expand_nested((b, b, b, b, a, a)).is_zero()
     e = expand_nested
     combo = (
         e((a, b, b, b, b, a))

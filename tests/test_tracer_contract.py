@@ -5,7 +5,9 @@ from fixed argument positions and return shapes, so a rename or a reshaped
 call breaks traced benchmark runs only.  This test installs it in-process on
 the modules the benchmark imports, runs one small call per traced layer of
 the chart, inclusion, doubling and distance paths, and checks that the
-layers they reach recorded calls and rows.
+layers they reach recorded calls and rows.  A second test does the same for
+the exact layers, with the calls and result shapes the exact-algebra
+workload makes and reads.
 """
 
 import importlib
@@ -73,3 +75,36 @@ def test_tracer_installs_and_counts_every_reached_layer():
     assert times.get("vfield.compose_flows", (0,))[0] == 0
     assert originals == (lb.approxexp.e_map, lb.ballbox.e_map_batch,
                          lb.vfield.VectorFieldSystem.batch_fn, lb.poly.Poly.compile_batch)
+
+
+def test_tracer_counts_the_exact_layers():
+    spans = _load_spans()
+    lb = types.SimpleNamespace(
+        **{m: importlib.import_module(f"liebox.{m}") for m in MODULES})
+    traced = ((lb.words, "pi_table"), (lb.freelie, "pi_support"),
+              (lb.freelie, "expand_nested"), (lb.freelie, "check_F"),
+              (lb.ncpoly, "is_trivial"), (lb.ncpoly, "witness_coefficients"))
+    originals = [getattr(owner, attr) for owner, attr in traced]
+    NCPoly = lb.ncpoly.NCPoly
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer, lb)
+        tracer.op = 0
+        assert len(lb.words.pi_table(4).nonzero) == 8
+        assert lb.freelie.check_generalized_jacobi((1, 2), (3,)).is_zero()
+        assert lb.freelie.check_J2((1, 2, 3)).is_zero()
+        f = lb.freelie.check_F(3, 2, (1, 1), w=(4,))
+        assert f.residual.is_zero() and not f.known_failure
+        P = NCPoly(2, {(1, 2): 1, (2, 1): -1})
+        flag, cert = lb.ncpoly.is_trivial(P)
+        assert not flag and P.terms.get(cert.collapsed_word) == cert.value
+        residual = lb.freelie.check_jacobi((1,), (2,), (3,))
+        assert lb.ncpoly.is_trivial(NCPoly.from_wordsum(residual, 3)) == (True, None)
+        times = tracer.layer_times(True)
+    finally:
+        tracer.restore()
+    for name in ("words.pi_table", "freelie.check", "ncpoly.is_trivial",
+                 "ncpoly.witness_coefficients"):
+        assert times[name][0] > 0, name
+    assert times["freelie.check"][0] == 4
+    assert [getattr(owner, attr) for owner, attr in traced] == originals

@@ -19,6 +19,7 @@ from .freelie import (
     check_J2,
     check_baker,
     check_generalized_jacobi,
+    check_giochetto,
     check_jacobi,
 )
 from .linalg import lambda_sweep, matrix_with_spectrum, min_norm_solve, tychonoff_error_components, tychonoff_solve
@@ -66,22 +67,64 @@ def criterion_01_pi_tables():
     return ok, {"order3_nonzero": len(t3.nonzero), "order4_nonzero": len(t4.nonzero)}
 
 
+def identity_instances(family, max_degree, alphabet):
+    """The instances ``liebox identities`` sweeps for one family."""
+    if family == "otto":
+        return [
+            ("otto", v, w)
+            for v in all_words(alphabet, max_degree - 1)
+            for w in all_words(alphabet, max_degree - len(v))
+        ]
+    if family == "j2":
+        return [("j2", v, None) for v in all_words(alphabet, max_degree, 2)]
+    if family == "f":
+        out = []
+        for ell in range(2, min(max_degree, 5) + 1):
+            for p in range(1, ell):
+                for b in product(range(3), repeat=p):
+                    if 1 <= sum(b) <= max(1, max_degree - ell):
+                        out.append(("f", (ell, p, b), None))
+        return out
+    if family == "baker":
+        return [("baker", None, None)]
+    if family == "giochetto":
+        return [
+            ("giochetto", v, (w,))
+            for v in all_words(alphabet, max_degree - 1, 2)
+            for w in range(1, alphabet + 1)
+        ]
+    raise ValueError(f"unknown identity family {family!r}")
+
+
+def run_identity(item):
+    """One instance's row: (instance, argument, residual is zero, residual terms)."""
+    family, a, b = item
+    if family == "otto":
+        res = check_generalized_jacobi(a, b)
+        return (str(a), str(b), res.is_zero(), len(res))
+    if family == "j2":
+        res = check_J2(a)
+        return (str(a), "", res.is_zero(), len(res))
+    if family == "f":
+        ell, p, bb = a
+        res = check_F(ell, p, bb)
+        return (f"l={ell},p={p},b={bb}", "", res.residual.is_zero(), len(res.residual))
+    if family == "baker":
+        rep = check_baker()
+        bad = [k for k, v in rep.items() if not v.is_zero()]
+        return ("baker", "", not bad, len(bad))
+    res = check_giochetto(a, b)
+    return (str(a), str(b), res.is_zero(), len(res))
+
+
 def criterion_02_generalized_jacobi():
-    checked = failed = 0
-    for v in all_words(3, 5):
-        for w in all_words(3, 6 - len(v)):
-            checked += 1
-            if not check_generalized_jacobi(v, w).is_zero():
-                failed += 1
-    j2_checked = j2_failed = 0
-    for v in all_words(3, 6, 2):
-        j2_checked += 1
-        if not check_J2(v).is_zero():
-            j2_failed += 1
-    ok = failed == 0 and j2_failed == 0
-    return ok, {
-        "pair_instances": checked, "pair_failures": failed,
-        "single_instances": j2_checked, "single_failures": j2_failed,
+    pairs = [run_identity(it) for it in identity_instances("otto", 6, 3)]
+    singles = [run_identity(it) for it in identity_instances("j2", 6, 3)]
+    failed = sum(not row[2] for row in pairs)
+    j2_failed = sum(not row[2] for row in singles)
+    return failed == j2_failed == 0, {
+        "pair_instances": len(pairs), "pair_failures": failed,
+        "single_instances": len(singles), "single_failures": j2_failed,
     }
 
 

@@ -222,13 +222,3 @@ def scaled_columns(frame, I, x, r):
     cols = [frame.map(i)(x) * r ** frame.degree(i) for i in I]
     return np.stack(cols, axis=1)
 
-
-def exp_ap_first_order_errors(system, w, x, ts):
-    """Deviations of exp_ap(t) from x + t f_w(x); slope > 1 expected."""
-    fw = system.commutator_coeffs(w)
-    fx = fw(x)
-    errs = []
-    for t in ts:
-        y = np.asarray(exp_ap(system, t, w, x))
-        errs.append(float(np.linalg.norm(y - np.asarray(x, dtype=float) - t * fx)))
-    return errs

@@ -4,7 +4,9 @@ Frame determinants are exact (Fraction arithmetic) at rational points; the
 selection rule scores |det| * r^(total degree) and keeps the winner, with
 ties broken by enumeration order.  The experiments are Monte Carlo or
 chart-inversion harnesses built on the chart and membership machinery; every
-sampling routine takes an explicit seed and reports it back.
+sampling routine takes an explicit seed and reports it back.  The doubling
+and Poincare harnesses draw their points through one sampler,
+``_ball_sample``: one uniform stream and one membership solve per call.
 """
 
 import functools
@@ -19,7 +21,7 @@ from .linalg import min_norm_solve
 from .metric import ball_membership, chart_leg_count, control_endpoints, membership_mask
 from .approxexp import box_norm, e_map_batch, invert_chart
 from .approxexp import e_map  # noqa: F401  (the perfbench tracer patches ballbox.e_map)
-from .words import as_fraction
+from .words import rational_point
 
 
 class HormanderError(RuntimeError):
@@ -41,13 +43,9 @@ def _exact_det(rows):
     return total
 
 
-def _rational_point(x):
-    return [as_fraction(v) if not isinstance(v, float) else Fraction(v).limit_denominator(10**12) for v in x]
-
-
 def _exact_columns(frame, x):
     """Exact column maps at the rational point of x, each evaluated on first use."""
-    xf = _rational_point(x)
+    xf = rational_point(x)
     return functools.cache(lambda i: frame.map(i).eval_exact(xf))
 
 
@@ -86,25 +84,6 @@ def frame_candidates(frame):
     return list(itertools.combinations(keep, n))
 
 
-def lambda_vector(frame, x, r):
-    """Scaled determinant tuple over candidate frames, in enumeration order."""
-    col = _exact_columns(frame, x)
-    rows = []
-    for I in frame_candidates(frame):
-        lam = _columns_det(col, I)
-        rows.append((I, lam, float(abs(lam)) * r ** frame.ell(I)))
-    return rows
-
-
-def nu(frame, points):
-    """Min over the sample set of the norm of the unscaled tuple."""
-    worst = math.inf
-    for x in points:
-        vec = [float(lam) for _, lam, _ in lambda_vector(frame, x, 1.0)]
-        worst = min(worst, float(np.linalg.norm(vec)))
-    return worst
-
-
 @dataclass
 class MaximalTriple:
     I: tuple
@@ -131,7 +110,7 @@ def select_maximal(frame, x, r):
     so the winner is the one an all-exact scan gives.  The relative term
     covers rounding in an n x n float determinant (about 1e-15 times its
     condition).  The absolute term covers the point: the exact determinant
-    is taken at ``_rational_point(x)``, which lies within 1e-12 of x in
+    is taken at ``words.rational_point(x)``, which lies within 1e-12 of x in
     every coordinate, so the determinant moves by 1e-12 times its gradient.
     Each exact column map is evaluated at most once per call.
     """
@@ -235,10 +214,7 @@ def inclusion_check(
 
 def express_in_frame(frame, v, x):
     """Min-norm coefficients of a vector over the frame columns at x."""
-    Y = np.stack(
-        [frame.map(i)(np.asarray(x, dtype=float)) for i in range(1, frame.q + 1)],
-        axis=1,
-    )
+    Y = frame.eval_columns(range(1, frame.q + 1), np.asarray(x, dtype=float))
     b, rank, residual = min_norm_solve(Y, np.asarray(v, dtype=float))
     return {
         "coefficients": b,
@@ -286,32 +262,34 @@ def _bounding_box(frame, I, x, r):
     return center - half, center + half
 
 
-def _nonfinite_rows(res):
-    """Sample rows whose membership residual is not finite.
+def _ball_sample(system, frame, x, r, R, N, seed):
+    """Seeded uniform points in the radius-R ball's box, with both ball masks.
 
-    Such rows fail both membership masks, so they drop out of the counts;
-    reporting them keeps a numerical breakdown from passing as a small ball.
+    The frame is the maximal one at radius r.  One membership solve runs at
+    R, and the radius-r mask is read off it by the chart's dilation
+    (``metric.membership_mask``).  Returns the frame, the points, the box
+    volume, the radius-r and radius-R masks, and the count of rows whose
+    residual is not finite: they fail both masks, and counting them keeps a
+    numerical breakdown from passing as a small ball.
     """
-    return int((~np.isfinite(res)).sum())
+    I = select_maximal(frame, x, r).I
+    lo, hi = _bounding_box(frame, I, x, R)
+    pts = np.random.default_rng(seed).uniform(lo, hi, size=(N, system.n))
+    outer, H, res = ball_membership(system, frame, I, x, R, pts)
+    inner = membership_mask(frame, I, R, H, res, r)
+    nonfinite = int((~np.isfinite(res)).sum())
+    return I, pts, float(np.prod(hi - lo)), inner, outer, nonfinite
 
 
 def doubling_ratio(system, frame, x, r, N=100_000, seed=0):
     """Monte Carlo volume ratio of the radius-2r and radius-r balls.
 
-    One uniform stream over a box adapted to the outer ball, with the maximal
-    frame selected once at radius r and reused.  One membership solve runs at
-    radius 2r; the inner mask is read off that solve by the chart's dilation
-    (``metric.membership_mask``), so the inner acceptance region is the exact
-    chart dilate of the outer one on every model.  ``nonfinite`` counts the
-    rows whose residual in that one solve is not finite.
+    One ``_ball_sample`` at R = 2r, with the maximal frame selected once at
+    radius r and reused.  ``nonfinite`` counts the rows whose residual in
+    its one membership solve is not finite.
     """
-    I = select_maximal(frame, x, r).I
-    lo, hi = _bounding_box(frame, I, x, 2 * r)
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(lo, hi, size=(N, system.n))
-    mask_outer, H, res = ball_membership(system, frame, I, x, 2 * r, pts)
-    mask_inner = membership_mask(frame, I, 2 * r, H, res, r)
-    k2, k1 = int(mask_outer.sum()), int(mask_inner.sum())
+    I, _, _, inner, outer, nonfinite = _ball_sample(system, frame, x, r, 2 * r, N, seed)
+    k2, k1 = int(outer.sum()), int(inner.sum())
     if k1 == 0:
         raise RuntimeError("zero inner-ball count; enlarge N or the box")
     ratio = k2 / k1
@@ -322,7 +300,7 @@ def doubling_ratio(system, frame, x, r, N=100_000, seed=0):
         "outer_count": k2,
         "inner_count": k1,
         "N": int(N),
-        "nonfinite": _nonfinite_rows(res),
+        "nonfinite": nonfinite,
         "I": I,
         "r": float(r),
         "seed": seed,
@@ -332,24 +310,14 @@ def doubling_ratio(system, frame, x, r, N=100_000, seed=0):
 def poincare_suite(system, frame, fs, x, r, C_enlarge=2.0, N=100_000, seed=0):
     """Monte Carlo mean-oscillation vs horizontal-gradient integrals.
 
-    One shared sample stream over the enlarged ball's bounding box, with the
-    two membership masks computed once and reused for every test function.
-    One membership solve runs at the enlarged radius R = C_enlarge * r; the
-    radius-r mask is read off that solve by the chart's dilation
-    (``metric.membership_mask``), and ``nonfinite`` counts the rows whose
-    residual in that one solve is not finite.  Both integrals are box-volume
-    * accepted-fraction * sample mean; the per-function ratio is the
-    empirical constant.
+    One ``_ball_sample`` at the enlarged radius R = C_enlarge * r, its two
+    masks reused for every test function; ``nonfinite`` counts the rows
+    whose residual in its one membership solve is not finite.  Both
+    integrals are box-volume * accepted-fraction * sample mean; the
+    per-function ratio is the empirical constant.
     """
-    I = select_maximal(frame, x, r).I
-    R = C_enlarge * r
-    lo, hi = _bounding_box(frame, I, x, R)
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(lo, hi, size=(N, system.n))
-    box_vol = float(np.prod(hi - lo))
-    mask_out, H, res = ball_membership(system, frame, I, x, R, pts)
-    mask_in = membership_mask(frame, I, R, H, res, r)
-    nonfinite = _nonfinite_rows(res)
+    I, pts, box_vol, mask_in, mask_out, nonfinite = _ball_sample(
+        system, frame, x, r, C_enlarge * r, N, seed)
     k_in, k_out = int(mask_in.sum()), int(mask_out.sum())
     if k_in == 0 or k_out == 0:
         raise RuntimeError("empty ball sample; enlarge N")
@@ -376,13 +344,3 @@ def poincare_suite(system, frame, fs, x, r, C_enlarge=2.0, N=100_000, seed=0):
         })
     return reports
 
-
-def maximality_stability(system, frame, x, r, seed=0):
-    """Fraction of nearby points (short admissible paths) keeping the frame."""
-    samples, reach = 20, 0.01
-    base = select_maximal(frame, x, r).I
-    targets = sample_rho_targets(system, frame, x, reach * r, samples, seed)
-    same = sum(
-        1 for y in targets if select_maximal(frame, y, r).I == base
-    )
-    return {"base": base, "same_fraction": same / samples, "samples": samples}

@@ -15,25 +15,17 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
 from . import __version__, acceptance
 from .approxexp import CommutatorFrame, box_norm, jacobian_e, e_map
 from .ballbox import doubling_ratio, inclusion_check, poincare_suite, select_maximal
-from .freelie import (
-    check_F,
-    check_J2,
-    check_baker,
-    check_generalized_jacobi,
-    check_giochetto,
-)
 from .linalg import lambda_sweep, min_norm_solve
 from .metric import cc_distance, fl_distance, rho_distance
 from .ncpoly import NCPoly, is_trivial
 from .poly import Poly
-from .vfield import MODEL_BUILDERS, all_words, load_model
+from .vfield import MODEL_BUILDERS, load_model
 from .words import MAX_ORDER, check_word, pi_table
 
 
@@ -67,8 +59,9 @@ def _parse_ints(text, flag):
 
 def _parse_word(text, system):
     """A word of the model's letters, up to its step: '12' or '1,2'."""
+    letters = text.split(",") if "," in text else text
     try:
-        w = check_word(text.split(",") if "," in text else text, alphabet=system.m)
+        w = check_word(map(int, letters), alphabet=system.m)
     except ValueError:
         raise UsageError(f"--word must be letters 1..{system.m}, got {text!r}")
     if len(w) > system.s:
@@ -158,66 +151,18 @@ def cmd_pi_table(args):
     return 0
 
 
-def _identity_instances(family, max_degree, alphabet):
-    if family == "otto":
-        return [
-            ("otto", v, w)
-            for v in all_words(alphabet, max_degree - 1)
-            for w in all_words(alphabet, max_degree - len(v))
-        ]
-    if family == "j2":
-        return [("j2", v, None) for v in all_words(alphabet, max_degree, 2)]
-    if family == "f":
-        out = []
-        for ell in range(2, min(max_degree, 5) + 1):
-            for p in range(1, ell):
-                for b in product(range(3), repeat=p):
-                    if 1 <= sum(b) <= max(1, max_degree - ell):
-                        out.append(("f", (ell, p, b), None))
-        return out
-    if family == "baker":
-        return [("baker", None, None)]
-    if family == "giochetto":
-        return [
-            ("giochetto", v, (w,))
-            for v in all_words(alphabet, max_degree - 1, 2)
-            for w in range(1, alphabet + 1)
-        ]
-    raise UsageError(f"unknown identity family {family!r}")
-
-
-def _run_identity(item):
-    family, a, b = item
-    if family == "otto":
-        res = check_generalized_jacobi(a, b)
-        return (str(a), str(b), res.is_zero(), len(res))
-    if family == "j2":
-        res = check_J2(a)
-        return (str(a), "", res.is_zero(), len(res))
-    if family == "f":
-        ell, p, bb = a
-        res = check_F(ell, p, bb)
-        return (f"l={ell},p={p},b={bb}", "", res.residual.is_zero(), len(res.residual))
-    if family == "baker":
-        rep = check_baker()
-        bad = [k for k, v in rep.items() if not v.is_zero()]
-        return ("baker", "", not bad, len(bad))
-    res = check_giochetto(a, b)
-    return (str(a), str(b), res.is_zero(), len(res))
-
-
 def cmd_identities(args):
     _require(args.max_degree <= MAX_ORDER,
              f"--max-degree must be at most {MAX_ORDER}, got {args.max_degree}")
     _require(args.workers >= 1, f"--workers must be at least 1, got {args.workers}")
-    instances = _identity_instances(args.family, args.max_degree, args.alphabet)
+    instances = acceptance.identity_instances(args.family, args.max_degree, args.alphabet)
     _require(instances, f"--family {args.family} has no instance at --max-degree "
                         f"{args.max_degree} and --alphabet {args.alphabet}")
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(_run_identity, instances, chunksize=64))
+            rows = list(pool.map(acceptance.run_identity, instances, chunksize=64))
     else:
-        rows = [_run_identity(it) for it in instances]
+        rows = [acceptance.run_identity(it) for it in instances]
     failures = [r for r in rows if not r[2]]
     rep = _report(args, "identities", {
         "family": args.family,

@@ -5,8 +5,8 @@ tolerances below (``VectorFieldSystem.flow``); its error control makes the
 tolerance contract hold on arbitrary user models, and a trajectory that
 leaves the domain box raises.  Vectorized fixed-step RK4 serves batches of
 non-triangular fields, which have no exact flow: every batched leg there
-takes ``RK4_STEPS`` steps.  The scalar ``rk4`` has no
-library caller; ``perfbench`` traces it by name.
+takes ``RK4_STEPS`` steps.  The scalar ``rk4`` is one row of ``rk4_batch``;
+it has no library caller and stays because ``perfbench`` traces it by name.
 """
 
 import numpy as np
@@ -108,22 +108,9 @@ def dopri5(f, t, y0):
 
 
 def rk4(f, t, y0, steps=8):
-    """Fixed-step classical RK4 on tuples; cheap path for optimizers."""
-    y = tuple(float(v) for v in y0)
-    if t == 0 or steps <= 0:
-        return y
-    h = t / steps
-    n = len(y)
-    for _ in range(steps):
-        k1 = f(y)
-        k2 = f(tuple(y[i] + 0.5 * h * k1[i] for i in range(n)))
-        k3 = f(tuple(y[i] + 0.5 * h * k2[i] for i in range(n)))
-        k4 = f(tuple(y[i] + h * k3[i] for i in range(n)))
-        y = tuple(
-            y[i] + h / 6.0 * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i])
-            for i in range(n)
-        )
-    return y
+    """Fixed-step RK4 of one point, as a tuple: one row of ``rk4_batch``."""
+    fb = lambda Y: np.asarray([f(Y[0])], dtype=float)
+    return tuple(float(v) for v in rk4_batch(fb, t, [y0], steps)[0])
 
 
 def rk4_batch(fb, T, Y0, steps=4):

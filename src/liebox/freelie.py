@@ -161,9 +161,6 @@ class FResult:
         self.residual = residual
         self.known_failure = known_failure
 
-    def holds(self):
-        return self.residual.is_zero()
-
 
 def check_F(ell, p, b, v=None, w=()):
     """Double sum over permutations and index subsets; zero for p < l.

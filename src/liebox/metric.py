@@ -14,6 +14,11 @@ imported into the control pool, a control path into the weighted pool.
 Paths flow exactly on triangular fields and by ``flows.RK4_STEPS``-step RK4
 legs on any other field; the feasibility tolerance, bisection depth and
 iteration caps are module constants.
+
+The volume harnesses' ball membership lives here too: ``ball_membership``
+inverts the chart once, and ``membership_mask`` is the one acceptance rule.
+Its unread ``system`` argument stays because the perfbench tracer reads the
+sample points at position 5.
 """
 
 import math
@@ -265,8 +270,8 @@ def _project_segments(U, degrees, m, kind):
     return U
 
 
-def _legs_to_controls(legs, k, d, letter_of_col):
-    """Spread arc legs over k equal-duration segments, one field per leg."""
+def _legs_to_controls(legs, k, d):
+    """Spread arc legs over k equal-duration segments, one generator per leg."""
     total = sum(t for _, t in legs)
     if total <= 0:
         return np.zeros((k, d))
@@ -278,9 +283,8 @@ def _legs_to_controls(legs, k, d, letter_of_col):
     U = np.zeros((k, d))
     seg = 0
     for (j, t), s in zip(legs, shares):
-        col = letter_of_col[abs(j)]
         for _ in range(s):
-            U[seg, col] = (k * t / s) * (1 if j > 0 else -1)
+            U[seg, abs(j) - 1] = (k * t / s) * (1 if j > 0 else -1)
             seg += 1
     return U
 
@@ -368,10 +372,7 @@ def cc_distance(system, x, y, segments=8, seed=0, fl_cert=None):
     seeds = []
     imported = None
     if fl_cert and fl_cert.get("form") == "legs" and fl_cert["legs"]:
-        letter_of_col = {j: j - 1 for j in range(1, system.m + 1)}
-        seeds.append(
-            _legs_to_controls(fl_cert["legs"], segments, system.m, letter_of_col)
-        )
+        seeds.append(_legs_to_controls(fl_cert["legs"], segments, system.m))
         imported = (
             sum(t for _, t in fl_cert["legs"]),
             {"form": "legs", "legs": fl_cert["legs"]},
@@ -419,27 +420,12 @@ def estimate_all(system, frame, x, y, seed=0):
     return fl, cc, rho
 
 
-def reverse_certificate(cert):
-    """Certificate of the reversed path (same value, endpoints swapped)."""
-    if cert is None:
-        return None
-    if cert.get("form") == "legs":
-        return {
-            "form": "legs",
-            "legs": [(-j, t) for j, t in reversed(cert["legs"])],
-        }
-    U = -np.asarray(cert["controls"], dtype=float)[::-1]
-    return {"form": "controls", "segments": cert["segments"], "controls": U.tolist()}
-
-
 # -- fast ball membership (volume harnesses) ------------------------------------------
 
 
 def chart_leg_count(frame, I):
-    return sum(
-        1 if frame.degree(i) == 1 else len(c_map_legs(frame.word(i), 1.0))
-        for i in I
-    )
+    """Number of single-generator legs of the chart of frame I."""
+    return sum(len(c_map_legs(frame.word(i), 1.0)) for i in I)
 
 
 def ball_membership(system, frame, I, x, r, pts):

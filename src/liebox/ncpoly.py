@@ -15,7 +15,7 @@ from itertools import permutations
 
 from .freelie import WordSum
 from .poly import Poly
-from .words import as_fraction
+from .words import as_fraction, check_integers
 
 
 class NCPoly(WordSum):
@@ -28,7 +28,7 @@ class NCPoly(WordSum):
         self.alphabet = int(alphabet)
         if terms:
             for w, c in terms.items() if isinstance(terms, dict) else terms:
-                w = tuple(int(a) for a in w)
+                w = check_integers(w, "letters")
                 if any(not 1 <= a <= self.alphabet for a in w):
                     raise ValueError(f"word {w} outside alphabet 1..{self.alphabet}")
                 self._add(w, as_fraction(c))
@@ -55,16 +55,6 @@ class NCPoly(WordSum):
             for w, c in sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
         ]
         return "NCPoly(" + " + ".join(bits) + ")"
-
-    def to_json(self):
-        return {
-            "degree": self.degree(),
-            "alphabet": self.alphabet,
-            "terms": [
-                {"word": list(w), "coeff": str(c)}
-                for w, c in sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-            ],
-        }
 
     @classmethod
     def from_json(cls, obj):

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .words import as_fraction
+from .words import as_fraction, check_integers
 
 
 class Poly:
@@ -27,7 +27,7 @@ class Poly:
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for exps, c in items:
-                exps = tuple(int(e) for e in exps)
+                exps = check_integers(exps, "exponents")
                 if len(exps) != self.nvars or any(e < 0 for e in exps):
                     raise ValueError(f"bad exponent tuple {exps}")
                 c = as_fraction(c) if not isinstance(c, Fraction) else c
@@ -47,9 +47,9 @@ class Poly:
         return cls(nvars, {(0,) * nvars: as_fraction(c)})
 
     @classmethod
-    def var(cls, nvars, i, power=1):
+    def var(cls, nvars, i):
         exps = [0] * nvars
-        exps[i] = power
+        exps[i] = 1
         return cls(nvars, {tuple(exps): 1})
 
     def _check(self, other):

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import flows
 from .poly import Poly, PolyMap, control_mixture, directional_derivative, lie_bracket
-from .words import apply_perm, check_word, pi_support
+from .words import apply_perm, check_word, pi_support, rational_point
 
 
 def all_words(m, max_len, min_len=1):
@@ -106,11 +106,6 @@ class VectorFieldSystem:
         """First-order action f_w . grad psi of the nested commutator."""
         return directional_derivative(self.commutator_coeffs(w), psi)
 
-    def bracket_pair(self, u, v):
-        """Coefficient map of [X_u, X_v] built from the two cached maps."""
-        fu, fv = self.commutator_coeffs(u), self.commutator_coeffs(v)
-        return lie_bracket(fu, fv)
-
     def ad(self, Z, w, x=None):
         """ad_Z applied to the commutator of ``w``: exact map, or vector at x.
 
@@ -123,8 +118,7 @@ class VectorFieldSystem:
         out = directional_derivative(fz, fw) - directional_derivative(fw, fz)
         if x is None:
             return out
-        xf = [Fraction(v).limit_denominator(10**12) for v in x]
-        return out.eval_exact(xf)
+        return out.eval_exact(rational_point(x))
 
     # -- numeric layer ---------------------------------------------------------
 
@@ -241,22 +235,15 @@ class VectorFieldSystem:
         two samples remain the order is reported as inf (converged below the
         measurement floor everywhere).
         """
-        exact = float(self.word_derivative(w, psi).eval_exact(
-            [Fraction(v).limit_denominator(10**12) for v in x]
-        ))
+        exact = float(self.word_derivative(w, psi).eval_exact(rational_point(x)))
         quotients = [self.bracket_via_flows(w, psi, x, t) for t in ts]
         errors = [abs(q - exact) for q in quotients]
-        pts = [(math.log(t), math.log(e)) for t, e in zip(ts, errors) if e > floor]
-        if len(pts) < 2:
-            slope = math.inf
-        else:
-            slope = _lsq_slope(pts)
         return {
             "exact": exact,
             "ts": list(ts),
             "quotients": quotients,
             "errors": errors,
-            "slope": slope,
+            "slope": _log_slope(ts, errors, floor),
         }
 
     def _pullback_gradient(self, psi_fn, Z, s, p):
@@ -309,7 +296,7 @@ class VectorFieldSystem:
         """
         jseq = tuple(jseq)
         q = len(jseq)
-        xf = [Fraction(v).limit_denominator(10**12) for v in x]
+        xf = rational_point(x)
         partial = 0.0
         for ks in itertools.product(range(ell), repeat=q):
             if sum(ks) > ell - 1:
@@ -326,11 +313,15 @@ class VectorFieldSystem:
 
     def taylor_remainder_order(self, psi, jseq, x, ts, ell, floor=1e-13):
         rems = [self.taylor_composed_flows(psi, jseq, x, t, ell)[2] for t in ts]
-        pts = [(math.log(t), math.log(r)) for t, r in zip(ts, rems) if r > floor]
-        return rems, (_lsq_slope(pts) if len(pts) >= 2 else math.inf)
+        return rems, _log_slope(ts, rems, floor)
 
 
-def _lsq_slope(pts):
+def _log_slope(ts, errors, floor):
+    """Least-squares slope of log error against log t, over the errors above
+    ``floor``; inf when fewer than two remain."""
+    pts = [(math.log(t), math.log(e)) for t, e in zip(ts, errors) if e > floor]
+    if len(pts) < 2:
+        return math.inf
     xs = np.array([a for a, _ in pts])
     ys = np.array([b for _, b in pts])
     A = np.stack([xs, np.ones_like(xs)], axis=1)
@@ -396,18 +387,6 @@ MODEL_BUILDERS = {
     "flat3": lambda: _flat(3),
 }
 
-# anisotropic dilation weights of the built-in homogeneous models, used by
-# test oracles (doubling ratios, distance homogeneity)
-DILATION_WEIGHTS = {
-    "heisenberg": (1, 1, 2),
-    "grushin": (1, 2),
-    "engel": (1, 1, 2, 3),
-    "martinet": (1, 1, 3),
-    "flat2": (1, 1),
-    "flat3": (1, 1, 1),
-}
-
-
 def load_model(name_or_path):
     """Built-in model by name, or a JSON model file by path."""
     if name_or_path in MODEL_BUILDERS:
@@ -430,14 +409,3 @@ def system_from_json(obj):
         fields, step=int(obj["s"]), name=obj.get("name", "file")
     )
 
-
-def system_to_json(system):
-    return {
-        "name": system.name,
-        "n": system.n,
-        "m": system.m,
-        "s": system.s,
-        "fields": [
-            [p.to_json_terms() for p in f.components] for f in system.fields
-        ],
-    }

@@ -7,6 +7,7 @@ a permutation only when it fixes the first or the last position at every
 level, with a sign flip whenever the last position is the fixed one.
 """
 
+import numbers
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -14,13 +15,21 @@ from itertools import permutations
 # Longest permutation order (word length) the expansions accept.
 MAX_ORDER = 8
 
-Word = tuple
-Perm = tuple
+
+def check_integers(values, what):
+    """``values`` as a tuple of ints; bools, floats and other non-integers raise."""
+    values = tuple(values)
+    if {*map(type, values)} <= {int}:  # the common case, checked in C
+        return values
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise ValueError(f"{what} must be integers, got {v!r}")
+    return tuple(map(int, values))
 
 
 def check_word(w, alphabet=None):
     """Validate a word; returns it as a tuple of ints."""
-    w = tuple(int(a) for a in w)
+    w = check_integers(w, "letters")
     if not w:
         raise ValueError("word must be nonempty")
     if any(a < 1 for a in w):
@@ -117,11 +126,6 @@ def pi_table(ell):
     return PiTable(ell)
 
 
-def reversal_sign(ell):
-    """Sign relating a coefficient to the one of the reversed permutation."""
-    return (-1) ** (ell + 1)
-
-
 def as_fraction(x):
     """Parse exact rational input: Fraction, int, or 'a/b' string."""
     if isinstance(x, Fraction):
@@ -131,3 +135,13 @@ def as_fraction(x):
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"expected exact rational, got {type(x).__name__}")
+
+
+def rational_point(x):
+    """Exact coordinates of a point: ints and Fractions as they are, floats
+    rounded to the nearest rational of denominator at most 10**12."""
+    return [
+        Fraction(v) if isinstance(v, numbers.Rational)
+        else Fraction(v).limit_denominator(10**12)
+        for v in x
+    ]

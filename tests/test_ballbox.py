@@ -16,10 +16,7 @@ from liebox.ballbox import (
     frame_candidates,
     inclusion_check,
     lambda_I,
-    lambda_vector,
-    maximality_stability,
     newton_invert,
-    nu,
     poincare_suite,
     sample_rho_targets,
     select_maximal,
@@ -50,22 +47,6 @@ def test_lambda_known_values():
     assert lambda_I(HEIS_FRAME, (1, 1, 4), ORIGIN3) == 0  # repeated column
     for a in (Fraction(1, 2), 2, Fraction(-3, 4)):
         assert lambda_I(GRUSHIN_FRAME, (1, 2), (a, 0)) == a
-
-
-def test_lambda_vector_scaling_exact():
-    rows1 = lambda_vector(HEIS_FRAME, ORIGIN3, 1.0)
-    top = max(rows1, key=lambda t: t[2])
-    assert top[2] == 1.0
-    # entries scale exactly as r^ell(I)
-    r = 0.3
-    rows_r = {I: s for I, _, s in lambda_vector(HEIS_FRAME, ORIGIN3, r)}
-    for I, lam, s1 in rows1:
-        assert rows_r[I] == pytest.approx(s1 * r ** HEIS_FRAME.ell(I), rel=1e-12)
-
-
-def test_nu_positive_on_grushin_grid():
-    grid = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
-    assert nu(GRUSHIN_FRAME, grid) > 0
 
 
 def test_select_maximal_heisenberg():
@@ -230,11 +211,6 @@ def test_poincare_linear_function_stable():
     assert r1["rhs"] > 0 and math.isfinite(r1["ratio"])
     assert r1["nonfinite"] == r2["nonfinite"] == 0
     assert abs(r1["ratio"] - r2["ratio"]) <= 0.1 * max(r1["ratio"], r2["ratio"])
-
-
-def test_maximality_stability():
-    rep = maximality_stability(HEIS, HEIS_FRAME, (0.2, 0.1, 0.0), 0.3, seed=9)
-    assert rep["same_fraction"] == 1.0
 
 
 def test_inclusion_rejects_eps_beyond_box():

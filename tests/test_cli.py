@@ -114,6 +114,8 @@ def test_witness_bad_file(tmp_path, capsys):
         ("list.json", "[]"),
         ("terms.json", json.dumps({"alphabet": 2, "terms": 5})),
         ("coeff.json", json.dumps({"alphabet": 2, "terms": [{"word": [1, 2], "coeff": None}]})),
+        ("letters.json", json.dumps({"degree": 2, "alphabet": 2, "terms": [
+            {"word": [1.7, 2], "coeff": "1"}, {"word": [True, 2], "coeff": "1"}]})),
     ):
         path = tmp_path / name
         path.write_text(text)
@@ -243,7 +245,11 @@ def test_malformed_model_file_exits_2(tmp_path, capsys):
     bad_count = {"name": "bad", "n": 2, "m": 2, "s": 1, "fields": [
         [[{"exps": [0, 0], "coeff": "1"}], []],
     ]}
+    bad_exponent = {"name": "bad", "n": 2, "m": 1, "s": 1, "fields": [
+        [[{"exps": [1.5, 0], "coeff": "1"}], []],
+    ]}
     for name, text in (("count.json", json.dumps(bad_count)),
+                       ("exponent.json", json.dumps(bad_exponent)),
                        ("nokey.json", json.dumps({"n": 2})),
                        ("type.json", json.dumps({"n": 2, "m": 1, "s": 1, "fields": 7})),
                        ("syntax.json", "{not json")):

@@ -13,7 +13,6 @@ from liebox.metric import (
     fefferman_phong_check,
     fl_distance,
     membership_mask,
-    reverse_certificate,
     rho_distance,
 )
 from liebox.poly import Poly, PolyMap
@@ -80,6 +79,13 @@ def test_rho_vertical_beats_cc():
     )
     assert rho.value <= math.sqrt(dz) + 1e-6  # single weighted frame move
     assert rho.value <= cc.value + 1e-6
+
+
+def reverse_certificate(cert):
+    """Arc certificate of the reversed path: same value, endpoints swapped."""
+    if cert is None:
+        return None
+    return {"form": "legs", "legs": [(-j, t) for j, t in reversed(cert["legs"])]}
 
 
 def test_symmetry_with_reversed_seed():

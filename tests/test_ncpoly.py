@@ -148,4 +148,12 @@ def test_multilinear_pieces_have_unit_degrees():
 
 def test_json_round_trip():
     P = NCPoly(3, {(1, 2, 3): Fraction(2, 3), (2,): -1})
-    assert NCPoly.from_json(P.to_json()) == P
+    obj = {"degree": 3, "alphabet": 3,
+           "terms": [{"word": [1, 2, 3], "coeff": "2/3"}, {"word": [2], "coeff": "-1"}]}
+    assert NCPoly.from_json(obj) == P
+
+
+@pytest.mark.parametrize("word", [[1.7, 2], [True, 2], [1, 2.0]])
+def test_non_integer_letters_raise(word):
+    with pytest.raises(ValueError, match="letters must be integers"):
+        NCPoly(2, {tuple(word): 1})

@@ -93,6 +93,17 @@ def test_directional_derivative_and_bracket():
     assert jac.is_zero()
 
 
+@pytest.mark.parametrize("exps", [(1.5, 0), (True, 0), (1.0, 0)])
+def test_poly_rejects_non_integer_exponents(exps):
+    with pytest.raises(ValueError, match="exponents must be integers"):
+        Poly(2, {exps: 1})
+
+
+def test_poly_accepts_numpy_int_exponents():
+    p = Poly(2, {(np.int64(1), 0): 1})
+    assert p == Poly.var(2, 0) and all(type(e) is int for e in next(iter(p.terms)))
+
+
 def test_polymap_validation():
     with pytest.raises(ValueError):
         PolyMap([])

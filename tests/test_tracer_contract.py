@@ -4,8 +4,8 @@ The tracer rebinds library attributes by name and reads rows and outcomes
 from fixed argument positions and return shapes, so a rename or a reshaped
 call breaks traced benchmark runs only.  This test installs it in-process on
 the modules the benchmark imports, runs one small call per traced layer of
-the chart, inclusion, doubling and distance paths, and checks that the
-layers they reach recorded calls and rows.  A second test does the same for
+the chart, inclusion, doubling, Poincare and distance paths, and checks that
+the layers they reach recorded calls and rows.  A second test does the same for
 the exact layers, with the calls and result shapes the exact-algebra
 workload makes and reads.
 """
@@ -51,6 +51,11 @@ def test_tracer_installs_and_counts_every_reached_layer():
         lb.ballbox.doubling_ratio(system, frame, x, 0.25, N=200, seed=5)
         doubling_calls = tracer.layer_times(True)["metric.ball_membership"][0] - calls0
         doubling_rows = membership["rows"] - rows0
+        calls0, rows0 = calls0 + doubling_calls, rows0 + doubling_rows
+        fs = [lb.poly.Poly.var(3, 0), lb.poly.Poly.var(3, 2)]
+        lb.ballbox.poincare_suite(system, frame, fs, x, 0.25, N=200, seed=5)
+        poincare_calls = tracer.layer_times(True)["metric.ball_membership"][0] - calls0
+        poincare_rows = membership["rows"] - rows0
         lb.metric.estimate_all(system, frame, x, (0.05, 0.02, 0.01), seed=1)
         times = tracer.layer_times(True)
         counts = {name: tracer.counts[tracer.layer(name)] for name in tracer.names}
@@ -59,6 +64,7 @@ def test_tracer_installs_and_counts_every_reached_layer():
     for name in ("vfield.load_model", "approxexp.e_map", "approxexp.jacobian_e",
                  "ballbox.inclusion_check", "ballbox.sample_rho_targets",
                  "ballbox.select_maximal", "ballbox.doubling_ratio",
+                 "ballbox.poincare_suite",
                  "metric.estimate_all", "metric.fl_distance", "metric.cc_distance",
                  "metric.rho_distance", "metric._gauss_newton"):
         assert times[name][0] > 0, name
@@ -67,8 +73,10 @@ def test_tracer_installs_and_counts_every_reached_layer():
         assert times[name][0] > 0, name
         assert counts[name]["rows"] > 0, name
     assert counts["metric.ball_membership"]["accepted"] > 0
-    # one membership solve per doubling ratio: the inner mask is read off it
+    # one membership solve per doubling ratio and per Poincare suite, whatever
+    # the number of test functions: the inner mask is read off it
     assert (doubling_calls, doubling_rows) == (1, 200)
+    assert (poincare_calls, poincare_rows) == (1, 200)
     assert "feasible" in counts["metric._gauss_newton"]
     # the chart runs on exact flows: no adaptive leg is reached
     assert times.get("flows.dopri5", (0,))[0] == 0

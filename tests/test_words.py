@@ -1,5 +1,6 @@
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from liebox.words import (
@@ -9,7 +10,6 @@ from liebox.words import (
     pi_coefficient,
     pi_support,
     pi_table,
-    reversal_sign,
 )
 
 # Signed order-4 expansion, frozen from the published 4th-order formula:
@@ -71,7 +71,7 @@ def test_support_size_and_structure(ell):
 @pytest.mark.parametrize("ell", range(1, 8))
 def test_reversal_law(ell):
     for p in permutations(range(1, ell + 1)):
-        assert pi_coefficient(p) == reversal_sign(ell) * pi_coefficient(p[::-1])
+        assert pi_coefficient(p) == (-1) ** (ell + 1) * pi_coefficient(p[::-1])
 
 
 def test_apply_perm():
@@ -93,6 +93,17 @@ def test_validation_errors():
         check_word((1, 4), alphabet=3)
     with pytest.raises(ValueError):
         pi_coefficient(tuple(range(1, 10)))
+
+
+@pytest.mark.parametrize("bad", [(1.5,), (1.0, 2), (True, 2), ("1",), (2, 1.7)])
+def test_check_word_rejects_non_integer_letters(bad):
+    with pytest.raises(ValueError, match="letters must be integers"):
+        check_word(bad)
+
+
+def test_check_word_accepts_python_and_numpy_ints():
+    w = check_word((np.int64(2), 1, np.int32(3)))
+    assert w == (2, 1, 3) and all(type(a) is int for a in w)
 
 
 def test_determinism():

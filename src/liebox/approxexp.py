@@ -16,7 +16,7 @@ reference the chart is tested on.
 import numpy as np
 
 from .vfield import all_words
-from .words import check_word
+from .words import check_integers, check_word
 
 # Quasi-Newton iterations of ``invert_chart`` for a row that never settles.
 _INVERT_ITERS = 50
@@ -87,7 +87,7 @@ class CommutatorFrame:
         return np.stack([self.map(i)(x) for i in indices], axis=1)
 
     def check_index_tuple(self, I):
-        I = tuple(int(i) for i in I)
+        I = check_integers(I, "frame indices")
         if len(I) != self.system.n:
             raise ValueError(f"need {self.system.n} indices, got {len(I)}")
         if any(not 1 <= i <= self.q for i in I):

@@ -11,7 +11,7 @@ linear combination of nested commutators is accumulated in place by
 from fractions import Fraction
 from itertools import combinations
 
-from .words import apply_perm, check_word, pi_support
+from .words import apply_perm, check_integers, check_word, pi_support
 
 
 class WordSum:
@@ -176,7 +176,7 @@ def check_F(ell, p, b, v=None, w=()):
     if len(v) != ell:
         raise ValueError(f"|v| = {len(v)} != ell = {ell}")
     w = tuple(w) if w else ()
-    b = tuple(int(x) for x in b)
+    b = check_integers(b, "exponents")
     if len(b) != p or any(x < 0 for x in b) or sum(b) < 1:
         raise ValueError(f"bad exponent tuple {b} for p={p}")
     if not 1 <= p <= ell:

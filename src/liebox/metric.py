@@ -6,14 +6,12 @@ distance searches over sequences of single-generator arcs, the control
 distance over piecewise-constant generator mixtures, and the weighted frame
 distance over mixtures of all commutators with degree-weighted speeds.
 Gauss-Newton shooting (with finite-difference Jacobians evaluated as one
-vectorized batch) finds feasible paths.  The arc estimator reports its best
-shooting solution; the control and weighted estimators then tighten theirs
-by a bisection over the scale with projection-constrained re-solves.
-Cross-seeding guarantees the admissible-class orderings: an arc path is
-imported into the control pool, a control path into the weighted pool.
-Paths flow exactly on triangular fields and by ``flows.RK4_STEPS``-step RK4
-legs on any other field; the feasibility tolerance, bisection depth and
-iteration caps are module constants.
+vectorized batch) finds feasible paths, and each estimator reports its best
+shooting solution.  Cross-seeding guarantees the admissible-class orderings:
+an arc path is imported into the control pool, a control path into the
+weighted pool.  Paths flow exactly on triangular fields and by
+``flows.RK4_STEPS``-step RK4 legs on any other field; the feasibility
+tolerance and iteration caps are module constants.
 
 The volume harnesses' ball membership lives here too: ``ball_membership``
 inverts the chart once, and ``membership_mask`` is the one acceptance rule.
@@ -31,10 +29,9 @@ from .approxexp import e_map_batch  # noqa: F401  (the perfbench tracer patches 
 from .linalg import min_norm_solve
 
 FEAS_TOL = 1e-9
-# Bisection probes per control or weighted distance estimate (the arc
-# estimator has no bisection), and random arc templates after the canonical
-# ones in ``fl_distance``.
-_BISECT_ITERS = 40
+# Gauss-Newton iterations per shooting solve, and random arc templates after
+# the canonical ones in ``fl_distance``.
+_GN_ITERS = 20
 _RANDOM_TEMPLATES = 4
 
 
@@ -83,20 +80,17 @@ def control_endpoints(system, U, x, keys):
 # -- Gauss-Newton shooting -------------------------------------------------------
 
 
-def _gauss_newton(endpoint_batch, theta0, target, tol, max_iter=20, proj=None):
+def _gauss_newton(endpoint_batch, theta0, target, tol):
     """Minimize |endpoint(theta) - target| by damped Gauss-Newton.
 
     ``endpoint_batch`` maps an array of parameter vectors (B, dim) to
     endpoints (B, n); the Jacobian comes from one forward-difference batch.
-    ``proj`` (optional) re-projects theta after every step.
     """
     theta = np.asarray(theta0, dtype=float).copy()
-    if proj is not None:
-        theta = proj(theta)
     dim = theta.size
     res = target - endpoint_batch(theta[None, :])[0]
     best = float(np.linalg.norm(res))
-    for _ in range(max_iter):
+    for _ in range(_GN_ITERS):
         if best <= tol:
             break
         deltas = 1e-6 * np.maximum(1.0, np.abs(theta))
@@ -109,8 +103,6 @@ def _gauss_newton(endpoint_batch, theta0, target, tol, max_iter=20, proj=None):
         step, *_ = np.linalg.lstsq(J.T, res, rcond=None)
         # damped update: all halvings evaluated as one batch, best wins
         cands = np.stack([theta + step * (0.5**k) for k in range(6)])
-        if proj is not None:
-            cands = np.stack([proj(c) for c in cands])
         rs = np.linalg.norm(endpoint_batch(cands) - target, axis=1)
         k = int(np.argmin(rs))
         if rs[k] < best:
@@ -228,9 +220,7 @@ def _cc_value(U):
 def _segment_scales(U, degrees):
     """Per segment, the smallest r with sum_j (u_j / r^deg_j)^2 <= 1.
 
-    Vectorized bisection; the map r -> sum is strictly decreasing, and
-    membership at level m has the closed form sum_j u_j^2 / m^(2 deg_j) <= 1
-    used by the projection below.
+    Vectorized bisection; the map r -> sum is strictly decreasing.
     """
     U = np.atleast_2d(np.asarray(U, dtype=float))
     degs = np.asarray(degrees, dtype=float)
@@ -254,20 +244,6 @@ def _segment_scales(U, degrees):
 
 def _rho_value(U, degrees):
     return float(_segment_scales(U.reshape(-1, U.shape[-1]), degrees).max())
-
-
-def _project_segments(U, degrees, m, kind):
-    """Scale each over-limit segment onto the level-m admissible set."""
-    U = U.copy()
-    if kind == "rho":
-        degs = np.asarray(degrees, dtype=float)
-        gm = (U * U / m ** (2 * degs)).sum(axis=1)
-    else:
-        gm = (U * U).sum(axis=1) / m**2
-    over = gm > 1.0
-    if over.any():
-        U[over] *= (1.0 / np.sqrt(gm[over]))[:, None]
-    return U
 
 
 def _legs_to_controls(legs, k, d):
@@ -315,50 +291,20 @@ def _control_estimate(
     b0, _, _ = min_norm_solve(cols, y - x)
     inits.append(np.tile(b0, (segments, 1)))
     inits.append(rng.normal(size=shape) * 0.3 * (dx + dx ** (1.0 / max(degrees))))
-    candidates = []
+    pool = []
     for U0 in inits:
         theta, res = _gauss_newton(ep, U0.reshape(-1), y, tol)
         if res <= tol:
             U = theta.reshape(shape)
-            candidates.append((value_fn(U), U))
-    trace = []
-    if not candidates and imported_value is None:
+            cert = {"form": "controls", "segments": segments, "controls": U.tolist()}
+            pool.append((value_fn(U), cert))
+    if imported_value is not None:
+        pool.append(imported_value)
+    if not pool:
         return DistanceEstimate(kind, math.inf, "budget_exhausted", None)
-    if candidates:
-        candidates.sort(key=lambda c: c[0])
-        best_val, best_U = candidates[0]
-        lo, hi = 0.0, best_val
-        for _ in range(_BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            if mid <= 0:
-                break
-
-            def proj(th, m=mid):
-                return _project_segments(
-                    th.reshape(shape), degrees, m, kind
-                ).reshape(-1)
-
-            theta, res = _gauss_newton(
-                ep, proj(best_U.reshape(-1) * (mid / best_val)), y, tol,
-                max_iter=4, proj=proj,
-            )
-            feasible = res <= tol
-            trace.append((mid, feasible))
-            if feasible:
-                U = theta.reshape(shape)
-                hi = value_fn(U)
-                best_U, best_val = U, hi
-            else:
-                lo = mid
-            if hi - lo <= 1e-3 * hi:
-                break
-        cert = {"form": "controls", "segments": segments, "controls": best_U.tolist()}
-        value = best_val
-    else:
-        cert, value = None, math.inf
-    if imported_value is not None and imported_value[0] < value:
-        value, cert = imported_value
-    return DistanceEstimate(kind, value, "ok", cert, trace)
+    # the first smallest: a shooting solution wins a tie with the import
+    value, cert = min(pool, key=lambda c: c[0])
+    return DistanceEstimate(kind, value, "ok", cert, [(value, True)])
 
 
 def cc_distance(system, x, y, segments=8, seed=0, fl_cert=None):
@@ -366,6 +312,9 @@ def cc_distance(system, x, y, segments=8, seed=0, fl_cert=None):
 
     Any arc certificate passed as ``fl_cert`` is admissible here, so its
     value enters the candidate pool; the reported bound never exceeds it.
+    The reported value is the smallest in that pool, which also holds the
+    paths shot from the imported legs, the min-norm constant control and
+    one random start; the trace holds that one value.
     """
     keys = tuple(range(1, system.m + 1))
     degrees = (1,) * system.m

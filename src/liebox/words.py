@@ -41,7 +41,7 @@ def check_word(w, alphabet=None):
 
 def check_perm(p):
     """Validate a permutation given as a tuple of 1-based images."""
-    p = tuple(int(a) for a in p)
+    p = check_integers(p, "permutation images")
     if sorted(p) != list(range(1, len(p) + 1)):
         raise ValueError(f"not a permutation of 1..{len(p)}: {p}")
     return p

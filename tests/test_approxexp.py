@@ -226,6 +226,17 @@ def test_jacobian_e_matches_dopri5_differences():
             assert abs(det - det_ref) <= 1e-9 * abs(det_ref), (name, h, det, det_ref)
 
 
+@pytest.mark.parametrize("I", [(1.9, 2, 4.2), (1.0, 2, 4), (True, 2, 4)])
+def test_frame_rejects_non_integer_indices(I):
+    with pytest.raises(ValueError, match="frame indices must be integers"):
+        HEIS_FRAME.check_index_tuple(I)
+
+
+def test_frame_accepts_numpy_int_indices():
+    I = HEIS_FRAME.check_index_tuple(np.array(HEIS_MAXIMAL))
+    assert I == HEIS_MAXIMAL and all(type(i) is int for i in I)
+
+
 @pytest.mark.parametrize("chart", (e_map, jacobian_e))
 @pytest.mark.parametrize("r", (0.0, 1.5))
 def test_scalar_chart_rejects_radius_outside_unit_interval(chart, r):

@@ -168,6 +168,12 @@ def test_F_rejects_bad_exponents():
         check_F(3, 2, (1,))
 
 
+@pytest.mark.parametrize("b", [(1.5, 1), (1.0, 1), (True, 1)])
+def test_F_rejects_non_integer_exponents(b):
+    with pytest.raises(ValueError, match="exponents must be integers"):
+        check_F(3, 2, b)
+
+
 def test_signed_expansion_equals_pi_expansion():
     assert signed_expansion((1, 2)).terms == {(1, 2): 1, (2, 1): -1}
     for v in words_up_to(6, 3):

@@ -430,3 +430,42 @@ def test_arc_templates_count_canonical_before_random():
         templates, n = metric._arc_templates(HEIS, 8, np.random.default_rng(seed))
         assert n == 16 and templates[:n] == canonical[:n]
         assert len(templates) < n + metric._RANDOM_TEMPLATES
+
+
+def test_cc_and_rho_report_their_best_shooting_solve(monkeypatch):
+    # one Gauss-Newton solve per start: the imported arc legs (when given),
+    # the min-norm constant control and the random start
+    solves = []
+    gauss_newton = metric._gauss_newton
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return gauss_newton(*args, **kwargs)
+
+    monkeypatch.setattr(metric, "_gauss_newton", counted)
+    a, b = (0.05, -0.1, 0.02), (-0.08, 0.04, 0.01)
+    fl = fl_distance(HEIS, a, b, seed=1)
+    assert fl.ok()
+    for fl_cert, starts in ((fl.certificate, 3), (None, 2)):
+        solves.clear()
+        cc = cc_distance(HEIS, a, b, seed=1, fl_cert=fl_cert)
+        assert len(solves) == starts
+        assert cc.ok() and cc.trace == [(cc.value, True)]
+    rho = rho_distance(HEIS, HEIS_FRAME, a, b, seed=1,
+                       cc_cert=cc.certificate, cc_value=cc.value)
+    assert rho.ok() and rho.trace == [(rho.value, True)]
+
+
+@pytest.mark.parametrize("name, rng_seed", [
+    *((name, FL_PINS[name][0]) for name in sorted(FL_PINS)), ("flat3", 103)])
+def test_distance_ordering_off_heisenberg(name, rng_seed):
+    system = load_model(name)
+    frame = CommutatorFrame(system)
+    rng = np.random.default_rng(rng_seed)
+    for i in range(3):
+        a = rng.uniform(-0.3, 0.3, system.n)
+        b = rng.uniform(-0.3, 0.3, system.n)
+        fl, cc, rho = estimate_all(system, frame, a, b, seed=i)
+        assert fl.ok() and cc.ok() and rho.ok()
+        assert cc.value <= fl.value + 1e-6
+        assert rho.value <= cc.value + 1e-6

@@ -78,6 +78,10 @@ def test_tracer_installs_and_counts_every_reached_layer():
     assert (doubling_calls, doubling_rows) == (1, 200)
     assert (poincare_calls, poincare_rows) == (1, 200)
     assert "feasible" in counts["metric._gauss_newton"]
+    # each control estimate traces the one value it reports, which is feasible
+    cc_calls = times["metric.cc_distance"][0]
+    assert counts["metric.cc_distance"]["probes"] == cc_calls
+    assert counts["metric.cc_distance"]["probes_feasible"] == cc_calls
     # the chart runs on exact flows: no adaptive leg is reached
     assert times.get("flows.dopri5", (0,))[0] == 0
     assert times.get("vfield.compose_flows", (0,))[0] == 0

@@ -101,6 +101,14 @@ def test_check_word_rejects_non_integer_letters(bad):
         check_word(bad)
 
 
+@pytest.mark.parametrize("bad", [(2.7, 1), (1.0, 2), (True, 1)])
+def test_permutations_reject_non_integer_images(bad):
+    with pytest.raises(ValueError, match="permutation images must be integers"):
+        check_perm(bad)
+    with pytest.raises(ValueError, match="permutation images must be integers"):
+        pi_table(2)[bad]
+
+
 def test_check_word_accepts_python_and_numpy_ints():
     w = check_word((np.int64(2), 1, np.int32(3)))
     assert w == (2, 1, 3) and all(type(a) is int for a in w)

@@ -9,8 +9,11 @@ generators, which is exactly the scaled-generator composition.
 ``e_map_batch`` is the one chart; ``e_map`` is one of its rows,
 ``jacobian_e`` its central-difference Jacobian and ``invert_chart`` its one
 inverse.  Its legs are exact on triangular fields and ``flows.RK4_STEPS``-step
-RK4 otherwise.  ``exp_ap`` and ``c_map`` compose adaptive DOPRI5 legs, the
-reference the chart is tested on.
+RK4 otherwise.  ``invert_chart`` steps by forward substitution on the
+leading-order Jacobian when the frame is lower-triangular, as exponential
+coordinates of the second kind are on stratified groups, and by a batched
+``solve`` (``pinv`` when singular) otherwise.  ``exp_ap`` and ``c_map``
+compose adaptive DOPRI5 legs, the reference the chart is tested on.
 """
 
 import numpy as np
@@ -101,7 +104,7 @@ class CommutatorFrame:
 def box_norm(h, degrees):
     """max_k |h_k|**(1/ell_k) over the last axis of h, the anisotropic box gauge."""
     degs = np.asarray(degrees, dtype=float)
-    return (np.abs(h) ** (1.0 / degs)).max(axis=-1)
+    return _column_max(np.abs(h) ** (1.0 / degs))
 
 
 def e_map(frame, I, x, r, h):
@@ -175,45 +178,74 @@ def invert_chart(frame, I, x, r, Y):
     """Quasi-Newton solves of e_map(h) = y from h = 0, one row per target.
 
     The Jacobian is the leading-order column matrix r^{l_k} Y_{i_k} taken at
-    the current chart point (plus a 1e-12 ridge; ``pinv`` when a batch is
-    singular), and every step is capped at 0.5 in max norm.  Each row stops
-    on its own: once the undamped step it just took is at the floating-point
-    floor (max |dH| <= 1e-12), its residual is evaluated once more at the new
-    H and the row leaves the batch.  Rows that never reach the floor (slow or
-    non-finite rows) run all ``_INVERT_ITERS`` iterations.  Returns the
-    solutions H and the residuals |y - e_map(H)|; each caller applies its
-    own acceptance rule.
+    the current chart point, plus a 1e-12 ridge, and every step is capped at
+    0.5 in max norm.  When the frame is lower-triangular (component i of
+    Y_{i_k} is the zero polynomial for every i < k, as at the maximal frame
+    of every built-in model) each step is n vectorized forward-substitution
+    steps.  Otherwise, or when a diagonal entry of the batch is exactly 0,
+    the step is a batched ``solve``, and ``pinv`` when that batch is
+    singular.  Each row stops on its own: once the undamped step it just
+    took is at the floating-point floor (max |dH| <= 1e-12), its residual is
+    evaluated once more at the new H and the row leaves the batch.  Rows
+    that never reach the floor (slow or non-finite rows) run all
+    ``_INVERT_ITERS`` iterations.  Returns the solutions H and the residuals
+    |y - e_map(H)|; each caller applies its own acceptance rule.
     """
     I = frame.check_index_tuple(I)
     system = frame.system
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     N, n = Y.shape
-    H = np.zeros((N, n))
-    res = np.empty(N)
-    ridge = 1e-12 * np.eye(n)
-    live = np.arange(N)
+    columns = [(r ** frame.degree(i), system.batch_fn(frame.word(i))) for i in I]
+    triangular = all(frame.map(I[k])[i].is_zero() for k in range(n) for i in range(k))
+    H, res = np.empty((N, n)), np.empty(N)
+    # the live rows, compact: their index, chart coordinates and targets
+    live, HL, YL = np.arange(N), np.zeros((N, n)), Y
     settled = np.zeros(N, dtype=bool)
     for it in range(_INVERT_ITERS + 1):
-        E = e_map_batch(frame, I, x, r, H[live])
-        R = Y[live] - E
+        E = e_map_batch(frame, I, x, r, HL)
+        R = YL - E
         done = settled | (it == _INVERT_ITERS)
-        res[live[done]] = np.linalg.norm(R[done], axis=1)
-        live, E, R = live[~done], E[~done], R[~done]
-        if not live.size:
-            break
-        cols = [
-            (r ** frame.degree(i)) * system.batch_fn(frame.word(i))(E) for i in I
-        ]
-        J = np.stack(cols, axis=2) + ridge
-        try:
-            dH = np.linalg.solve(J, R[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            dH = (np.linalg.pinv(J) @ R[..., None])[..., 0]
-        cap = np.maximum(np.abs(dH).max(axis=1), 1e-300)
+        if done.any():
+            H[live[done]] = HL[done]
+            res[live[done]] = np.linalg.norm(R[done], axis=1)
+            keep = ~done
+            live, HL, YL, E, R = live[keep], HL[keep], YL[keep], E[keep], R[keep]
+            if not live.size:
+                break
+        cols = [s * fn(E) for s, fn in columns]
+        dH = _chart_step(cols, R, triangular)
+        cap = np.maximum(_column_max(np.abs(dH)), 1e-300)
         dH *= np.minimum(1.0, 0.5 / cap)[:, None]
-        H[live] += dH
+        HL += dH
         settled = cap <= 1e-12
     return H, res
+
+
+def _chart_step(cols, R, triangular):
+    """Solve J dH = R for every row, J the column arrays ``cols`` plus a 1e-12 ridge."""
+    n = len(cols)
+    diag = [cols[i][:, i] + 1e-12 for i in range(n)]
+    if triangular and all(d.all() for d in diag):
+        dH = np.empty_like(R)
+        for i in range(n):
+            acc = R[:, i]
+            for k in range(i):
+                acc = acc - cols[k][:, i] * dH[:, k]
+            dH[:, i] = acc / diag[i]
+        return dH
+    J = np.stack(cols, axis=2) + 1e-12 * np.eye(n)
+    try:
+        return np.linalg.solve(J, R[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        return (np.linalg.pinv(J) @ R[..., None])[..., 0]
+
+
+def _column_max(A):
+    """Max over the last axis of A as a fold over its columns (NaN propagates)."""
+    out = A[..., 0]
+    for k in range(1, A.shape[-1]):
+        out = np.maximum(out, A[..., k])
+    return out
 
 
 def scaled_columns(frame, I, x, r):

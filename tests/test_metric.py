@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from liebox import ballbox, metric
-from liebox.approxexp import CommutatorFrame, e_map_batch
+from liebox import approxexp, ballbox, metric
+from liebox.approxexp import CommutatorFrame, e_map_batch, invert_chart
 from liebox.metric import (
     ball_membership,
     cc_distance,
@@ -167,19 +167,47 @@ def test_ball_membership_roundtrip_and_dilation():
     assert (m1 == m2).all()
 
 
+def _xy_system():
+    """X1 = (1, 0), X2 = (y, x): X2 is not triangular, and neither is frame (1, 2)."""
+    one, zero = Poly.const(2, 1), Poly.zero(2)
+    return VectorFieldSystem(
+        [PolyMap([one, zero]), PolyMap([Poly.var(2, 1), Poly.var(2, 0)])],
+        step=2, name="xy",
+    )
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_ball_membership_singular_fallback_solves_each_row(monkeypatch):
+    # a non-triangular frame: every step is a batched solve, pinv when it raises
+    system = _xy_system()
+    frame, I, x = CommutatorFrame(system), (1, 2), (0.3, 0.1)
     rng = np.random.default_rng(12)
     r = 0.25
-    M = chart_leg_count(HEIS_FRAME, HEIS_I)
-    Hin = rng.uniform(-1, 1, size=(5, 3)) * (0.5 / M) ** np.array([1.0, 1.0, 2.0])
-    pts = np.vstack([e_map_batch(HEIS_FRAME, HEIS_I, ORIGIN, r, Hin), [[0.9, 0.9, 0.9]]])
-    ref, H_ref, _ = ball_membership(HEIS, HEIS_FRAME, HEIS_I, ORIGIN, r, pts)
+    M = chart_leg_count(frame, I)
+    Hin = rng.uniform(-1, 1, size=(5, 2)) * (0.5 / M)
+    pts = np.vstack([e_map_batch(frame, I, x, r, Hin), [[0.9, 0.9]]])
+    solves = _count_calls(monkeypatch, np.linalg, "solve")
+    ref, H_ref, _ = ball_membership(system, frame, I, x, r, pts)
+    assert solves
 
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("forced")
 
     monkeypatch.setattr(np.linalg, "solve", singular)
-    mask, H, _ = ball_membership(HEIS, HEIS_FRAME, HEIS_I, ORIGIN, r, pts)
+    pinvs = _count_calls(monkeypatch, np.linalg, "pinv")
+    mask, H, _ = ball_membership(system, frame, I, x, r, pts)
+    assert pinvs
     assert mask.shape == (6,)
     assert (mask == ref).all() and mask[:5].all() and not mask[5]
     assert np.abs(H[:5] - H_ref[:5]).max() < 1e-10
@@ -226,7 +254,7 @@ def test_ball_membership_matches_fixed_iteration_loop(name):
             assert np.array_equal(res <= tol, res_ref <= tol)
 
 
-@pytest.mark.parametrize("name, x", [
+MAXIMAL_CASES = pytest.mark.parametrize("name, x", [
     ("heisenberg", (0.0, 0.0, 0.0)),
     ("grushin", (0.0, 0.0)),
     ("grushin", (1.0, 0.0)),
@@ -234,6 +262,66 @@ def test_ball_membership_matches_fixed_iteration_loop(name):
     ("martinet", (0.0, 0.0, 0.0)),
     ("flat3", (0.0, 0.0, 0.0)),
 ], ids=["heisenberg", "grushin-origin", "grushin-1-0", "engel", "martinet", "flat3"])
+
+
+@MAXIMAL_CASES
+def test_invert_chart_forward_substitution_matches_solve_loop(name, x, monkeypatch):
+    """On a triangular maximal frame the solve is forward substitution, and it
+    agrees with the batched-solve loop."""
+    system = load_model(name)
+    frame = CommutatorFrame(system)
+    r = 0.25
+    I = ballbox.select_maximal(frame, x, r).I
+    lo, hi = ballbox._bounding_box(frame, I, x, 2 * r)
+    pts = np.random.default_rng(7).uniform(lo, hi, size=(4_000, system.n))
+    with monkeypatch.context() as patch:
+        solves = _count_calls(patch, np.linalg, "solve")
+        H, res = invert_chart(frame, I, x, r, pts)
+    assert not solves
+    # one step at the sample points: a wrong step would still converge
+    cols = [r ** frame.degree(i) * system.batch_fn(frame.word(i))(pts) for i in I]
+    J = np.stack(cols, axis=2) + 1e-12 * np.eye(system.n)
+    R = np.random.default_rng(8).uniform(-1, 1, size=pts.shape)
+    step = approxexp._chart_step(cols, R, True)
+    assert np.allclose(step, np.linalg.solve(J, R[..., None])[..., 0], rtol=1e-10, atol=0)
+    _, H_ref, res_ref = _membership_fixed_iterations(
+        system, frame, I, x, r, pts, max_iter=approxexp._INVERT_ITERS
+    )
+    assert np.abs(H - H_ref).max() <= 1e-12
+    assert np.abs(res - res_ref).max() <= 1e-12
+
+
+def test_heisenberg_doubling_makes_no_batched_solve(monkeypatch):
+    solves = _count_calls(monkeypatch, np.linalg, "solve")
+    rep = ballbox.doubling_ratio(HEIS, HEIS_FRAME, ORIGIN, 0.25, N=20_000, seed=101)
+    assert rep["inner_count"] > 0 and not solves
+
+
+def test_invert_chart_zero_diagonal_falls_back_to_pinv(monkeypatch):
+    # X2 = x d/dy vanishes on x = 0: at the centre the ridged diagonal entry
+    # r * x + 1e-12 is exactly 0, so the first step is singular
+    frame, I, x, r = CommutatorFrame(load_model("grushin")), (1, 2), (-1e-12, 0.0), 1.0
+    Hin = np.random.default_rng(3).uniform(-0.3, 0.3, size=(8, 2))
+    Y = e_map_batch(frame, I, x, r, Hin)
+    solves = _count_calls(monkeypatch, np.linalg, "solve")
+    pinvs = _count_calls(monkeypatch, np.linalg, "pinv")
+    H, res = invert_chart(frame, I, x, r, Y)
+    assert solves and pinvs
+    assert np.isfinite(H).all() and (res <= 1e-8 * r).all()
+
+
+def test_invert_chart_non_triangular_frame_solves(monkeypatch):
+    system = _xy_system()
+    frame, I, x, r = CommutatorFrame(system), (1, 2), (0.3, 0.1), 0.5
+    Hin = np.random.default_rng(4).uniform(-0.4, 0.4, size=(8, 2))
+    Y = e_map_batch(frame, I, x, r, Hin)
+    solves = _count_calls(monkeypatch, np.linalg, "solve")
+    H, res = invert_chart(frame, I, x, r, Y)
+    assert solves
+    assert (res <= 1e-12).all() and np.abs(H - Hin).max() < 1e-10
+
+
+@MAXIMAL_CASES
 def test_membership_mask_by_dilation_matches_direct_solve(name, x):
     """One solve at R gives the radius-r mask of a direct solve at r, bitwise."""
     system = load_model(name)
@@ -301,11 +389,7 @@ def test_distance_values_pinned_on_criterion_13_pairs():
 def test_fl_certificate_on_non_triangular_field_reaches_target(a, b):
     # X2 = (y, x) is not triangular, so the arcs are RK4 legs; the DOPRI5
     # replay of the certificate must land on the target
-    one, zero = Poly.const(2, 1), Poly.zero(2)
-    system = VectorFieldSystem(
-        [PolyMap([one, zero]), PolyMap([Poly.var(2, 1), Poly.var(2, 0)])],
-        step=2, name="xy",
-    )
+    system = _xy_system()
     assert not system.field(2).is_triangular()
     est = fl_distance(system, a, b)
     assert est.ok()

@@ -95,6 +95,17 @@ def test_validation_errors():
         pi_coefficient(tuple(range(1, 10)))
 
 
+def test_pi_coefficient_validates_before_cache_lookup():
+    # (1.0, 2) hashes and compares equal to the cached (1, 2)
+    assert pi_coefficient((1, 2)) == 1
+    with pytest.raises(ValueError, match="permutation images must be integers"):
+        pi_coefficient((1.0, 2))
+    # the cache statistics the benchmark reads still count each lookup
+    hits = pi_coefficient.cache_info().hits
+    assert pi_coefficient((1, 2)) == 1
+    assert pi_coefficient.cache_info().hits == hits + 1
+
+
 @pytest.mark.parametrize("bad", [(1.5,), (1.0, 2), (True, 2), ("1",), (2, 1.7)])
 def test_check_word_rejects_non_integer_letters(bad):
     with pytest.raises(ValueError, match="letters must be integers"):

@@ -8,12 +8,13 @@ r^l Y flown for parameter h uses leg times |h|^(1/l) * r over the original
 generators, which is exactly the scaled-generator composition.
 ``e_map_batch`` is the one chart; ``e_map`` is one of its rows,
 ``jacobian_e`` its central-difference Jacobian and ``invert_chart`` its one
-inverse.  Its legs are exact on triangular fields and ``flows.RK4_STEPS``-step
-RK4 otherwise.  ``invert_chart`` steps by forward substitution on the
+inverse.  Its legs are ``VectorFieldSystem.flow_batch``: exact on triangular
+fields, adaptive DOPRI5 otherwise, with NaN rows where a leg leaves the
+domain box.  ``invert_chart`` steps by forward substitution on the
 leading-order Jacobian when the frame is lower-triangular, as exponential
 coordinates of the second kind are on stratified groups, and by a batched
 ``solve`` (``pinv`` when singular) otherwise.  ``exp_ap`` and ``c_map``
-compose adaptive DOPRI5 legs, the reference the chart is tested on.
+compose single flows (``compose_flows``), one leg at a time.
 """
 
 import numpy as np
@@ -112,10 +113,7 @@ def e_map(frame, I, x, r, h):
 
     The last frame entry is applied to x first.  Scaling: entry k of degree
     l contributes legs at times |h_k|**(1/l) * r over the original
-    generators, the inverse branch when h_k < 0.  A field that is not
-    triangular (x d/dx, say) flows by ``flows.RK4_STEPS`` = 32-step RK4 per
-    leg: on x d/dx at r = 1 the error is 3e-11 at h = 0.3 and 3e-8 at h = 1
-    (DOPRI5: 2e-11, 1e-10).
+    generators, the inverse branch when h_k < 0.
     """
     I = frame.check_index_tuple(I)
     if not 0 < r <= 1:
@@ -128,7 +126,7 @@ def e_map_batch(frame, I, x, r, H):
     """Vectorized chart over H of shape (N, n).
 
     Legs are ``VectorFieldSystem.flow_batch``: exact for triangular fields,
-    ``flows.RK4_STEPS``-step RK4 otherwise.
+    adaptive DOPRI5 otherwise; a row whose leg leaves the domain box is NaN.
     """
     I = frame.check_index_tuple(I)
     system = frame.system

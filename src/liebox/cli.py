@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__, acceptance
 from .approxexp import CommutatorFrame, box_norm, jacobian_e, e_map
 from .ballbox import doubling_ratio, inclusion_check, poincare_suite, select_maximal
+from .flows import DomainEscapeError
 from .linalg import lambda_sweep, min_norm_solve
 from .metric import cc_distance, fl_distance, rho_distance
 from .ncpoly import NCPoly, is_trivial
@@ -47,6 +48,7 @@ def _parse_point(text, n, flag):
         raise UsageError(f"{flag} must be comma-separated numbers, got {text!r}")
     if len(x) != n:
         raise UsageError(f"{flag} needs {n} values for this model, got {len(x)}")
+    _require(all(map(math.isfinite, x)), f"{flag} must be finite, got {text!r}")
     return x
 
 
@@ -222,7 +224,11 @@ def cmd_flow(args):
     except ValueError as exc:
         raise UsageError(f"--field: {exc}")
     x = _parse_point(args.at, system.n, "--at")
-    y = system.flow(args.field, args.t, x)
+    _require(math.isfinite(args.t), f"--t must be finite, got {args.t}")
+    try:
+        y = system.flow(args.field, args.t, x)
+    except DomainEscapeError as exc:
+        raise UsageError(f"--t {args.t}: {exc}")
     rep = _report(args, "flow", {"point": [float(v) for v in y]})
     _emit(args, rep)
     return 0

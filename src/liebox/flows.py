@@ -1,18 +1,21 @@
 """Explicit Runge-Kutta integrators for polynomial vector fields.
 
-Adaptive Dormand-Prince 5(4) integrates single trajectories at the fixed
-tolerances below (``VectorFieldSystem.flow``); its error control makes the
-tolerance contract hold on arbitrary user models, and a trajectory that
-leaves the domain box raises.  Vectorized fixed-step RK4 serves batches of
-non-triangular fields, which have no exact flow: every batched leg there
-takes ``RK4_STEPS`` steps.  The scalar ``rk4`` is one row of ``rk4_batch``;
-it has no library caller and stays because ``perfbench`` traces it by name.
+``dopri5`` is the one numeric integrator: a vectorized adaptive
+Dormand-Prince 5(4) with one step size per row, at the fixed tolerances
+below.  ``VectorFieldSystem`` flows every field that has no exact Lie series
+by it (single trajectories, batched generator flows and constant-control
+mixture flows alike).  A row that leaves the domain box, underflows its
+step or reaches the step cap comes back as NaN, so the harnesses count it as
+non-finite.  Reference: Hairer-Norsett-Wanner, *Solving Ordinary
+Differential Equations I* (2nd ed., 1993), sections II.4-II.5.
+
+Fixed-step ``rk4_batch`` (``rk4`` is one row of it) has no library caller:
+the tests use it as an independent reference and ``perfbench`` traces both
+names.
 """
 
 import numpy as np
 
-# Steps per batched RK4 leg of a non-triangular field (the only fallback).
-RK4_STEPS = 32
 # DOPRI5 per-step error tolerances, domain box half-width and step cap.
 DOPRI5_RTOL = 1e-10
 DOPRI5_ATOL = 1e-10
@@ -21,14 +24,11 @@ DOPRI5_MAX_STEPS = 100_000
 
 
 class DomainEscapeError(RuntimeError):
-    """Trajectory left the configured domain box."""
+    """A single flow (``VectorFieldSystem.flow``) ended outside the domain box."""
 
 
-class StepUnderflowError(RuntimeError):
-    """Adaptive step fell below the representable minimum."""
-
-
-# Dormand-Prince 5(4) tableau
+# Dormand-Prince 5(4) tableau; the last row of _A is the 5th-order weights,
+# so the last stage is the field at the new point (first same as last).
 _A = (
     (),
     (1 / 5,),
@@ -38,73 +38,63 @@ _A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_B4 = (
-    5179 / 57600,
-    0.0,
-    7571 / 16695,
-    393 / 640,
-    -92097 / 339200,
-    187 / 2100,
-    1 / 40,
-)
+_E = tuple(b5 - b4 for b5, b4 in zip(_A[6] + (0.0,), (
+    5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40,
+)))
 
 
-def _check_box(y):
-    if any(abs(v) > DOMAIN_BOX for v in y):
-        raise DomainEscapeError(f"point {tuple(y)} escaped box +-{DOMAIN_BOX}")
+def dopri5(fb, T, Y0):
+    """Integrate y' = fb(y) from 0 to T over the rows of Y0; returns (N, n).
 
-
-def dopri5(f, t, y0):
-    """Integrate y' = f(y) from 0 to t (t may be negative); returns a tuple.
-
-    ``f`` maps a tuple of floats to a tuple of floats.  Error per step is
-    controlled against DOPRI5_ATOL + DOPRI5_RTOL*|y| componentwise.
+    ``fb`` maps an (N, n) array to (N, n); ``T`` is a scalar or has one
+    (signed) entry per row.  Each row runs its own step size, so a row's
+    result never depends on the other rows, and leaves the batch once it
+    reaches its T.  The error of a step is controlled against DOPRI5_ATOL +
+    DOPRI5_RTOL*|y| componentwise, in RMS over the components.  A row that
+    starts or steps outside +-DOMAIN_BOX, has a non-finite T, underflows its
+    step or reaches DOPRI5_MAX_STEPS steps comes back as NaN; nothing raises.
     """
-    y = tuple(float(v) for v in y0)
-    _check_box(y)
-    if t == 0:
-        return y
-    sign = 1.0 if t > 0 else -1.0
-    total = abs(t)
-    if sign < 0:
-        g = f
-        f = lambda p: tuple(-v for v in g(p))
-    s = 0.0
-    h = total
-    n = len(y)
-    k = [None] * 7
-    for _ in range(DOPRI5_MAX_STEPS):
-        if s >= total:
-            return y
-        h = min(h, total - s)
-        k[0] = f(y)
-        for stage in range(1, 7):
-            a = _A[stage]
-            yy = tuple(
-                y[i] + h * sum(a[j] * k[j][i] for j in range(stage))
-                for i in range(n)
-            )
-            k[stage] = f(yy)
-        y5 = tuple(
-            y[i] + h * sum(_B5[j] * k[j][i] for j in range(7)) for i in range(n)
-        )
-        err = 0.0
-        for i in range(n):
-            e = h * sum((_B5[j] - _B4[j]) * k[j][i] for j in range(7))
-            sc = DOPRI5_ATOL + DOPRI5_RTOL * max(abs(y[i]), abs(y5[i]))
-            err += (e / sc) ** 2
-        err = (err / n) ** 0.5
-        if err <= 1.0:
-            y = y5
-            _check_box(y)
-            s += h
-            h *= min(5.0, max(0.2, 0.9 * (err + 1e-300) ** -0.2))
-        else:
-            h *= max(0.2, 0.9 * err**-0.2)
-        if h < 1e-14 * total:
-            raise StepUnderflowError(f"step underflow at s={s} of {total}")
-    raise StepUnderflowError(f"exceeded {DOPRI5_MAX_STEPS} steps")
+    Y0 = np.asarray(Y0, dtype=float)
+    N = Y0.shape[0]
+    T = np.broadcast_to(np.asarray(T, dtype=float), (N,))
+    start = (np.abs(Y0) <= DOMAIN_BOX).all(axis=1) & np.isfinite(T)
+    out = Y0.copy()
+    out[~start] = np.nan
+    live = np.flatnonzero(start & (T != 0))
+    Y, sign = Y0[live], np.sign(T[live])[:, None]
+    total = np.abs(T[live])
+    s, h = np.zeros(live.size), total.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        K0 = sign * fb(Y)
+        for _ in range(DOPRI5_MAX_STEPS):
+            if not live.size:
+                break
+            rest = total - s
+            h = np.minimum(h, rest)
+            hc = h[:, None]
+            k = [K0]
+            for a in _A[1:]:
+                Ys = Y + hc * sum(c * kj for c, kj in zip(a, k) if c)
+                k.append(sign * fb(Ys))
+            # the last stage point is the 5th-order solution
+            E = hc * sum(c * kj for c, kj in zip(_E, k) if c)
+            sc = DOPRI5_ATOL + DOPRI5_RTOL * np.maximum(np.abs(Y), np.abs(Ys))
+            err = np.sqrt(np.mean((E / sc) ** 2, axis=1))
+            ok = err <= 1.0
+            Y[ok], K0[ok], s[ok] = Ys[ok], k[6][ok], s[ok] + h[ok]
+            done = ok & (h >= rest)
+            # a non-finite error shrinks the step by the largest factor
+            h = h * np.minimum(5.0, np.fmax(0.2, 0.9 * (err + 1e-300) ** -0.2))
+            escaped = ok & ~(np.abs(Y) <= DOMAIN_BOX).all(axis=1)
+            failed = ~done & (escaped | (h < 1e-14 * total))
+            out[live[done]] = Y[done]
+            out[live[failed]] = np.nan
+            keep = ~(done | failed)
+            if not keep.all():
+                live, Y, K0, sign = live[keep], Y[keep], K0[keep], sign[keep]
+                total, s, h = total[keep], s[keep], h[keep]
+    out[live] = np.nan
+    return out
 
 
 def rk4(f, t, y0, steps=8):

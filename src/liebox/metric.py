@@ -9,9 +9,11 @@ Gauss-Newton shooting (with finite-difference Jacobians evaluated as one
 vectorized batch) finds feasible paths, and each estimator reports its best
 shooting solution.  Cross-seeding guarantees the admissible-class orderings:
 an arc path is imported into the control pool, a control path into the
-weighted pool.  Paths flow exactly on triangular fields and by
-``flows.RK4_STEPS``-step RK4 legs on any other field; the feasibility
-tolerance and iteration caps are module constants.
+weighted pool.  Paths flow exactly on triangular fields and by the adaptive
+``flows.dopri5`` on any other field, where a path that leaves the domain box
+ends at NaN and is never feasible.  Endpoints must be finite (``ValueError``
+otherwise); the feasibility tolerance and iteration caps are module
+constants.
 
 The volume harnesses' ball membership lives here too: ``ball_membership``
 inverts the chart once, and ``membership_mask`` is the one acceptance rule.
@@ -91,7 +93,7 @@ def _gauss_newton(endpoint_batch, theta0, target, tol):
     res = target - endpoint_batch(theta[None, :])[0]
     best = float(np.linalg.norm(res))
     for _ in range(_GN_ITERS):
-        if best <= tol:
+        if not best > tol:  # feasible, or a start off the domain box (NaN)
             break
         deltas = 1e-6 * np.maximum(1.0, np.abs(theta))
         batch = np.tile(theta, (dim + 1, 1))
@@ -100,10 +102,14 @@ def _gauss_newton(endpoint_batch, theta0, target, tol):
         E = endpoint_batch(batch)
         res = target - E[0]
         J = (E[1:] - E[0]) / deltas[:, None]
+        if not np.isfinite(J).all():
+            break
         step, *_ = np.linalg.lstsq(J.T, res, rcond=None)
-        # damped update: all halvings evaluated as one batch, best wins
+        # damped update: all halvings evaluated as one batch, best wins;
+        # a candidate off the domain box (NaN) never does
         cands = np.stack([theta + step * (0.5**k) for k in range(6)])
         rs = np.linalg.norm(endpoint_batch(cands) - target, axis=1)
+        rs[np.isnan(rs)] = np.inf
         k = int(np.argmin(rs))
         if rs[k] < best:
             theta, best = cands[k], float(rs[k])
@@ -118,6 +124,19 @@ def _gauss_newton(endpoint_batch, theta0, target, tol):
 def _feasibility_tol(dx):
     """Endpoint residual at which a path counts as reaching a target dx away."""
     return FEAS_TOL * (1.0 + dx) + 1e-8
+
+
+def _pair(x, y):
+    """x and y as arrays, their Euclidean distance and feasibility tolerance.
+
+    A non-finite coordinate raises ``ValueError`` before any solve.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError(f"distance endpoints must be finite, got {x} and {y}")
+    dx = float(np.linalg.norm(y - x))
+    return x, y, dx, _feasibility_tol(dx)
 
 
 def _arc_templates(system, max_segments, rng):
@@ -171,10 +190,7 @@ def fl_distance(system, x, y, max_segments=8, seed=0, seed_paths=()):
     the arc templates and from ``seed_paths``, and the trace holds that one
     value.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    dx = float(np.linalg.norm(y - x))
-    tol = _feasibility_tol(dx)
+    x, y, dx, tol = _pair(x, y)
     if dx <= tol:
         return DistanceEstimate("fl", 0.0, "ok", {"form": "legs", "legs": []})
     rng = np.random.default_rng(seed)
@@ -269,10 +285,7 @@ def _control_estimate(
     kind, system, keys, degrees, value_fn, x, y, segments, seed, seed_certs,
     imported_value,
 ):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    dx = float(np.linalg.norm(y - x))
-    tol = _feasibility_tol(dx)
+    x, y, dx, tol = _pair(x, y)
     d = len(keys)
     if dx <= tol:
         return DistanceEstimate(

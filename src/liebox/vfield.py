@@ -3,9 +3,10 @@
 A system holds m polynomial fields on R^n plus a step bound s; the nested
 commutator coefficients f_w for every word up to length s are computed
 eagerly and exactly from the permutation-coefficient formula.  Flows are the
-only numeric operation: single trajectories run the adaptive integrator at
-the fixed tolerances of ``flows``, and batched generator flows and
-constant-control mixture flows are exact for triangular fields.
+only numeric operation, chosen once per field: a triangular field (or the
+control lift of a constant-control mixture of them) flows exactly by its
+terminating Lie series, any other by the batched adaptive ``flows.dopri5``.
+A single trajectory (``flow``) is one row of the batched flow.
 """
 
 import itertools
@@ -43,9 +44,8 @@ class VectorFieldSystem:
         self._fw = {}
         for w in self.words:
             self._fw[w] = self._build_commutator(w)
-        self._scalar_fns = {}
         self._batch_fns = {}
-        self._exact_flows = {}
+        self._flows = {}
 
     # -- exact symbolic layer ------------------------------------------------
 
@@ -122,13 +122,6 @@ class VectorFieldSystem:
 
     # -- numeric layer ---------------------------------------------------------
 
-    def _scalar_fn(self, key, pmap):
-        fn = self._scalar_fns.get(key)
-        if fn is None:
-            fn = pmap.compile_scalar()
-            self._scalar_fns[key] = fn
-        return fn
-
     def _key_map(self, key):
         """Coefficient map of a word, or the field of a signed letter."""
         return self._fw[key] if key in self._fw else self.field(key)
@@ -142,66 +135,64 @@ class VectorFieldSystem:
             self._batch_fns[key] = fn
         return fn
 
+    def _flow(self, key):
+        """Flow map ``(T, Y) -> endpoints``, chosen once per key and cached.
+
+        ``key`` is a letter, or a 1-tuple holding the keys of a control
+        mixture (no word has that shape, so its evaluator shares the
+        ``batch_fn`` cache).  A triangular field or control lift flows by its
+        exact Lie series; any other field by ``flows.dopri5``.
+        """
+        fn = self._flows.get(key)
+        if fn is None:
+            if isinstance(key, tuple):
+                pmap = control_mixture([self._key_map(k) for k in key[0]])
+            else:
+                pmap = self.field(key)
+            if pmap.is_triangular():
+                fn = pmap.compile_flow_batch()
+            else:
+                fb = self.batch_fn(key, pmap)
+                fn = lambda T, Y: flows.dopri5(fb, T, Y)
+            self._flows[key] = fn
+        return fn
+
     def flow_batch(self, j, T, Y):
         """Flow of a signed generator letter for times T over rows of Y.
 
-        ``T`` is a scalar or has one entry per row.  A triangular field
-        flows exactly (its terminating Lie series, compiled at first use);
-        any other field falls back to ``flows.RK4_STEPS``-step RK4.
+        ``T`` is a scalar or has one entry per row.  Exact on a triangular
+        field, adaptive (``flows.dopri5``: NaN rows off the domain box) on
+        any other.
         """
         if j < 0:
             j, T = -j, -np.asarray(T, dtype=float)
-        if j not in self._exact_flows:
-            f = self.field(j)
-            self._exact_flows[j] = (
-                f.compile_flow_batch() if f.is_triangular() else None
-            )
-        exact = self._exact_flows[j]
-        if exact is None:
-            return flows.rk4_batch(self.batch_fn(j), T, Y, steps=flows.RK4_STEPS)
-        return exact(np.asarray(T, dtype=float), np.asarray(Y, dtype=float))
+        return self._flow(j)(np.asarray(T, dtype=float), np.asarray(Y, dtype=float))
 
     def mixture_flow_batch(self, keys, U, T, Y):
         """Flow of the mixture sum_j U[:, j] X_{keys[j]} for times T over rows of Y.
 
         ``keys`` are letters or words, ``U`` holds one row of constant
         controls per row of ``Y`` and ``T`` is a scalar or has one entry per
-        row.  Triangular fields flow exactly: the controls become leading
-        variables of one triangular lifted field (``control_mixture``) whose
-        Lie series is compiled at first use.  Any other field falls back to
-        ``flows.RK4_STEPS``-step RK4.
+        row.  The controls become leading variables of one lifted field
+        (``control_mixture``), flowed as ``flow_batch`` flows a letter; on a
+        non-triangular lift the controls count as coordinates of the
+        domain box.
         """
         keys = tuple(keys)
-        if keys not in self._exact_flows:
-            lift = control_mixture([self._key_map(k) for k in keys])
-            self._exact_flows[keys] = (
-                lift.compile_flow_batch() if lift.is_triangular() else None
-            )
-        exact = self._exact_flows[keys]
-        U = np.asarray(U, dtype=float)
-        if exact is None:
-            fns = [self.batch_fn(k) for k in keys]
+        P = np.concatenate([np.asarray(U, dtype=float), np.asarray(Y, dtype=float)], axis=-1)
+        return self._flow((keys,))(np.asarray(T, dtype=float), P)[..., len(keys):]
 
-            def fld(P):
-                acc = U[:, 0, None] * fns[0](P)
-                for j in range(1, len(fns)):
-                    acc = acc + U[:, j, None] * fns[j](P)
-                return acc
+    def flow(self, j, t, x):
+        """Flow of a signed letter from one point: one row of ``flow_batch``.
 
-            return flows.rk4_batch(fld, T, Y, steps=flows.RK4_STEPS)
-        P = np.concatenate([U, np.asarray(Y, dtype=float)], axis=-1)
-        return exact(np.asarray(T, dtype=float), P)[..., len(keys):]
-
-    def flow(self, field, t, x):
-        """Adaptive DOPRI5 flow of a signed letter or a PolyMap."""
-        if isinstance(field, PolyMap):
-            fn = field.compile_scalar()
-        else:
-            j = abs(field)
-            fn = self._scalar_fn(j, self.field(j))
-            if field < 0:
-                t = -t
-        return flows.dopri5(fn, t, x)
+        Raises ``DomainEscapeError`` when the endpoint is non-finite or
+        outside the domain box.
+        """
+        y = tuple(map(float, self.flow_batch(j, t, np.asarray(x, dtype=float)[None])[0]))
+        if not all(abs(v) <= flows.DOMAIN_BOX for v in y):
+            raise flows.DomainEscapeError(
+                f"flow of {j} for time {t} ends at {y}, outside the box +-{flows.DOMAIN_BOX}")
+        return y
 
     def compose_flows(self, legs, x):
         """Apply flow legs (signed letter, time) in sequence, first leg first."""

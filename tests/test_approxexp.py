@@ -12,6 +12,7 @@ from liebox.approxexp import (
     e_map,
     e_map_batch,
     exp_ap,
+    exp_ap_legs,
     invert_legs,
     jacobian_e,
     scaled_columns,
@@ -67,12 +68,30 @@ def test_exp_ap_single_letter():
     assert np.allclose(exp_ap(HEIS, -0.3, (1,), x), HEIS.flow(1, -0.3, x))
 
 
+def _dopri5_legs(system, legs, x):
+    """Independent reference: each leg by ``flows.dopri5`` on the field's evaluator.
+
+    The integration is adaptive even on triangular fields, so it does not
+    share the exact Lie-series flows the library composes.
+    """
+    Y = np.asarray(x, dtype=float)[None]
+    for j, t in legs:
+        Y = flows.dopri5(system.batch_fn(abs(j)), t if j > 0 else -t, Y)
+    return Y[0]
+
+
+def _exp_ap_round_trip(system, t, w, x):
+    """exp_ap at t against its DOPRI5 legs, then the DOPRI5 legs at -t back."""
+    y = _dopri5_legs(system, exp_ap_legs(t, w), x)
+    assert np.abs(np.subtract(exp_ap(system, t, w, x), y)).max() <= 10 * flows.DOPRI5_ATOL
+    back = _dopri5_legs(system, exp_ap_legs(-t, w), y)
+    return np.abs(back - np.asarray(x)).max()
+
+
 def test_exp_ap_compositional_inverse():
     x = (0.1, 0.2, -0.1)
     for t in (0.3, -0.3, 0.01):
-        y = exp_ap(HEIS, t, (1, 2), x)
-        back = exp_ap(HEIS, -t, (1, 2), y)
-        assert max(abs(a - b) for a, b in zip(back, x)) <= 10 * flows.DOPRI5_ATOL
+        assert _exp_ap_round_trip(HEIS, t, (1, 2), x) <= 10 * flows.DOPRI5_ATOL
 
 
 def test_exp_ap_heisenberg_vertical_both_signs():
@@ -173,12 +192,13 @@ def test_jacobian_comparability_small_box():
 
 
 def _dopri5_chart(frame, I, x, r, h):
-    """Independent chart reference: one adaptive exp_ap per frame entry, last first."""
-    y = tuple(x)
+    """Independent chart reference: the DOPRI5 legs of one approximate
+    exponential per frame entry, last entry first."""
+    y = np.asarray(x, dtype=float)
     for k in range(len(I) - 1, -1, -1):
         w = frame.word(I[k])
-        y = exp_ap(frame.system, h[k] * r ** len(w), w, y)
-    return np.array(y)
+        y = _dopri5_legs(frame.system, exp_ap_legs(h[k] * r ** len(w), w), y)
+    return y
 
 
 CHART_CASES = (
@@ -244,18 +264,27 @@ def test_scalar_chart_rejects_radius_outside_unit_interval(chart, r):
         chart(HEIS_FRAME, HEIS_MAXIMAL, (0.0, 0.0, 0.0), r, (0.1, 0.0, 0.0))
 
 
-def test_chart_on_non_triangular_field_is_32_step_rk4():
-    # x d/dx has no terminating Lie series, so the chart legs take RK4
+def test_chart_on_non_triangular_field_is_one_dopri5_call(monkeypatch):
+    # x d/dx has no terminating Lie series, so the chart leg is adaptive:
+    # one flows.dopri5 call per chart, whatever the number of rows
     lin = VectorFieldSystem([PolyMap([Poly.var(1, 0)])], step=1, name="linear1d")
     frame = CommutatorFrame(lin)
-    assert flows.RK4_STEPS == 32
+    calls = []
+    dopri5 = flows.dopri5
+
+    def counting(fb, T, Y0):
+        calls.append(len(Y0))
+        return dopri5(fb, T, Y0)
+
+    monkeypatch.setattr(flows, "dopri5", counting)
     for h in (0.3, 1.0):
         exact = 1.3 * math.exp(h)
         y = e_map(frame, (1,), (1.3,), 1.0, (h,))
-        assert y[0] == flows.rk4_batch(lin.batch_fn(1), h, [[1.3]], steps=32)[0, 0]
-        assert abs(y[0] - exact) < 1e-7
+        assert y[0] == dopri5(lin.batch_fn(1), h, [[1.3]])[0, 0]
+        assert abs(y[0] - exact) <= 1e-9
         _, det = jacobian_e(frame, (1,), (1.3,), 1.0, (h,))
         assert abs(det - exact) <= 1e-6 * exact
+    assert calls == [1, 2, 1, 2]
 
 
 def test_invert_legs_round_trip():
@@ -278,7 +307,5 @@ def test_exp_ap_inverse_all_models():
                 continue
             seen_lengths.add(len(w))
             for t in (0.5, -0.3):
-                y = exp_ap(system, t, w, x)
-                back = exp_ap(system, -t, w, y)
-                err = max(abs(a - b) for a, b in zip(back, x))
+                err = _exp_ap_round_trip(system, t, w, x)
                 assert err <= 10 * flows.DOPRI5_ATOL, (name, w, t, err)

@@ -279,19 +279,23 @@ def test_select_maximal_tie_keeps_first():
 
 
 def test_invert_chart_far_targets_on_non_triangular_chart():
-    # chart h -> e^{h/2} (32-step RK4) on the line: y = -40 is unreachable,
-    # and a far target must not walk h into overflow
+    # chart h -> e^{h/2} (adaptive DOPRI5) on the line.  The far targets lie
+    # outside the +-10 domain box: the positive ones walk h until the chart
+    # leaves the box and ends non-finite, y = -40 is unreachable (the chart
+    # stays positive), and nothing overflows or warns on the way
     lin = VectorFieldSystem([PolyMap([Poly.var(1, 0)])], step=1, name="linear1d")
     frame, r = CommutatorFrame(lin), 0.5
-    Y = 40 * np.array([[50.0], [3.0], [1.5], [0.5], [-1.0], [1.0]])
+    far = 40 * np.array([50.0, 3.0, 1.5, 0.5, -1.0, 1.0])
+    near = np.array([2.0, 4.0, 8.0])
+    Y = np.concatenate([far, near])[:, None]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         H, res = invert_chart(frame, (1,), (1.0,), r, Y)
-    reach = Y[:, 0] > 0
+    up = far > 0
+    assert not np.isfinite(res[:6][up]).any() and res[:6][~up] > 1.0
     # the chart is increasing, so a small residual pins its one root
-    assert (res[reach] <= 1e-8 * r).all() and res[~reach] > 1.0
-    assert np.isfinite(H).all()
-    assert np.abs(H[reach, 0] - 2 * np.log(Y[reach, 0])).max() < 1e-3
+    assert (res[6:] <= 1e-8 * r).all()
+    assert np.abs(H[6:, 0] - 2 * np.log(near)).max() < 1e-3
 
 
 def test_nonfinite_row_is_counted(monkeypatch):

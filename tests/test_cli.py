@@ -393,3 +393,20 @@ def test_number_out_of_range_exits_2(capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("distance", "--kind", "fl", "--from", "0,0,0", "--to", "inf,0,0"), "--to"),
+    (("doubling", "--center", "nan,0,0", "--radius", "0.25", "--n", "2000"), "--center"),
+    (("limit-check", "--word", "12", "--at", "0,0,nan"), "--at"),
+    (("emap", "--frame", "1,2,4", "--center", "0,0,0", "--radius", "0.5",
+      "--h", "nan,0,0"), "--h"),
+    (("bracket", "--word", "12", "--at", "nan,0,0"), "--at"),
+    (("flow", "--field", "1", "--t", "nan", "--at", "0,0,0"), "--t"),
+    # an exact flow that ends outside the domain box
+    (("flow", "--field", "1", "--t", "25", "--at", "0,0,0"), "--t"),
+])
+def test_non_finite_input_exits_2(capsys, argv, flag):
+    code, out, err = run_cli(capsys, argv[0], "--model", "heisenberg", *argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from liebox import approxexp, ballbox, metric
+from liebox import approxexp, ballbox, flows, metric
 from liebox.approxexp import CommutatorFrame, e_map_batch, invert_chart
 from liebox.metric import (
     ball_membership,
@@ -381,20 +381,40 @@ def test_distance_values_pinned_on_criterion_13_pairs():
             assert est.value == pytest.approx(want, rel=1e-9)
 
 
-@pytest.mark.parametrize("a, b", [
-    ((0.08, -0.14), (-0.28, -0.29)),
-    ((0.19, 0.25), (0.06, 0.14)),
-    ((0.03, 0.26), (0.19, -0.3)),
-])
-def test_fl_certificate_on_non_triangular_field_reaches_target(a, b):
-    # X2 = (y, x) is not triangular, so the arcs are RK4 legs; the DOPRI5
-    # replay of the certificate must land on the target
+@pytest.mark.parametrize("a, b, seed", [
+    ((0.08, -0.14), (-0.28, -0.29), 0),
+    ((0.19, 0.25), (0.06, 0.14), 0),
+    ((0.03, 0.26), (0.19, -0.3), 0),
+    # a regression case: fixed-step legs missed this target by 2.6e-8 (tolerance 1.16e-8)
+    ((0.02617, 0.26104), (0.18951, -0.29836), 2),
+], ids=["a0-b0", "a1-b1", "a2-b2", "a3-b3"])
+def test_fl_certificate_on_non_triangular_field_reaches_target(a, b, seed):
+    # X2 = (y, x) is not triangular, so the arcs are adaptive DOPRI5 legs; an
+    # independent replay of the certificate, each leg by 4,096-step RK4,
+    # must land on the target within the tolerance it was accepted at
     system = _xy_system()
     assert not system.field(2).is_triangular()
-    est = fl_distance(system, a, b)
+    est = fl_distance(system, a, b, seed=seed)
     assert est.ok()
-    end = system.compose_flows(est.certificate["legs"], a)
-    assert np.linalg.norm(np.subtract(end, b)) <= 1e-7
+    end = np.array([a], dtype=float)
+    for j, t in est.certificate["legs"]:
+        end = flows.rk4_batch(system.batch_fn(abs(j)), t if j > 0 else -t, end, steps=4096)
+    dx = float(np.linalg.norm(np.subtract(b, a)))
+    assert np.linalg.norm(end[0] - b) <= metric._feasibility_tol(dx)
+
+
+@pytest.mark.parametrize("bad", [(np.inf, 0.0, 0.0), (np.nan, 0.0, 0.0)])
+def test_distances_reject_non_finite_endpoints(monkeypatch, bad):
+    def no_solve(*args):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(metric, "_gauss_newton", no_solve)
+    for fn in (fl_distance, cc_distance, lambda s, x, y: rho_distance(s, HEIS_FRAME, x, y)):
+        for x, y in ((ORIGIN, bad), (bad, ORIGIN)):
+            with pytest.raises(ValueError, match="finite"):
+                fn(HEIS, x, y)
+    with pytest.raises(ValueError, match="finite"):
+        estimate_all(HEIS, HEIS_FRAME, ORIGIN, bad)
 
 
 def _heisenberg_phase(ratio):

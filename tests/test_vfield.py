@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 from itertools import product
 
@@ -287,34 +288,92 @@ def test_exact_batch_flow_matches_rk4(name):
             system.batch_fn(j), -0.7, X0, steps=8)).max() <= 1e-12
 
 
-def _counting_rk4(monkeypatch):
-    """Patch ``flows.rk4_batch`` to record the step count of every call."""
+def _counting_dopri5(monkeypatch):
+    """Patch ``flows.dopri5`` to record the row count of every call."""
     calls = []
-    rk4_batch = flows.rk4_batch
+    dopri5 = flows.dopri5
 
-    def counting(fb, T, Y0, steps):
-        calls.append(steps)
-        return rk4_batch(fb, T, Y0, steps=steps)
+    def counting(fb, T, Y0):
+        calls.append(len(Y0))
+        return dopri5(fb, T, Y0)
 
-    monkeypatch.setattr(flows, "rk4_batch", counting)
+    monkeypatch.setattr(flows, "dopri5", counting)
     return calls
 
 
-def test_non_triangular_field_flows_by_rk4(monkeypatch):
-    lin = VectorFieldSystem([PolyMap([Poly.var(1, 0)])], step=1, name="linear1d")
-    assert not lin.field(1).is_triangular()
+LIN = VectorFieldSystem([PolyMap([Poly.var(1, 0)])], step=1, name="linear1d")
+# X1 = d/dx, X2 = (y, x): X2 is not triangular
+XY = VectorFieldSystem(
+    [PolyMap([Poly.const(2, 1), Poly.zero(2)]), PolyMap([Poly.var(2, 1), Poly.var(2, 0)])],
+    step=2, name="xy",
+)
+
+
+def test_non_triangular_field_flows_by_dopri5(monkeypatch):
+    assert not LIN.field(1).is_triangular()
     X0 = np.array([[1.3], [-0.4]])
     T = np.array([0.8, -0.5])
-    ref = flows.rk4_batch(lin.batch_fn(1), T, X0, steps=flows.RK4_STEPS)
-    calls = _counting_rk4(monkeypatch)
-    got = lin.flow_batch(1, T, X0)
-    assert calls == [flows.RK4_STEPS]
+    ref = flows.dopri5(LIN.batch_fn(1), T, X0)
+    calls = _counting_dopri5(monkeypatch)
+    got = LIN.flow_batch(1, T, X0)
+    assert calls == [2]
     assert np.array_equal(got, ref)
-    assert np.allclose(got[:, 0], X0[:, 0] * np.exp(T), rtol=1e-8)
-    frame = CommutatorFrame(lin)
+    assert np.allclose(got[:, 0], X0[:, 0] * np.exp(T), rtol=1e-9, atol=0)
+    frame = CommutatorFrame(LIN)
     E = e_map_batch(frame, (1,), (1.0,), 0.5, np.array([[0.4], [-0.2]]))
-    assert calls == [flows.RK4_STEPS] * 2
+    assert calls == [2, 2]
     assert np.allclose(E[:, 0], np.exp(0.5 * np.array([0.4, -0.2])), rtol=1e-10)
+
+
+def test_e_map_batch_overflow_is_a_nan_row():
+    # the chart e^{h/2} on the line leaves the domain box long before it
+    # could overflow: that row is NaN, the others are untouched, and nothing warns
+    frame = CommutatorFrame(LIN)
+    H = np.array([[1e6], [0.4], [-0.2]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        E = e_map_batch(frame, (1,), (1.0,), 0.5, H)
+    assert np.isnan(E[0, 0])
+    assert np.array_equal(E[1:], e_map_batch(frame, (1,), (1.0,), 0.5, H[1:]))
+
+
+def test_dopri5_marks_failed_rows_nan(monkeypatch):
+    fb = LIN.batch_fn(1)
+    Y0 = np.array([[1.0], [1.0], [11.0], [1.0], [1.0], [0.5]])
+    T = np.array([3.0, np.nan, 0.0, np.inf, 0.0, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Y = flows.dopri5(fb, T, Y0)
+    # row 0 leaves the box at t = ln 10, rows 1 and 3 have a non-finite T,
+    # row 2 starts outside the box
+    assert np.isnan(Y[:4, 0]).all()
+    assert Y[4, 0] == 1.0 and abs(Y[5, 0] - 0.5 * math.exp(0.5)) <= 1e-9
+    # a row still short of its T at the step cap
+    monkeypatch.setattr(flows, "DOPRI5_MAX_STEPS", 2)
+    Y = flows.dopri5(fb, np.array([2.0, 1e-3]), np.array([[0.1], [0.1]]))
+    assert np.isnan(Y[0, 0]) and np.isfinite(Y[1, 0])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), rows=st.integers(1, 9), system=st.sampled_from([LIN, XY]))
+def test_dopri5_row_equals_one_row_call_bitwise(seed, rows, system):
+    rng = np.random.default_rng(seed)
+    X0 = rng.uniform(-1, 1, size=(rows, system.n))
+    T = rng.uniform(-1, 1, size=rows)
+    for j in range(1, system.m + 1):
+        Y = system.flow_batch(j, T, X0)
+        for i in range(rows):
+            assert np.array_equal(Y[i], system.flow_batch(j, T[i], X0[i:i + 1])[0])
+            assert Y[i].tolist() == list(system.flow(j, T[i], X0[i]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(system=st.sampled_from([LIN, XY]), t=st.floats(-1.0, 1.0), seed=st.integers(0, 2**16))
+def test_dopri5_forward_then_back_returns_start(system, t, seed):
+    X0 = np.random.default_rng(seed).uniform(-1, 1, size=(4, system.n))
+    for j in range(1, system.m + 1):
+        back = system.flow_batch(-j, t, system.flow_batch(j, t, X0))
+        assert np.abs(back - X0).max() <= 10 * flows.DOPRI5_ATOL
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -391,24 +450,31 @@ def test_mixture_flow_matches_fine_rk4(name):
         assert np.abs(system.mixture_flow_batch(keys, U, T, X0) - ref).max() <= 1e-10
 
 
-def test_non_triangular_mixture_flows_by_rk4(monkeypatch):
-    # x d/dx on the line, alone and mixed with the constant field d/dx
+def test_non_triangular_mixture_flows_by_dopri5(monkeypatch):
+    # x d/dx on the line, alone and mixed with the constant field d/dx: one
+    # dopri5 call on the control lift per mixture flow
     lin = VectorFieldSystem(
         [PolyMap([Poly.var(1, 0)]), PolyMap([Poly.const(1, 1)])],
         step=1, name="linear1d",
     )
     rng = np.random.default_rng(31)
     X0 = rng.uniform(-1, 1, size=(6, 1))
-    calls = _counting_rk4(monkeypatch)
+    calls = _counting_dopri5(monkeypatch)
     for keys in ((1,), (1, 2)):
         U = rng.uniform(-1, 1, size=(6, len(keys)))
         got = lin.mixture_flow_batch(keys, U, 0.25, X0)
-        assert calls == [flows.RK4_STEPS]
-        assert np.array_equal(got, _mixture_rk4(lin, keys, U, 0.25, X0, steps=flows.RK4_STEPS))
+        assert calls == [6]
+        ref = _mixture_rk4(lin, keys, U, 0.25, X0, steps=4096)
+        assert np.abs(got - ref).max() <= 1e-10
         calls.clear()
     U = rng.uniform(-1, 1, size=(6, 1))
     got = lin.mixture_flow_batch((1,), U, 0.25, X0)
     assert np.allclose(got[:, 0], X0[:, 0] * np.exp(0.25 * U[:, 0]), rtol=1e-10)
+    # the lift of the mixture of letters (1, 2) is cached apart from the word 12
+    P = rng.uniform(-1, 1, size=(6, 2))
+    XY.mixture_flow_batch((1, 2), rng.uniform(-1, 1, size=(6, 2)), 0.25, P)
+    fw = XY.commutator_coeffs((1, 2))
+    assert np.array_equal(XY.batch_fn((1, 2))(P), [fw(p) for p in P])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -102,14 +102,13 @@ def _gauss_newton(endpoint_batch, theta0, target, tol):
         E = endpoint_batch(batch)
         res = target - E[0]
         J = (E[1:] - E[0]) / deltas[:, None]
-        if not np.isfinite(J).all():
+        if not math.isfinite(J.sum()):  # lstsq fails on a NaN or inf entry
             break
         step, *_ = np.linalg.lstsq(J.T, res, rcond=None)
         # damped update: all halvings evaluated as one batch, best wins;
-        # a candidate off the domain box (NaN) never does
+        # a candidate off the domain box (NaN) never does: fmin maps it to inf
         cands = np.stack([theta + step * (0.5**k) for k in range(6)])
-        rs = np.linalg.norm(endpoint_batch(cands) - target, axis=1)
-        rs[np.isnan(rs)] = np.inf
+        rs = np.fmin(np.linalg.norm(endpoint_batch(cands) - target, axis=1), np.inf)
         k = int(np.argmin(rs))
         if rs[k] < best:
             theta, best = cands[k], float(rs[k])

@@ -5,8 +5,10 @@ over {1..m} of any length.  The triviality pipeline splits into components
 that are homogeneous in each variable, polarizes every repeated variable
 into fresh ones until each component is multilinear, and then recovers each
 coefficient by letting the variables act as the shift fields x_j d/dx_{j+1}
-on the witness function x_{p+1}.  All arithmetic is exact, so a returned
-certificate is a proof of nontriviality.
+on the witness function x_{p+1}.  A shift field sends a monomial to one
+monomial times an integer, so the action runs on exponent lists; pieces are
+polarized one at a time and the test stops at the first nonzero one.  All
+arithmetic is exact, so a returned certificate is a proof of nontriviality.
 """
 
 from dataclasses import dataclass
@@ -14,7 +16,6 @@ from fractions import Fraction
 from itertools import permutations
 
 from .freelie import WordSum
-from .poly import Poly
 from .words import as_fraction, check_integers
 
 
@@ -25,7 +26,7 @@ class NCPoly(WordSum):
 
     def __init__(self, alphabet, terms=None):
         super().__init__()
-        self.alphabet = int(alphabet)
+        (self.alphabet,) = check_integers((alphabet,), "alphabet")
         if terms:
             for w, c in terms.items() if isinstance(terms, dict) else terms:
                 w = check_integers(w, "letters")
@@ -37,31 +38,43 @@ class NCPoly(WordSum):
     def from_wordsum(cls, s, alphabet):
         return cls(alphabet, s.terms)
 
+    @classmethod
+    def _of(cls, alphabet, terms):
+        """NCPoly on checked terms: distinct words, nonzero Fractions."""
+        out = cls(alphabet)
+        out.terms = terms
+        return out
+
+    def _like(self, s, other=None):
+        """The WordSum ``s`` as an NCPoly whose alphabet covers both operands."""
+        letters = (a for w in s.terms for a in w)
+        alphabet = max(self.alphabet, getattr(other, "alphabet", 0), *letters)
+        return NCPoly(alphabet, s.terms)
+
+    def __add__(self, other):
+        return self._like(super().__add__(other), other)
+
+    def __sub__(self, other):
+        return self._like(super().__sub__(other), other)
+
+    def scale(self, c):
+        return self._like(super().scale(c))
+
     def degree(self):
         return max((len(w) for w in self.terms), default=0)
 
     def signature(self, w):
         """Occurrences of each variable 1..alphabet in the word ``w``."""
-        sig = [0] * self.alphabet
-        for a in w:
-            sig[a - 1] += 1
-        return tuple(sig)
+        return tuple(map(w.count, range(1, self.alphabet + 1)))
 
     def __repr__(self):
-        if not self.terms:
-            return "NCPoly(0)"
-        bits = [
-            f"{c}*X{''.join(map(str, w))}"
-            for w, c in sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-        ]
-        return "NCPoly(" + " + ".join(bits) + ")"
+        words = sorted(self.terms, key=lambda w: (len(w), w))
+        bits = [f"{self.terms[w]}*X{''.join(map(str, w))}" for w in words]
+        return f"NCPoly({' + '.join(bits) or 0})"
 
     @classmethod
     def from_json(cls, obj):
-        return cls(
-            obj["alphabet"],
-            [(t["word"], Fraction(t["coeff"])) for t in obj["terms"]],
-        )
+        return cls(obj["alphabet"], [(t["word"], t["coeff"]) for t in obj["terms"]])
 
 
 def homogeneous_split(P):
@@ -72,11 +85,8 @@ def homogeneous_split(P):
     """
     buckets = {}
     for w, c in P.terms.items():
-        sig = P.signature(w)
-        buckets.setdefault(sig, []).append((w, c))
-    return [
-        (sig, NCPoly(P.alphabet, dict(buckets[sig]))) for sig in sorted(buckets)
-    ]
+        buckets.setdefault(P.signature(w), {})[w] = c
+    return [(sig, NCPoly._of(P.alphabet, ws)) for sig, ws in sorted(buckets.items())]
 
 
 def multilinearize(P, var):
@@ -123,33 +133,26 @@ class MultilinearPiece:
 def _relabel_multilinear(P, origin, source_sig):
     support = sorted({a for w in P.terms for a in w})
     rename = {old: i + 1 for i, old in enumerate(support)}
-    out = NCPoly(len(support))
-    for w, c in P.terms.items():
-        out.terms[tuple(rename[a] for a in w)] = c
+    out = {tuple(rename[a] for a in w): c for w, c in P.terms.items()}
     new_origin = tuple(origin[old - 1] for old in support)
-    return MultilinearPiece(out, new_origin, source_sig)
+    return MultilinearPiece(NCPoly._of(len(support), out), new_origin, source_sig)
 
 
 def full_multilinearization(P):
-    """All multilinear descendants of P, deterministically ordered."""
-    pieces = []
-    stack = [
-        (comp, tuple(range(1, P.alphabet + 1)), sig)
-        for sig, comp in homogeneous_split(P)
-    ]
-    while stack:
-        comp, origin, src = stack.pop(0)
+    """Yield the multilinear descendants of P one at a time, deterministically
+    ordered: a component is polarized only when the queue reaches it."""
+    letters = tuple(range(1, P.alphabet + 1))
+    queue = [(comp, letters, sig) for sig, comp in homogeneous_split(P)]
+    while queue:
+        comp, origin, src = queue.pop(0)
         sig = comp.signature(next(iter(comp.terms)))
-        heavy = [v + 1 for v, d in enumerate(sig) if d >= 2]
-        if not heavy:
-            pieces.append(_relabel_multilinear(comp, origin, src))
+        var = next((v + 1 for v, d in enumerate(sig) if d >= 2), None)
+        if var is None:
+            yield _relabel_multilinear(comp, origin, src)
             continue
-        var = heavy[0]
-        polarized = multilinearize(comp, var)
         new_origin = origin + (origin[var - 1],)
-        for _, sub in homogeneous_split(polarized):
-            stack.append((sub, new_origin, src))
-    return pieces
+        for _, sub in homogeneous_split(multilinearize(comp, var)):
+            queue.append((sub, new_origin, src))
 
 
 def witness_coefficients(Q):
@@ -157,39 +160,37 @@ def witness_coefficients(Q):
 
     ``Q`` must be multilinear in variables 1..p.  For each permutation s the
     variable s_j is assigned the field x_j d/dx_{j+1} on polynomials in p+1
-    variables; applying Q to x_{p+1} then leaves B(s) * x_1.  This is the
+    variables; applying Q to x_{p+1} then leaves B(s) * x_1.  A field maps a
+    monomial (exponent list e, integer factor k) to one monomial: k times the
+    exponent of x_{j+1}, which moves one unit to x_j.  This is the
     independent route: it never reads the coefficient table of the claimed
     permutation directly.
     """
-    if Q.is_zero():
-        return {}
     p = Q.degree()
     for w in Q.terms:
         if len(w) != p or sorted(w) != list(range(1, p + 1)):
             raise ValueError(f"not multilinear in 1..{p}: word {w}")
-    nv = p + 1
-    psi = Poly.var(nv, p)  # x_{p+1}, zero-based index p
-    x1 = (1,) + (0,) * (p - 1) + (0,)
+    x1 = (1,) + (0,) * p
     out = {}
     for sigma in permutations(range(1, p + 1)):
-        pos = {v: j + 1 for j, v in enumerate(sigma)}  # v -> j with sigma_j = v
-        total = Poly.zero(nv)
+        pos = {v: j for j, v in enumerate(sigma)}  # v -> 0-based j with sigma_j = v
+        total = {}
         for w, c in Q.terms.items():
-            cur = psi
+            e, k = [0] * p + [1], 1  # x_{p+1}
             for v in reversed(w):
                 j = pos[v]
-                cur = Poly.var(nv, j - 1) * cur.diff(j)  # x_j * d/dx_{j+1}
-                if cur.is_zero():
+                k *= e[j + 1]  # x_j * d/dx_{j+1}
+                if not k:
                     break
-            if not cur.is_zero():
-                total = total + cur.scale(c)
-        if total.is_zero():
-            value = Fraction(0)
-        else:
-            value = total.terms.get(x1, Fraction(0))
-            if dict(total.terms) != {x1: value}:
-                raise AssertionError("witness action left unexpected monomials")
-        if value != 0:
+                e[j + 1] -= 1
+                e[j] += 1
+            if k:
+                mono = tuple(e)
+                total[mono] = total.get(mono, 0) + k * c
+        value = total.pop(x1, 0)
+        if any(total.values()):
+            raise AssertionError("witness action left unexpected monomials")
+        if value:
             out[sigma] = value
     return out
 
@@ -211,9 +212,5 @@ def is_trivial(P):
         if coeffs:
             sigma = min(coeffs)
             return False, TrivialityCertificate(
-                sigma=sigma,
-                value=coeffs[sigma],
-                collapsed_word=piece.collapse(sigma),
-                source_signature=piece.source_signature,
-            )
+                sigma, coeffs[sigma], piece.collapse(sigma), piece.source_signature)
     return True, None

@@ -207,7 +207,7 @@ class Poly:
 
     @classmethod
     def from_json_terms(cls, nvars, terms):
-        return cls(nvars, [(t["exps"], Fraction(t["coeff"])) for t in terms])
+        return cls(nvars, [(t["exps"], t["coeff"]) for t in terms])
 
 
 class PolyMap:

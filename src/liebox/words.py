@@ -136,10 +136,10 @@ def pi_table(ell):
 
 
 def as_fraction(x):
-    """Parse exact rational input: Fraction, int, or 'a/b' string."""
+    """Parse exact rational input: Fraction, int (not bool), or 'a/b' string."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)

@@ -116,6 +116,9 @@ def test_witness_bad_file(tmp_path, capsys):
         ("coeff.json", json.dumps({"alphabet": 2, "terms": [{"word": [1, 2], "coeff": None}]})),
         ("letters.json", json.dumps({"degree": 2, "alphabet": 2, "terms": [
             {"word": [1.7, 2], "coeff": "1"}, {"word": [True, 2], "coeff": "1"}]})),
+        ("float.json", json.dumps({"alphabet": 2, "terms": [{"word": [1, 2], "coeff": 0.1}]})),
+        ("bool.json", json.dumps({"alphabet": 2, "terms": [{"word": [1, 2], "coeff": True}]})),
+        ("alphabet.json", json.dumps({"alphabet": 2.7, "terms": [{"word": [1, 2], "coeff": "1"}]})),
     ):
         path = tmp_path / name
         path.write_text(text)
@@ -248,8 +251,16 @@ def test_malformed_model_file_exits_2(tmp_path, capsys):
     bad_exponent = {"name": "bad", "n": 2, "m": 1, "s": 1, "fields": [
         [[{"exps": [1.5, 0], "coeff": "1"}], []],
     ]}
+    float_coeff = {"name": "bad", "n": 2, "m": 1, "s": 1, "fields": [
+        [[{"exps": [0, 0], "coeff": 0.1}], []],
+    ]}
+    bool_coeff = {"name": "bad", "n": 2, "m": 1, "s": 1, "fields": [
+        [[{"exps": [0, 0], "coeff": True}], []],
+    ]}
     for name, text in (("count.json", json.dumps(bad_count)),
                        ("exponent.json", json.dumps(bad_exponent)),
+                       ("float.json", json.dumps(float_coeff)),
+                       ("bool.json", json.dumps(bool_coeff)),
                        ("nokey.json", json.dumps({"n": 2})),
                        ("type.json", json.dumps({"n": 2, "m": 1, "s": 1, "fields": 7})),
                        ("syntax.json", "{not json")):
@@ -259,7 +270,7 @@ def test_malformed_model_file_exits_2(tmp_path, capsys):
             capsys, "flow", "--model", str(path), "--field", "1", "--t", "0.1",
             "--at", "0,0",
         )
-        assert code == 2 and out == ""
+        assert code == 2 and out == "", name
         assert err.startswith("error: malformed model file")
         assert err.count("\n") == 1
 

@@ -71,6 +71,12 @@ def test_json_round_trip():
     assert p == q
 
 
+@pytest.mark.parametrize("coeff", [0.1, 2.0, True, None])
+def test_json_rejects_inexact_coefficients(coeff):
+    with pytest.raises(TypeError, match="expected exact rational"):
+        Poly.from_json_terms(2, [{"exps": [1, 0], "coeff": coeff}])
+
+
 def test_directional_derivative_and_bracket():
     # Heisenberg-type fields in 3 vars: f1 = (1, 0, -y/2), f2 = (0, 1, x/2)
     x = Poly.var(3, 0)

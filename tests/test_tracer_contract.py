@@ -112,6 +112,11 @@ def test_tracer_counts_the_exact_layers():
         assert not flag and P.terms.get(cert.collapsed_word) == cert.value
         residual = lb.freelie.check_jacobi((1,), (2,), (3,))
         assert lb.ncpoly.is_trivial(NCPoly.from_wordsum(residual, 3)) == (True, None)
+        # pieces are polarized lazily: the commutator's piece certifies P
+        # before the queued X3^6 polarization is witnessed
+        witness_calls = tracer.layer_times(True)["ncpoly.witness_coefficients"][0]
+        flag, _ = lb.ncpoly.is_trivial(NCPoly(3, {(1, 2): 1, (2, 1): -1, (3,) * 6: 1}))
+        assert not flag
         times = tracer.layer_times(True)
     finally:
         tracer.restore()
@@ -119,4 +124,5 @@ def test_tracer_counts_the_exact_layers():
                  "ncpoly.witness_coefficients"):
         assert times[name][0] > 0, name
     assert times["freelie.check"][0] == 4
+    assert times["ncpoly.witness_coefficients"][0] - witness_calls == 1
     assert [getattr(owner, attr) for owner, attr in traced] == originals

@@ -1,20 +1,23 @@
 """Approximate exponentials of commutators and the almost-exponential chart.
 
-The group-commutator map composes signed generator flows; its recursion
-produces, for a word of length l, a list of 2^l - 2 + 2 flow legs (1 leg at
-l = 1).  The almost-exponential map chains one approximate exponential per
-frame entry, with the radius folded into the leg times: a scaled commutator
-r^l Y flown for parameter h uses leg times |h|^(1/l) * r over the original
-generators, which is exactly the scaled-generator composition.
-``e_map_batch`` is the one chart; ``e_map`` is one of its rows,
-``jacobian_e`` its central-difference Jacobian and ``invert_chart`` its one
-inverse.  Its legs are ``VectorFieldSystem.flow_batch``: exact on triangular
-fields, adaptive DOPRI5 otherwise, with NaN rows where a leg leaves the
-domain box.  ``invert_chart`` steps by forward substitution on the
-leading-order Jacobian when the frame is lower-triangular, as exponential
-coordinates of the second kind are on stratified groups, and by a batched
-``solve`` (``pinv`` when singular) otherwise.  ``exp_ap`` and ``c_map``
-compose single flows (``compose_flows``), one leg at a time.
+The group-commutator map composes signed generator flows, 3 * 2^(l-1) - 2
+legs for a word of length l by its recursion.  The almost-exponential map
+chains one approximate exponential per frame entry, with the radius folded
+into the leg times: a scaled commutator r^l Y flown for parameter h
+uses leg times |h|^(1/l) * r over the original generators, which is exactly
+the scaled-generator composition.  For h < 0 the legs are inverted, and the
+inverse legs run the forward letters from the second on and then the first
+again, so a zero-time leg (which leaves a finite in-box row unchanged) pads
+both signs to one letter sequence.  ``e_map_batch`` is the one chart;
+``e_map`` is one of its rows, ``jacobian_e`` its central-difference
+Jacobian, ``invert_chart`` its one inverse and ``chart_leg_count`` its
+number of legs.  Its legs are ``VectorFieldSystem.flow_batch``: exact on
+triangular fields, adaptive DOPRI5 otherwise, with NaN rows where a leg
+leaves the domain box.  ``invert_chart`` steps by forward substitution on
+the leading-order Jacobian when the frame is lower-triangular, as
+exponential coordinates of the second kind are on stratified groups, and by
+a batched ``solve`` (``pinv`` when singular) otherwise.  ``exp_ap`` and
+``c_map`` compose single flows (``compose_flows``), one leg at a time.
 """
 
 import numpy as np
@@ -111,9 +114,7 @@ def box_norm(h, degrees):
 def e_map(frame, I, x, r, h):
     """Almost-exponential chart at one point h: one row of ``e_map_batch``.
 
-    The last frame entry is applied to x first.  Scaling: entry k of degree
-    l contributes legs at times |h_k|**(1/l) * r over the original
-    generators, the inverse branch when h_k < 0.
+    The last frame entry is applied to x first, at leg times |h_k|**(1/l) * r.
     """
     I = frame.check_index_tuple(I)
     if not 0 < r <= 1:
@@ -122,11 +123,20 @@ def e_map(frame, I, x, r, h):
     return tuple(float(v) for v in e_map_batch(frame, I, x, r, H)[0])
 
 
-def e_map_batch(frame, I, x, r, H):
-    """Vectorized chart over H of shape (N, n).
+def chart_leg_count(frame, I):
+    """Number of single-generator legs of the chart of frame I."""
+    return sum(len(c_map_legs(frame.word(i), 1.0)) for i in I)
 
-    Legs are ``VectorFieldSystem.flow_batch``: exact for triangular fields,
-    adaptive DOPRI5 otherwise; a row whose leg leaves the domain box is NaN.
+
+def e_map_batch(frame, I, x, r, H):
+    """Vectorized chart over H of shape (N, n), one leg sequence per entry.
+
+    Entry k runs every row at times p * tau_k (h_k >= 0) or q * tau_k
+    (h_k < 0).  The inverse legs are the forward letters from the second on,
+    then w[0]: for l >= 2 the forward legs end and the inverse legs start on
+    a zero-time leg, which leaves a finite row inside the domain box
+    unchanged (a row already off the box or non-finite comes back NaN).  A
+    row whose leg leaves the domain box is NaN.
     """
     I = frame.check_index_tuple(I)
     system = frame.system
@@ -134,23 +144,12 @@ def e_map_batch(frame, I, x, r, H):
     Y = np.broadcast_to(np.asarray(x, dtype=float), H.shape).copy()
     for k in range(len(I) - 1, -1, -1):
         w = frame.word(I[k])
-        ell = len(w)
-        hk = H[:, k]
-        if ell == 1:
-            Y = system.flow_batch(w[0], hk * r, Y)
-            continue
-        tau = np.abs(hk) ** (1.0 / ell) * r
-        for branch, legs in (
-            (hk >= 0, c_map_legs(w, 1.0)),
-            (hk < 0, invert_legs(c_map_legs(w, 1.0))),
-        ):
-            if not branch.any():
-                continue
-            sub = Y[branch]
-            tb = tau[branch]
-            for j, unit_t in legs:
-                sub = system.flow_batch(j, unit_t * tb, sub)
-            Y[branch] = sub
+        tau = np.abs(H[:, k]) ** (1.0 / len(w)) * r
+        forward = H[:, k] >= 0
+        legs = c_map_legs(w, 1.0)
+        pad = [(w[0], 0.0)] if len(w) > 1 else []
+        for (j, p), (_, q) in zip(legs + pad, pad + invert_legs(legs)):
+            Y = system.flow_batch(j, np.where(forward, p, q) * tau, Y)
     return Y
 
 

@@ -18,8 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from .linalg import min_norm_solve
-from .metric import ball_membership, chart_leg_count, control_endpoints, membership_mask
-from .approxexp import box_norm, e_map_batch, invert_chart
+from .metric import ball_membership, control_endpoints, membership_mask
+from .approxexp import box_norm, chart_leg_count, e_map_batch, invert_chart
 from .approxexp import e_map  # noqa: F401  (the perfbench tracer patches ballbox.e_map)
 from .words import rational_point
 

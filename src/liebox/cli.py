@@ -3,7 +3,8 @@
 Reports are JSON by default (CSV where tabular), always embedding the
 resolved configuration and the package version so a report is reproducible
 from its own header.  Exit status: 0 when all requested checks pass, 1 when
-a check fails, 2 on usage errors (bad flags, unknown model, bad files).
+a check fails, 2 on usage errors (bad or out-of-range flags, unknown model,
+bad files, a centre where no frame spans), each one ``error:`` line.
 """
 
 import argparse
@@ -11,16 +12,16 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 
 import numpy as np
 
 from . import __version__, acceptance
 from .approxexp import CommutatorFrame, box_norm, jacobian_e, e_map
-from .ballbox import doubling_ratio, inclusion_check, poincare_suite, select_maximal
+from .ballbox import HormanderError, doubling_ratio, inclusion_check, poincare_suite, select_maximal
 from .flows import DomainEscapeError
 from .linalg import lambda_sweep, min_norm_solve
 from .metric import cc_distance, fl_distance, rho_distance
@@ -38,6 +39,37 @@ def _require(ok, message):
     """A usage error with ``message`` unless ``ok`` (NaN compares false)."""
     if not ok:
         raise UsageError(message)
+
+
+# Ranges of numeric flags: (parse, holds, what the value must be).
+FINITE = (float, math.isfinite, "a finite number")
+POSITIVE = (float, lambda v: 0 < v < math.inf, "a positive finite number")
+UNIT = (float, lambda v: 0 < v <= 1, "in (0, 1]")
+COUNT = (int, lambda v: v >= 1, "an integer of at least 1")
+SEED = (int, lambda v: v >= 0, "a nonnegative integer")
+
+
+def _number(sp, flag, rng, **kw):
+    """Add a numeric flag whose value outside ``rng`` is a usage error naming the flag."""
+    kind, holds, what = rng
+
+    def parse(text):
+        try:
+            if holds(value := kind(text)):
+                return value
+        except ValueError:
+            pass
+        raise UsageError(f"{flag} must be {what}, got {text!r}")
+
+    sp.add_argument(flag, type=parse, **kw)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argparse's own errors as one ``error: --flag <reason>`` line, exit 2."""
+
+    def error(self, message):
+        message = re.sub(r"^argument (\S+): ", r"\1 ", message)
+        self.exit(2, f"error: {message}\n")
 
 
 def _parse_point(text, n, flag):
@@ -131,17 +163,13 @@ def _json_default(obj):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, Fraction):
-        return str(obj)
-    return str(obj)
+    return str(obj)  # Fraction and anything else
 
 
 # -- subcommand handlers --------------------------------------------------------
 
 
 def cmd_pi_table(args):
-    _require(1 <= args.order <= MAX_ORDER,
-             f"--order must be in 1..{MAX_ORDER}, got {args.order}")
     table = pi_table(args.order)
     rows = table.rows()
     rep = _report(args, "pi-table", {
@@ -154,9 +182,6 @@ def cmd_pi_table(args):
 
 
 def cmd_identities(args):
-    _require(args.max_degree <= MAX_ORDER,
-             f"--max-degree must be at most {MAX_ORDER}, got {args.max_degree}")
-    _require(args.workers >= 1, f"--workers must be at least 1, got {args.workers}")
     instances = acceptance.identity_instances(args.family, args.max_degree, args.alphabet)
     _require(instances, f"--family {args.family} has no instance at --max-degree "
                         f"{args.max_degree} and --alphabet {args.alphabet}")
@@ -224,7 +249,6 @@ def cmd_flow(args):
     except ValueError as exc:
         raise UsageError(f"--field: {exc}")
     x = _parse_point(args.at, system.n, "--at")
-    _require(math.isfinite(args.t), f"--t must be finite, got {args.t}")
     try:
         y = system.flow(args.field, args.t, x)
     except DomainEscapeError as exc:
@@ -238,9 +262,9 @@ def cmd_limit_check(args):
     system = _load_system(args.model)
     w = _parse_word(args.word, system)
     x = _parse_point(args.at, system.n, "--at")
-    _require(args.t_min > 0 and args.t_max > 0, "--t-min and --t-max must be positive")
-    _require(args.t_count >= 1, f"--t-count must be at least 1, got {args.t_count}")
-    psi = Poly.var(system.n, args.psi_var if args.psi_var >= 0 else system.n - 1)
+    _require(-1 <= args.psi_var < system.n,
+             f"--psi-var must be in -1..{system.n - 1}, got {args.psi_var}")
+    psi = Poly.var(system.n, args.psi_var % system.n)
     ts = list(np.geomspace(args.t_min, args.t_max, args.t_count))
     rep_data = system.bracket_limit_order(w, psi, x, ts)
     converged = bool(
@@ -265,7 +289,6 @@ def cmd_emap(args):
     I = _parse_frame(args.frame, frame)
     x = _parse_point(args.center, system.n, "--center")
     h = _parse_point(args.h, system.n, "--h")
-    _require(0 < args.radius <= 1, f"--radius must be in (0, 1], got {args.radius}")
     point = e_map(frame, I, x, args.radius, h)
     J, det = jacobian_e(frame, I, x, args.radius, h)
     degrees = [frame.degree(i) for i in I]
@@ -283,9 +306,6 @@ def cmd_ballbox(args):
     system = _load_system(args.model)
     frame = CommutatorFrame(system)
     x = _parse_point(args.center, system.n, "--center")
-    _require(args.radius > 0, f"--radius must be positive, got {args.radius}")
-    _require(0 < args.eps <= 1, f"--eps must be in (0, 1], got {args.eps}")
-    _require(args.samples >= 1, f"--samples must be at least 1, got {args.samples}")
     triple = select_maximal(frame, x, args.radius)
     payload = {
         "maximal_frame": list(triple.I),
@@ -312,7 +332,6 @@ def cmd_distance(args):
     system = _load_system(args.model)
     x = _parse_point(getattr(args, "from"), system.n, "--from")
     y = _parse_point(args.to, system.n, "--to")
-    _require(args.segments >= 1, f"--segments must be at least 1, got {args.segments}")
     est = fl_distance(system, x, y, max_segments=args.segments, seed=args.seed)
     if args.kind != "fl":
         est = cc_distance(
@@ -341,8 +360,6 @@ def cmd_doubling(args):
     system = _load_system(args.model)
     frame = CommutatorFrame(system)
     x = _parse_point(args.center, system.n, "--center")
-    _require(args.radius > 0, f"--radius must be positive, got {args.radius}")
-    _require(args.n >= 1, f"--n must be at least 1, got {args.n}")
     rep_d = doubling_ratio(
         system, frame, x, args.radius, N=args.n, seed=args.seed
     )
@@ -358,9 +375,6 @@ def cmd_poincare(args):
     suite = acceptance.poincare_suite_functions()
     if system.n != 3:
         raise UsageError("built-in test functions are for 3-dimensional models")
-    _require(args.radius > 0, f"--radius must be positive, got {args.radius}")
-    _require(args.n >= 1, f"--n must be at least 1, got {args.n}")
-    _require(args.enlarge > 0, f"--enlarge must be positive, got {args.enlarge}")
     _require(-1 <= args.f < len(suite), f"--f must be in -1..{len(suite) - 1}, got {args.f}")
     chosen = suite if args.f < 0 else [suite[args.f]]
     reports = poincare_suite(
@@ -403,10 +417,9 @@ def cmd_pinv(args):
     b = _read_csv_matrix(args.rhs).reshape(-1)
     _require(b.size == A.shape[0],
              f"--rhs has {b.size} entries for a matrix of {A.shape[0]} rows")
-    _require(args.lam_min > 0 and args.lam_max > 0,
-             f"--lam-min and --lam-max must be positive, "
+    _require(0 < args.lam_min < math.inf and 0 < args.lam_max < math.inf,
+             f"--lam-min and --lam-max must be positive and finite, "
              f"got {args.lam_min} and {args.lam_max}")
-    _require(args.lam_count >= 1, f"--lam-count must be at least 1, got {args.lam_count}")
     x, rank, residual = min_norm_solve(A, b)
     payload = {
         "solution": x.tolist(),
@@ -446,7 +459,7 @@ def cmd_suite(args):
 
 
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="liebox",
         description="Exact commutator identities and ball-box experiments "
         "on polynomial vector-field models.",
@@ -454,107 +467,100 @@ def build_parser():
     p.add_argument("--version", action="version", version=f"liebox {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, seeded=True):
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
+    def common(sp, func, tabular=False, seeded=False):
+        sp.set_defaults(func=func)
+        if tabular:
+            sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", default=None, help="write report to this path")
         sp.add_argument("--no-timestamp", action="store_true")
         if seeded:
-            sp.add_argument("--seed", type=int, default=0)
+            _number(sp, "--seed", SEED, default=0)
 
     sp = sub.add_parser("pi-table", help="coefficient table for one order")
-    sp.add_argument("--order", type=int, required=True)
-    common(sp, seeded=False)
-    sp.set_defaults(func=cmd_pi_table)
+    _number(sp, "--order", (int, lambda v: 1 <= v <= MAX_ORDER, f"in 1..{MAX_ORDER}"),
+            required=True)
+    common(sp, cmd_pi_table, tabular=True)
 
     sp = sub.add_parser("identities", help="sweep an identity family")
     sp.add_argument("--family", required=True,
                     choices=("otto", "j2", "f", "baker", "giochetto"))
-    sp.add_argument("--max-degree", type=int, default=5)
+    _number(sp, "--max-degree", (int, lambda v: v <= MAX_ORDER, f"at most {MAX_ORDER}"),
+            default=5)
     sp.add_argument("--alphabet", type=int, default=3)
-    sp.add_argument("--workers", type=int, default=1)
-    common(sp, seeded=False)
-    sp.set_defaults(func=cmd_identities)
+    _number(sp, "--workers", COUNT, default=1)
+    common(sp, cmd_identities, tabular=True)
 
     sp = sub.add_parser("witness", help="noncommutative triviality test")
     sp.add_argument("--poly", required=True, help="polynomial JSON file")
-    common(sp, seeded=False)
-    sp.set_defaults(func=cmd_witness)
+    common(sp, cmd_witness)
 
     sp = sub.add_parser("bracket", help="exact commutator coefficients")
     sp.add_argument("--model", required=True)
     sp.add_argument("--word", required=True)
     sp.add_argument("--at", default=None)
-    common(sp, seeded=False)
-    sp.set_defaults(func=cmd_bracket)
+    common(sp, cmd_bracket)
 
     sp = sub.add_parser("flow", help="flow of one generator")
     sp.add_argument("--model", required=True)
     sp.add_argument("--field", type=int, required=True)
-    sp.add_argument("--t", type=float, required=True)
+    _number(sp, "--t", FINITE, required=True)
     sp.add_argument("--at", required=True)
-    common(sp, seeded=False)
-    sp.set_defaults(func=cmd_flow)
+    common(sp, cmd_flow)
 
     sp = sub.add_parser("limit-check", help="commutator quotient convergence")
     sp.add_argument("--model", required=True)
     sp.add_argument("--word", required=True)
     sp.add_argument("--at", required=True)
     sp.add_argument("--psi-var", type=int, default=-1,
-                    help="coordinate index of the test function (default last)")
-    sp.add_argument("--t-min", type=float, default=1e-3)
-    sp.add_argument("--t-max", type=float, default=1e-1)
-    sp.add_argument("--t-count", type=int, default=7)
-    sp.add_argument("--tol", type=float, default=1e-6)
-    common(sp, seeded=False)
-    sp.set_defaults(func=cmd_limit_check)
+                    help="coordinate index of the test function (-1: the last)")
+    _number(sp, "--t-min", POSITIVE, default=1e-3)
+    _number(sp, "--t-max", POSITIVE, default=1e-1)
+    _number(sp, "--t-count", COUNT, default=7)
+    _number(sp, "--tol", POSITIVE, default=1e-6)
+    common(sp, cmd_limit_check)
 
     sp = sub.add_parser("emap", help="almost-exponential chart point")
     sp.add_argument("--model", required=True)
     sp.add_argument("--frame", required=True, help="comma-separated indices")
     sp.add_argument("--center", required=True)
-    sp.add_argument("--radius", type=float, required=True)
+    _number(sp, "--radius", UNIT, required=True)
     sp.add_argument("--h", required=True)
-    common(sp, seeded=False)
-    sp.set_defaults(func=cmd_emap)
+    common(sp, cmd_emap)
 
     sp = sub.add_parser("ballbox", help="maximal frame and inclusion check")
     sp.add_argument("--model", required=True)
     sp.add_argument("--center", required=True)
-    sp.add_argument("--radius", type=float, required=True)
+    _number(sp, "--radius", POSITIVE, required=True)
     sp.add_argument("--check-inclusion", action="store_true")
-    sp.add_argument("--eps", type=float, default=0.3)
-    sp.add_argument("--c", type=float, default=0.05)
-    sp.add_argument("--samples", type=int, default=200)
-    common(sp)
-    sp.set_defaults(func=cmd_ballbox)
+    _number(sp, "--eps", UNIT, default=0.3)
+    _number(sp, "--c", POSITIVE, default=0.05)
+    _number(sp, "--samples", COUNT, default=200)
+    common(sp, cmd_ballbox, seeded=True)
 
     sp = sub.add_parser("distance", help="path-distance upper bound")
     sp.add_argument("--kind", choices=("fl", "cc", "rho"), required=True)
     sp.add_argument("--model", required=True)
     sp.add_argument("--from", required=True)
     sp.add_argument("--to", required=True)
-    sp.add_argument("--segments", type=int, default=8)
-    common(sp)
-    sp.set_defaults(func=cmd_distance)
+    _number(sp, "--segments", COUNT, default=8)
+    common(sp, cmd_distance, seeded=True)
 
     sp = sub.add_parser("doubling", help="Monte Carlo ball-volume doubling")
     sp.add_argument("--model", required=True)
     sp.add_argument("--center", required=True)
-    sp.add_argument("--radius", type=float, required=True)
-    sp.add_argument("--n", type=int, default=100_000)
-    common(sp)
-    sp.set_defaults(func=cmd_doubling)
+    _number(sp, "--radius", POSITIVE, required=True)
+    _number(sp, "--n", COUNT, default=100_000)
+    common(sp, cmd_doubling, seeded=True)
 
     sp = sub.add_parser("poincare", help="mean-oscillation inequality harness")
     sp.add_argument("--model", required=True)
     sp.add_argument("--center", required=True)
-    sp.add_argument("--radius", type=float, required=True)
-    sp.add_argument("--enlarge", type=float, default=2.0)
-    sp.add_argument("--n", type=int, default=100_000)
+    _number(sp, "--radius", POSITIVE, required=True)
+    _number(sp, "--enlarge", POSITIVE, default=2.0)
+    _number(sp, "--n", COUNT, default=100_000)
     sp.add_argument("--f", type=int, default=-1,
                     help="index into the built-in test suite (-1: all)")
-    common(sp)
-    sp.set_defaults(func=cmd_poincare)
+    common(sp, cmd_poincare, seeded=True)
 
     sp = sub.add_parser("pinv", help="min-norm solve and regularization sweep")
     sp.add_argument("--matrix", required=True)
@@ -562,25 +568,22 @@ def build_parser():
     sp.add_argument("--lambda-sweep", action="store_true")
     sp.add_argument("--lam-min", type=float, default=1e-6)
     sp.add_argument("--lam-max", type=float, default=1e-2)
-    sp.add_argument("--lam-count", type=int, default=9)
-    common(sp, seeded=False)
-    sp.set_defaults(func=cmd_pinv)
+    _number(sp, "--lam-count", COUNT, default=9)
+    common(sp, cmd_pinv, tabular=True)
 
     sp = sub.add_parser("suite", help="run the acceptance criteria")
     sp.add_argument("--criteria", default=None,
                     help="comma-separated criterion numbers (default all)")
-    common(sp)
-    sp.set_defaults(func=cmd_suite)
+    common(sp, cmd_suite)
 
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, HormanderError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,7 +16,8 @@ otherwise); the feasibility tolerance and iteration caps are module
 constants.
 
 The volume harnesses' ball membership lives here too: ``ball_membership``
-inverts the chart once, and ``membership_mask`` is the one acceptance rule.
+inverts the chart once, and ``membership_mask`` is the one acceptance rule;
+the chart's leg count M that it divides by is ``approxexp.chart_leg_count``.
 Its unread ``system`` argument stays because the perfbench tracer reads the
 sample points at position 5.
 """
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .approxexp import box_norm, c_map_legs, invert_chart
+from .approxexp import box_norm, chart_leg_count, invert_chart
 from .approxexp import e_map_batch  # noqa: F401  (the perfbench tracer patches metric.e_map_batch)
 from .linalg import min_norm_solve
 
@@ -382,11 +383,6 @@ def estimate_all(system, frame, x, y, seed=0):
 
 
 # -- fast ball membership (volume harnesses) ------------------------------------------
-
-
-def chart_leg_count(frame, I):
-    """Number of single-generator legs of the chart of frame I."""
-    return sum(len(c_map_legs(frame.word(i), 1.0)) for i in I)
 
 
 def ball_membership(system, frame, I, x, r, pts):

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import flows
 from .poly import Poly, PolyMap, control_mixture, directional_derivative, lie_bracket
-from .words import apply_perm, check_word, pi_support, rational_point
+from .words import apply_perm, check_integers, check_word, pi_support, rational_point
 
 
 def all_words(m, max_len, min_len=1):
@@ -388,15 +388,15 @@ def load_model(name_or_path):
 
 
 def system_from_json(obj):
-    n = int(obj["n"])
+    n, m, s = check_integers((obj["n"], obj["m"], obj["s"]), "n, m and s")
+    if min(n, m, s) < 1:
+        raise ValueError(f"n, m and s must be at least 1, got {n}, {m} and {s}")
     fields = []
     for comps in obj["fields"]:
         if len(comps) != n:
             raise ValueError("field component count != n")
         fields.append(PolyMap([Poly.from_json_terms(n, c) for c in comps]))
-    if len(fields) != int(obj["m"]):
+    if len(fields) != m:
         raise ValueError("field count != m")
-    return VectorFieldSystem(
-        fields, step=int(obj["s"]), name=obj.get("name", "file")
-    )
+    return VectorFieldSystem(fields, step=s, name=obj.get("name", "file"))
 

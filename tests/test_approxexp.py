@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -221,6 +222,61 @@ def test_e_map_batch_matches_scalar():
             ref = _dopri5_chart(frame, I, x, r, H[i])
             assert np.allclose(Y[i], ref, atol=1e-10), (name, i)
             assert np.allclose(e_map(frame, I, x, r, H[i]), ref, atol=1e-10), (name, i)
+
+
+def _two_branch_chart(frame, I, x, r, H):
+    """Reference chart: a degree-1 leg at h * r and, for each sign of h_k,
+    a gather of its rows, a flow over ``c_map_legs`` or its ``invert_legs``
+    and a scatter back."""
+    system = frame.system
+    Y = np.broadcast_to(np.asarray(x, dtype=float), H.shape).copy()
+    for k in range(len(I) - 1, -1, -1):
+        w = frame.word(I[k])
+        hk = H[:, k]
+        if len(w) == 1:
+            Y = system.flow_batch(w[0], hk * r, Y)
+            continue
+        tau = np.abs(hk) ** (1.0 / len(w)) * r
+        legs = c_map_legs(w, 1.0)
+        for branch, branch_legs in ((hk >= 0, legs), (hk < 0, invert_legs(legs))):
+            if branch.any():
+                sub, tb = Y[branch], tau[branch]
+                for j, t in branch_legs:
+                    sub = system.flow_batch(j, t * tb, sub)
+                Y[branch] = sub
+    return Y
+
+
+# X1 = d/dx flows exactly, X2 = (y, x) by DOPRI5; frame 5 is the word (2, 1)
+XY_FRAME = CommutatorFrame(VectorFieldSystem(
+    [PolyMap([Poly.const(2, 1), Poly.zero(2)]), PolyMap([Poly.var(2, 1), Poly.var(2, 0)])],
+    step=2, name="xy",
+))
+
+
+@pytest.mark.parametrize("frame, I, x", [
+    *((CommutatorFrame(load_model(name)), None, x) for name, x in CHART_CASES),
+    (CommutatorFrame(load_model("grushin")), None, (0.0, 0.0)),
+    (XY_FRAME, (1, 5), (0.1, 0.2)),
+    (XY_FRAME, (2, 4), (0.1, 0.2)),
+])
+def test_e_map_batch_matches_two_branch_chart_bitwise(frame, I, x):
+    r = 0.5
+    I = I or select_maximal(frame, x, r).I
+    rng = np.random.default_rng(13)
+    H = rng.uniform(-1, 1, size=(300, len(x)))
+    H[rng.random(H.shape) < 0.2] = 0.0
+    for col in H.T:
+        assert (col == 0).any() and (col > 0).any() and (col < 0).any()
+    Y = e_map_batch(frame, I, x, r, H)
+    assert np.array_equal(Y, _two_branch_chart(frame, I, x, r, H), equal_nan=True)
+
+
+def test_inverse_legs_shift_forward_letters():
+    for ell in range(1, 7):
+        for w in itertools.product((1, 2, 3), repeat=ell):
+            F = c_map_legs(w, 1.0)
+            assert [j for j, _ in invert_legs(F)] == [j for j, _ in F][1:] + [w[0]]
 
 
 def test_jacobian_e_matches_dopri5_differences():

@@ -257,10 +257,17 @@ def test_malformed_model_file_exits_2(tmp_path, capsys):
     bool_coeff = {"name": "bad", "n": 2, "m": 1, "s": 1, "fields": [
         [[{"exps": [0, 0], "coeff": True}], []],
     ]}
+    field = [[{"exps": [0, 0], "coeff": "1"}], []]
+    float_counts = {"name": "bad", "n": 2, "m": 1.9, "s": 1.5, "fields": [field]}
+    bool_step = {"name": "bad", "n": 2, "m": 1, "s": True, "fields": [field]}
+    zero_step = {"name": "bad", "n": 2, "m": 1, "s": 0, "fields": [field]}
     for name, text in (("count.json", json.dumps(bad_count)),
                        ("exponent.json", json.dumps(bad_exponent)),
                        ("float.json", json.dumps(float_coeff)),
                        ("bool.json", json.dumps(bool_coeff)),
+                       ("counts.json", json.dumps(float_counts)),
+                       ("boolstep.json", json.dumps(bool_step)),
+                       ("zerostep.json", json.dumps(zero_step)),
                        ("nokey.json", json.dumps({"n": 2})),
                        ("type.json", json.dumps({"n": 2, "m": 1, "s": 1, "fields": 7})),
                        ("syntax.json", "{not json")):
@@ -273,6 +280,40 @@ def test_malformed_model_file_exits_2(tmp_path, capsys):
         assert code == 2 and out == "", name
         assert err.startswith("error: malformed model file")
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("ballbox", "--radius", "0.5"),
+    ("doubling", "--radius", "0.25", "--n", "100"),
+    ("poincare", "--radius", "0.25", "--n", "100"),
+])
+def test_no_spanning_frame_exits_2(tmp_path, capsys, argv):
+    # X1 = d/dx alone spans no frame of R^3
+    line = {"name": "line3", "n": 3, "m": 1, "s": 1,
+            "fields": [[[{"exps": [0, 0, 0], "coeff": "1"}], [], []]]}
+    path = tmp_path / "line3.json"
+    path.write_text(json.dumps(line))
+    code, out, err = run_cli(capsys, argv[0], "--model", str(path),
+                             "--center", "0,0,0", *argv[1:])
+    assert code == 2 and out == ""
+    assert err == "error: all frame determinants vanish at (0.0, 0.0, 0.0)\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("flow", "--model", "heisenberg", "--field", "1", "--t", "0.1", "--at", "0,0,0",
+      "--format", "csv"), "unrecognized arguments: --format csv"),
+    (("suite", "--criteria", "1", "--seed", "1"), "unrecognized arguments: --seed 1"),
+    (("distance", "--kind", "nope", "--model", "heisenberg", "--from", "0,0,0",
+      "--to", "1,0,0"), "--kind invalid choice"),
+    (("flow", "--model", "heisenberg", "--field", "x", "--t", "0.1", "--at", "0,0,0"),
+     "--field invalid int value"),
+])
+def test_argparse_error_is_one_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert out.err.startswith(f"error: {message}") and out.err.count("\n") == 1
 
 
 def test_usage_error_exits_2():
@@ -399,6 +440,14 @@ HEIS_CENTER = ("--model", "heisenberg", "--center", "0,0,0")
     (("pi-table", "--order", "9"), "--order"),
     (("identities", "--family", "otto", "--max-degree", "9"), "--max-degree"),
     (("identities", "--family", "j2", "--max-degree", "3", "--workers", "0"), "--workers"),
+    (("limit-check", "--model", "heisenberg", "--word", "12", "--at", "0,0,0",
+      "--psi-var", "5"), "--psi-var"),
+    (("limit-check", "--model", "heisenberg", "--word", "12", "--at", "0,0,0",
+      "--psi-var", "-7"), "--psi-var"),
+    (("limit-check", "--model", "heisenberg", "--word", "12", "--at", "0,0,0",
+      "--t-min", "0"), "--t-min"),
+    (("ballbox", *HEIS_CENTER, "--radius", "0.5", "--check-inclusion", "--c", "-1"), "--c"),
+    (("doubling", *HEIS_CENTER, "--radius", "0.25", "--n", "100", "--seed", "-1"), "--seed"),
 ])
 def test_number_out_of_range_exits_2(capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv)
@@ -414,6 +463,11 @@ def test_number_out_of_range_exits_2(capsys, argv, flag):
       "--h", "nan,0,0"), "--h"),
     (("bracket", "--word", "12", "--at", "nan,0,0"), "--at"),
     (("flow", "--field", "1", "--t", "nan", "--at", "0,0,0"), "--t"),
+    (("limit-check", "--word", "12", "--at", "0,0,0", "--t-max", "inf"), "--t-max"),
+    (("limit-check", "--word", "12", "--at", "0,0,0", "--tol", "nan"), "--tol"),
+    (("doubling", "--center", "0,0,0", "--radius", "inf"), "--radius"),
+    (("ballbox", "--center", "0,0,0", "--radius", "0.5", "--check-inclusion", "--c", "nan"),
+     "--c"),
     # an exact flow that ends outside the domain box
     (("flow", "--field", "1", "--t", "25", "--at", "0,0,0"), "--t"),
 ])

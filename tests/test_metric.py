@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from liebox import approxexp, ballbox, flows, metric
-from liebox.approxexp import CommutatorFrame, e_map_batch, invert_chart
+from liebox.approxexp import CommutatorFrame, chart_leg_count, e_map_batch, invert_chart
 from liebox.metric import (
     ball_membership,
     cc_distance,
-    chart_leg_count,
     estimate_all,
     fefferman_phong_check,
     fl_distance,

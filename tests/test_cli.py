@@ -463,13 +463,13 @@ def test_number_out_of_range_exits_2(capsys, argv, flag):
       "--h", "nan,0,0"), "--h"),
     (("bracket", "--word", "12", "--at", "nan,0,0"), "--at"),
     (("flow", "--field", "1", "--t", "nan", "--at", "0,0,0"), "--t"),
+    # an exact flow that ends outside the domain box
+    (("flow", "--field", "1", "--t", "25", "--at", "0,0,0"), "--t"),
     (("limit-check", "--word", "12", "--at", "0,0,0", "--t-max", "inf"), "--t-max"),
     (("limit-check", "--word", "12", "--at", "0,0,0", "--tol", "nan"), "--tol"),
     (("doubling", "--center", "0,0,0", "--radius", "inf"), "--radius"),
     (("ballbox", "--center", "0,0,0", "--radius", "0.5", "--check-inclusion", "--c", "nan"),
      "--c"),
-    # an exact flow that ends outside the domain box
-    (("flow", "--field", "1", "--t", "25", "--at", "0,0,0"), "--t"),
 ])
 def test_non_finite_input_exits_2(capsys, argv, flag):
     code, out, err = run_cli(capsys, argv[0], "--model", "heisenberg", *argv[1:])

@@ -11,17 +11,21 @@ again, so a zero-time leg (which leaves a finite in-box row unchanged) pads
 both signs to one letter sequence.  ``e_map_batch`` is the one chart;
 ``e_map`` is one of its rows, ``jacobian_e`` its central-difference
 Jacobian, ``invert_chart`` its one inverse and ``chart_leg_count`` its
-number of legs.  Its legs are ``VectorFieldSystem.flow_batch``: exact on
-triangular fields, adaptive DOPRI5 otherwise, with NaN rows where a leg
-leaves the domain box.  ``invert_chart`` steps by forward substitution on
-the leading-order Jacobian when the frame is lower-triangular, as
-exponential coordinates of the second kind are on stratified groups, and by
-a batched ``solve`` (``pinv`` when singular) otherwise.  ``exp_ap`` and
-``c_map`` compose single flows (``compose_flows``), one leg at a time.
+number of legs.  Each (frame, I) runs one straight-line chart function,
+generated on first use and kept on the frame, in which a leg updates the
+coordinate columns in place by its exact Lie series on a triangular field
+(``PolyMap.flow_source``) and is one ``flow_batch`` call (DOPRI5, NaN rows
+off the domain box) on any other.  ``invert_chart`` steps by forward
+substitution on the leading-order Jacobian when the frame is
+lower-triangular, as exponential coordinates of the second kind are on
+stratified groups, and by a batched ``solve`` (``pinv`` when singular)
+otherwise.  ``exp_ap`` and ``c_map`` compose single flows
+(``compose_flows``), one leg at a time.
 """
 
 import numpy as np
 
+from .poly import exec_source
 from .vfield import all_words
 from .words import check_integers, check_word
 
@@ -79,6 +83,8 @@ class CommutatorFrame:
         self.q = len(self.words)
         self.degrees = tuple(len(w) for w in self.words)
         self.maps = tuple(system.commutator_coeffs(w) for w in self.words)
+        # built on first use: each index tuple's chart, ballbox's candidate table
+        self.tables = {}
 
     def degree(self, j):
         return self.degrees[j - 1]
@@ -131,26 +137,45 @@ def chart_leg_count(frame, I):
 def e_map_batch(frame, I, x, r, H):
     """Vectorized chart over H of shape (N, n), one leg sequence per entry.
 
-    Entry k runs every row at times p * tau_k (h_k >= 0) or q * tau_k
-    (h_k < 0).  The inverse legs are the forward letters from the second on,
-    then w[0]: for l >= 2 the forward legs end and the inverse legs start on
-    a zero-time leg, which leaves a finite row inside the domain box
-    unchanged (a row already off the box or non-finite comes back NaN).  A
-    row whose leg leaves the domain box is NaN.
+    Entry k takes tau_k once and runs every row at times p * tau_k (h_k >= 0)
+    or q * tau_k (h_k < 0), one time array per distinct (p, q).  For l >= 2 a
+    zero-time leg joins the forward and the inverse legs; it leaves a finite
+    row in the domain box unchanged and makes an off-box or non-finite row NaN.
     """
     I = frame.check_index_tuple(I)
-    system = frame.system
-    H = np.asarray(H, dtype=float)
-    Y = np.broadcast_to(np.asarray(x, dtype=float), H.shape).copy()
-    for k in range(len(I) - 1, -1, -1):
+    return _chart(frame, I)[0](x, r, np.asarray(H, dtype=float))
+
+
+def _chart(frame, I):
+    """(compiled chart, triangular, [(degree, evaluator) of each Y_{i_k}])
+    of frame I, built on first use and kept on the frame."""
+    if I in frame.tables:
+        return frame.tables[I]
+    system, n = frame.system, frame.system.n
+    cols = "".join(f"x{i}, " for i in range(n))
+    lines = ["def _f(x, r, H):",
+             f"    {cols}= np.broadcast_to(np.asarray(x, dtype=float), H.shape).T.copy()"]
+    for k in range(n - 1, -1, -1):
         w = frame.word(I[k])
-        tau = np.abs(H[:, k]) ** (1.0 / len(w)) * r
-        forward = H[:, k] >= 0
+        lines += [f"    tau = np.abs(H[:, {k}]) ** {1.0 / len(w)!r} * r",
+                  f"    forward = H[:, {k}] >= 0"]
         legs = c_map_legs(w, 1.0)
         pad = [(w[0], 0.0)] if len(w) > 1 else []
+        times = {}
         for (j, p), (_, q) in zip(legs + pad, pad + invert_legs(legs)):
-            Y = system.flow_batch(j, np.where(forward, p, q) * tau, Y)
-    return Y
+            if (p, q) not in times:
+                times[p, q] = f"t{len(times)}"
+                sign = repr(p) if p == q else f"np.where(forward, {p!r}, {q!r})"
+                lines.append(f"    {times[p, q]} = {sign} * tau")
+            field = system.field(j)
+            lines.append(f"    T = {times[p, q]}")
+            lines += [f"    {s}" for s in field.flow_source()] if field.is_triangular() else [
+                f"    {cols}= system.flow_batch({j}, T, np.stack(({cols}), axis=1)).T"]
+    lines.append(f"    return np.stack(({cols}), axis=1)")
+    triangular = all(frame.map(I[k])[i].is_zero() for k in range(n) for i in range(k))
+    columns = [(frame.degree(i), system.batch_fn(frame.word(i))) for i in I]
+    frame.tables[I] = exec_source(lines, system=system), triangular, columns
+    return frame.tables[I]
 
 
 def jacobian_e(frame, I, x, r, h):
@@ -189,11 +214,9 @@ def invert_chart(frame, I, x, r, Y):
     |y - e_map(H)|; each caller applies its own acceptance rule.
     """
     I = frame.check_index_tuple(I)
-    system = frame.system
+    _, triangular, columns = _chart(frame, I)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     N, n = Y.shape
-    columns = [(r ** frame.degree(i), system.batch_fn(frame.word(i))) for i in I]
-    triangular = all(frame.map(I[k])[i].is_zero() for k in range(n) for i in range(k))
     H, res = np.empty((N, n)), np.empty(N)
     # the live rows, compact: their index, chart coordinates and targets
     live, HL, YL = np.arange(N), np.zeros((N, n)), Y
@@ -209,7 +232,7 @@ def invert_chart(frame, I, x, r, Y):
             live, HL, YL, E, R = live[keep], HL[keep], YL[keep], E[keep], R[keep]
             if not live.size:
                 break
-        cols = [s * fn(E) for s, fn in columns]
+        cols = [r ** d * fn(E) for d, fn in columns]
         dH = _chart_step(cols, R, triangular)
         cap = np.maximum(_column_max(np.abs(dH)), 1e-300)
         dH *= np.minimum(1.0, 0.5 / cap)[:, None]

@@ -115,10 +115,13 @@ def select_maximal(frame, x, r):
     Each exact column map is evaluated at most once per call.
     """
     col = _exact_columns(frame, x)
-    cands = frame_candidates(frame)
+    if "candidates" not in frame.tables:  # built once per frame
+        cands = frame_candidates(frame)
+        idx = np.array(cands, dtype=int).reshape(len(cands), frame.system.n) - 1
+        frame.tables["candidates"] = cands, idx, np.array([frame.ell(I) for I in cands], float)
+    cands, idx, ells = frame.tables["candidates"]
     Y = frame.eval_columns(range(1, frame.q + 1), np.asarray(x, dtype=float))
-    idx = np.array(cands, dtype=int).reshape(len(cands), frame.system.n) - 1
-    w = r ** np.array([frame.ell(I) for I in cands], dtype=float)
+    w = r ** ells
     approx = np.abs(np.linalg.det(Y[:, idx].transpose(1, 0, 2))) * w
     lower = approx * (1 - _RANK_REL) - _RANK_ABS * w
     upper = approx * (1 + _RANK_REL) + _RANK_ABS * w
@@ -126,7 +129,7 @@ def select_maximal(frame, x, r):
     best_I, best_score = None, -1.0
     for k in near:
         I = cands[k]
-        score = float(abs(_columns_det(col, I))) * r ** frame.ell(I)
+        score = float(abs(_columns_det(col, I))) * r ** int(ells[k])
         if score > best_score:
             best_I, best_score = I, score
     if best_score <= 0.0:
@@ -325,12 +328,12 @@ def poincare_suite(system, frame, fs, x, r, C_enlarge=2.0, N=100_000, seed=0):
     outer_pts = pts[mask_out]
     reports = []
     for f in fs:
-        vals_in = f.compile_batch()(inner_pts)
+        f_fn, *grad_fns = system.horizontal_fns(f)
+        vals_in = f_fn(inner_pts)
         f_mean = float(vals_in.mean())
         lhs = box_vol * (k_in / N) * float(np.abs(vals_in - f_mean).mean())
         rhs = 0.0
-        for j in range(1, system.m + 1):
-            g = system.horizontal_derivative(j, f).compile_batch()
+        for g in grad_fns:
             rhs += box_vol * (k_out / N) * float(np.abs(r * g(outer_pts)).mean())
         reports.append({
             "lhs": lhs,

@@ -174,22 +174,18 @@ class Poly:
 
     def compile_scalar(self):
         """Plain-Python float evaluator ``f(point) -> float``; fast path."""
-        unpack = ", ".join(f"x{i}" for i in range(self.nvars))
-        src = f"def _f(p):\n    {unpack}, = p\n    return {self._scalar_expr()}\n"
-        if self.nvars == 0:
-            src = f"def _f(p):\n    return {self._scalar_expr()}\n"
-        ns = {}
-        exec(src, ns)
-        return ns["_f"]
+        unpack = "".join(f"x{i}, " for i in range(self.nvars))
+        return exec_source(["def _f(p):", f"    {unpack}= p" if unpack else "",
+                            f"    return {self._scalar_expr()}"])
 
     def _batch_terms(self):
-        """Source of each term for the vectorized evaluators, in sorted order."""
-        return [
-            "*".join([repr(float(c))] + [
-                f"x{i}" if k == 1 else f"x{i}**{k}" for i, k in enumerate(e) if k
-            ])
-            for e, c in sorted(self.terms.items())
-        ]
+        """Source of each term for the vectorized evaluators, in sorted order;
+        a unit coefficient is left out of a monomial (1.0*v == v exactly)."""
+        terms = []
+        for e, c in sorted(self.terms.items()):
+            mono = [f"x{i}" if k == 1 else f"x{i}**{k}" for i, k in enumerate(e) if k]
+            terms.append("*".join(mono if c == 1 and mono else [repr(float(c))] + mono))
+        return terms
 
     def compile_batch(self):
         """Vectorized evaluator over arrays of shape (..., nvars)."""
@@ -197,7 +193,7 @@ class Poly:
         lines += _unpack_lines(self.nvars)
         lines += [f"    out += {t}" for t in self._batch_terms()]
         lines.append("    return out")
-        return _exec_source(lines)
+        return exec_source(lines)
 
     def to_json_terms(self):
         return [
@@ -213,7 +209,7 @@ class Poly:
 class PolyMap:
     """Vector of polynomials, one per ambient coordinate."""
 
-    __slots__ = ("n", "components")
+    __slots__ = ("n", "components", "_flow_src")
 
     def __init__(self, components):
         comps = tuple(components)
@@ -224,6 +220,7 @@ class PolyMap:
             raise ValueError("component variable counts differ")
         self.components = comps
         self.n = nv
+        self._flow_src = None
 
     def __iter__(self):
         return iter(self.components)
@@ -280,7 +277,7 @@ class PolyMap:
                 lines.append(f"    o = out[..., {i}]")
                 lines += [f"    o += {t}" for t in terms]
         lines.append("    return out")
-        return _exec_source(lines)
+        return exec_source(lines)
 
     def is_triangular(self):
         """Whether component i involves only the coordinates before i.
@@ -292,30 +289,37 @@ class PolyMap:
             not any(e[i:]) for i, p in enumerate(self.components) for e in p.terms
         )
 
-    def compile_flow_batch(self):
-        """Exact batched flow ``(T, P) -> exp(T X)(P)`` of a triangular field.
+    def flow_source(self):
+        """Lines flowing the columns x0.. in place by exp(T X), X triangular.
 
-        Component i is the terminating Lie series sum_k T^k/k! X^k(x_i),
-        built by repeated ``directional_derivative`` and evaluated by Horner
-        in T; ``T`` is a scalar or has shape P.shape[:-1].
+        Column i gains the terminating Lie series sum_{k>=1} T^k/k! X^k(x_i)
+        (repeated ``directional_derivative``, Horner form in T), which reads
+        only the columns before i: the lines run from the last column down.
+        ``T`` is a scalar or one time per row.  Built once per map.
         """
-        if not self.is_triangular():
-            raise ValueError("Lie series of a non-triangular field need not terminate")
-        lines = ["def _f(T, P):", "    out = P.copy()"] + _unpack_lines(self.n)
-        for i in range(self.n):
-            series, g = [], Poly.var(self.n, i)
-            while True:
-                g = directional_derivative(self, g).scale(Fraction(1, len(series) + 1))
-                if g.is_zero():
-                    break
-                series.append(" + ".join(g._batch_terms()))
-            if series:
-                expr = series[-1]
-                for c in reversed(series[:-1]):
-                    expr = f"{c} + T*({expr})"
-                lines.append(f"    out[..., {i}] += T*({expr})")
-        lines.append("    return out")
-        return _exec_source(lines)
+        if self._flow_src is None:
+            if not self.is_triangular():
+                raise ValueError("Lie series of a non-triangular field need not terminate")
+            lines = []
+            for i in reversed(range(self.n)):
+                series, g = [], Poly.var(self.n, i)
+                while True:
+                    g = directional_derivative(self, g).scale(Fraction(1, len(series) + 1))
+                    if g.is_zero():
+                        break
+                    series.append(" + ".join(g._batch_terms()))
+                if series:
+                    expr = series[-1]
+                    for c in reversed(series[:-1]):
+                        expr = f"{c} + T*({expr})"
+                    lines.append(f"x{i} += T" if expr == "1.0" else f"x{i} += T*({expr})")
+            self._flow_src = tuple(lines)
+        return self._flow_src
+
+    def compile_flow_batch(self):
+        """Exact batched flow ``(T, P) -> exp(T X)(P)``: ``flow_source`` on a copy of P."""
+        lines = ["def _f(T, P):", "    P = P.copy()"] + _unpack_lines(self.n)
+        return exec_source(lines + [f"    {s}" for s in self.flow_source()] + ["    return P"])
 
 
 def control_mixture(maps):
@@ -342,8 +346,9 @@ def _unpack_lines(nvars):
     return [f"    x{i} = P[..., {i}]" for i in range(nvars)]
 
 
-def _exec_source(lines):
-    ns = {"np": np}
+def exec_source(lines, **names):
+    """The function ``_f`` that ``lines`` define, with numpy and ``names`` in scope."""
+    ns = {"np": np, **names}
     exec("\n".join(lines), ns)
     return ns["_f"]
 

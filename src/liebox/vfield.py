@@ -46,6 +46,7 @@ class VectorFieldSystem:
             self._fw[w] = self._build_commutator(w)
         self._batch_fns = {}
         self._flows = {}
+        self._horizontal_fns = {}
 
     # -- exact symbolic layer ------------------------------------------------
 
@@ -134,6 +135,14 @@ class VectorFieldSystem:
             fn = pmap.compile_batch()
             self._batch_fns[key] = fn
         return fn
+
+    def horizontal_fns(self, f):
+        """Batch evaluators of the Poly f and of X_1 f, ..., X_m f, compiled once per f."""
+        key = (f.nvars, frozenset(f.terms.items()))
+        if key not in self._horizontal_fns:
+            self._horizontal_fns[key] = [f.compile_batch()] + [
+                self.horizontal_derivative(j, f).compile_batch() for j in range(1, self.m + 1)]
+        return self._horizontal_fns[key]
 
     def _flow(self, key):
         """Flow map ``(T, Y) -> endpoints``, chosen once per key and cached.

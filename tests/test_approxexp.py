@@ -365,3 +365,66 @@ def test_exp_ap_inverse_all_models():
             for t in (0.5, -0.3):
                 err = _exp_ap_round_trip(system, t, w, x)
                 assert err <= 10 * flows.DOPRI5_ATOL, (name, w, t, err)
+
+
+def _leg_loop_chart(frame, I, x, r, H):
+    """Reference chart: one ``flow_batch`` call per leg, on a fresh time
+    array np.where(h_k >= 0, p, q) * tau_k each."""
+    system = frame.system
+    Y = np.broadcast_to(np.asarray(x, dtype=float), H.shape).copy()
+    for k in range(len(I) - 1, -1, -1):
+        w = frame.word(I[k])
+        tau = np.abs(H[:, k]) ** (1.0 / len(w)) * r
+        forward = H[:, k] >= 0
+        legs = c_map_legs(w, 1.0)
+        pad = [(w[0], 0.0)] if len(w) > 1 else []
+        for (j, p), (_, q) in zip(legs + pad, pad + invert_legs(legs)):
+            Y = system.flow_batch(j, np.where(forward, p, q) * tau, Y)
+    return Y
+
+
+@pytest.mark.parametrize("r", (1.0, 2.0))
+@pytest.mark.parametrize("name, x", [
+    ("engel", (0.2, -0.1, 0.3, 0.05)),
+    ("martinet", (0.4, 0.1, -0.2)),
+])
+def test_compiled_chart_is_bitwise_the_leg_loop_off_origin(name, x, r):
+    """Off-origin centres at the unit radius and doubling's outer radius 2,
+    with rows holding NaN, +-inf and exact zeros."""
+    frame = CommutatorFrame(load_model(name))
+    I = select_maximal(frame, x, 1.0).I
+    rng = np.random.default_rng(17)
+    H = rng.uniform(-1, 1, size=(200, len(x)))
+    H[rng.random(H.shape) < 0.2] = 0.0
+    H[:4] = np.array([np.nan, np.inf, -np.inf, 0.0])[:, None]
+    H[4:8, 1] = np.nan, np.inf, -np.inf, -0.0
+    H[8:12, -1] = np.nan, np.inf, -np.inf, 1e300
+    with np.errstate(all="ignore"):
+        Y = e_map_batch(frame, I, x, r, H)
+        ref = _leg_loop_chart(frame, I, x, r, H)
+    assert np.isnan(Y[0]).all() and np.isfinite(Y[12:]).all()
+    assert Y.tobytes() == ref.tobytes()
+
+
+def test_chart_is_compiled_once_per_frame_and_index_tuple(monkeypatch):
+    import liebox.approxexp as approxexp
+
+    built = []
+    exec_source = approxexp.exec_source
+
+    def counting(lines, **names):
+        built.append(lines[0])
+        return exec_source(lines, **names)
+
+    monkeypatch.setattr(approxexp, "exec_source", counting)
+    frame, x, h = CommutatorFrame(HEIS), (0.0, 0.0, 0.0), (0.1, -0.2, 0.05)
+    y = e_map(frame, HEIS_MAXIMAL, x, 0.5, h)
+    jacobian_e(frame, np.array(HEIS_MAXIMAL), x, 0.5, h)
+    e_map_batch(frame, HEIS_MAXIMAL, x, 1.0, np.zeros((5, 3)))
+    approxexp.invert_chart(frame, HEIS_MAXIMAL, x, 0.5, [y])
+    assert len(built) == 1
+    e_map_batch(frame, (1, 2, 5), x, 0.5, np.zeros((2, 3)))
+    assert len(built) == 2
+    other = CommutatorFrame(HEIS)
+    assert e_map(other, HEIS_MAXIMAL, x, 0.5, h) == y
+    assert len(built) == 3

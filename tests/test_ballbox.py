@@ -318,3 +318,45 @@ def test_nonfinite_row_is_counted(monkeypatch):
     rep = poincare_suite(HEIS, HEIS_FRAME, [Poly.var(3, 0)], ORIGIN3, 0.25,
                          N=20_000, seed=101)[0]
     assert rep["nonfinite"] == 1
+
+
+def test_candidate_table_is_built_once_per_frame(monkeypatch):
+    calls = []
+
+    def counting(frame):
+        calls.append(frame)
+        return frame_candidates(frame)
+
+    monkeypatch.setattr(ballbox, "frame_candidates", counting)
+    frame = CommutatorFrame(ENGEL)
+    picks = [select_maximal(frame, x, r).I
+             for x in ((0.0,) * 4, (0.2, -0.1, 0.3, 0.05)) for r in (0.1, 0.5, 1.0)]
+    assert calls == [frame]
+    other = CommutatorFrame(ENGEL)
+    assert [select_maximal(other, x, r).I
+            for x in ((0.0,) * 4, (0.2, -0.1, 0.3, 0.05)) for r in (0.1, 0.5, 1.0)] == picks
+    assert calls == [frame, other]
+
+
+def test_poincare_suite_compiles_each_test_function_once_per_system(monkeypatch):
+    compiled = []
+    compile_batch = Poly.compile_batch
+
+    def counting(p):
+        compiled.append(p)
+        return compile_batch(p)
+
+    monkeypatch.setattr(Poly, "compile_batch", counting)
+    system = load_model("heisenberg")
+    frame = CommutatorFrame(system)
+    x, y = Poly.var(3, 0), Poly.var(3, 1)
+    args = (system, frame, [x, x * y], ORIGIN3, 0.25)
+    first = poincare_suite(*args, N=2_000, seed=4)
+    assert len(compiled) == 2 * (1 + system.m)
+    # an equal polynomial built anew reuses the evaluators
+    assert poincare_suite(system, frame, [Poly.var(3, 0) * Poly.var(3, 1)], ORIGIN3, 0.25,
+                          N=2_000, seed=4) == first[1:]
+    assert poincare_suite(*args, N=2_000, seed=4) == first
+    assert len(compiled) == 2 * (1 + system.m)
+    poincare_suite(load_model("heisenberg"), frame, [x], ORIGIN3, 0.25, N=2_000, seed=4)
+    assert len(compiled) == 3 * (1 + system.m)

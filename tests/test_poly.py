@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from liebox.poly import Poly, PolyMap, directional_derivative, lie_bracket
+from liebox.poly import Poly, PolyMap, control_mixture, directional_derivative, lie_bracket
 
 
 def random_poly(rng, nvars, nterms=4, max_exp=3):
@@ -151,3 +151,68 @@ def test_triangular_fields_and_exact_flow_compile():
     want = np.stack([x0 + T, y0 + x0**2 * T + x0 * T**2 + T**3 / 3], axis=1)
     assert np.allclose(got, want, rtol=0, atol=1e-14)
     assert np.array_equal(flow(0.0, P), P)
+
+
+def _copy_then_update_flow(pm):
+    """Reference exact flow: a copy of P, then every component in ascending
+    order gains T times its Lie series read off the untouched input, with a
+    ``1.0*`` before unit-coefficient terms."""
+    def terms(p):
+        return [
+            "*".join([repr(float(c))] + [
+                f"x{i}" if k == 1 else f"x{i}**{k}" for i, k in enumerate(e) if k
+            ])
+            for e, c in sorted(p.terms.items())
+        ]
+
+    lines = ["def _f(T, P):", "    out = P.copy()"]
+    lines += [f"    x{i} = P[..., {i}]" for i in range(pm.n)]
+    for i in range(pm.n):
+        series, g = [], Poly.var(pm.n, i)
+        while True:
+            g = directional_derivative(pm, g).scale(Fraction(1, len(series) + 1))
+            if g.is_zero():
+                break
+            series.append(" + ".join(terms(g)))
+        if series:
+            expr = series[-1]
+            for c in reversed(series[:-1]):
+                expr = f"{c} + T*({expr})"
+            lines.append(f"    out[..., {i}] += T*({expr})")
+    lines.append("    return out")
+    ns = {"np": np}
+    exec("\n".join(lines), ns)
+    return ns["_f"]
+
+
+def test_exact_flow_is_bitwise_the_copy_then_update_source():
+    """In-place columns from the last down, and bare unit-coefficient terms,
+    give the same floats as the copy-then-update flow, NaN and inf included."""
+    from liebox.vfield import MODEL_BUILDERS
+
+    maps = []
+    for build in MODEL_BUILDERS.values():
+        system = build()
+        maps += [system.field(j) for j in range(1, system.m + 1)]
+        maps.append(control_mixture(system.fields))
+    nrng = np.random.default_rng(21)
+    for pm in maps:
+        assert pm.is_triangular()
+        flow, ref = pm.compile_flow_batch(), _copy_then_update_flow(pm)
+        P = nrng.uniform(-3, 3, size=(64, pm.n))
+        P[nrng.random(P.shape) < 0.1] = 0.0
+        P[:4, 0] = np.nan, np.inf, -np.inf, -0.0
+        T = nrng.uniform(-2, 2, size=64)
+        T[nrng.random(64) < 0.2] = 0.0
+        T[4:8] = np.nan, np.inf, -np.inf, -0.0
+        with np.errstate(all="ignore"):
+            for t in (T, 0.7, 0.0, -1.25):
+                got, want = flow(t, P), ref(t, P)
+                assert got.tobytes() == want.tobytes(), (pm, t)
+            assert flow(T[0], P[0]).tobytes() == ref(T[0], P[0]).tobytes()
+
+
+def test_batch_terms_leave_out_unit_coefficients():
+    x, y = Poly.var(2, 0), Poly.var(2, 1)
+    p = x * y + x.scale(Fraction(1, 2)) + Poly.const(2, 1) - y * y
+    assert p._batch_terms() == ["1.0", "-1.0*x1**2", "0.5*x0", "x0*x1"]

@@ -19,7 +19,9 @@ off the domain box) on any other.  ``invert_chart`` steps by forward
 substitution on the leading-order Jacobian when the frame is
 lower-triangular, as exponential coordinates of the second kind are on
 stratified groups, and by a batched ``solve`` (``pinv`` when singular)
-otherwise.  ``exp_ap`` and ``c_map`` compose single flows
+otherwise.  Its leading-order columns, like every float frame column
+(``CommutatorFrame.eval_columns``), come from the system's cached batch
+evaluators (``batch_fn``).  ``exp_ap`` and ``c_map`` compose single flows
 (``compose_flows``), one leg at a time.
 """
 
@@ -96,8 +98,10 @@ class CommutatorFrame:
         return self.maps[j - 1]
 
     def eval_columns(self, indices, x):
-        """Matrix with columns Y_{i}(x) for i in ``indices`` (floats)."""
-        return np.stack([self.map(i)(x) for i in indices], axis=1)
+        """Matrix with columns Y_{i}(x) for i in ``indices``, each one row of
+        the system's cached batch evaluator of the word."""
+        fn, x = self.system.batch_fn, np.asarray(x, dtype=float)
+        return np.stack([fn(self.word(i))(x) for i in indices], axis=1)
 
     def check_index_tuple(self, I):
         I = check_integers(I, "frame indices")
@@ -266,11 +270,4 @@ def _column_max(A):
     for k in range(1, A.shape[-1]):
         out = np.maximum(out, A[..., k])
     return out
-
-
-def scaled_columns(frame, I, x, r):
-    """Leading-order Jacobian columns r^{l_k} Y_{i_k}(x)."""
-    I = frame.check_index_tuple(I)
-    cols = [frame.map(i)(x) * r ** frame.degree(i) for i in I]
-    return np.stack(cols, axis=1)
 

@@ -28,6 +28,10 @@ class HormanderError(RuntimeError):
     """No frame spans at the given point: every determinant vanished."""
 
 
+class EmptySampleError(RuntimeError):
+    """A Monte Carlo ball sample accepted no point in a ball it needs."""
+
+
 def _exact_det(rows):
     n = len(rows)
     if n == 1:
@@ -66,19 +70,16 @@ MAX_CANDIDATES = 20000
 def frame_candidates(frame):
     """Index tuples without repetition, in deterministic enumeration order.
 
-    Above ``MAX_CANDIDATES`` tuples, a pivoted-QR beam over a reference point
-    grid picks the strongest 2n columns first (deterministic), then
-    enumerates those.
+    Above ``MAX_CANDIDATES`` tuples, a beam keeps the max(2n, n + 4)
+    columns of largest Euclidean norm at the reference point (0.1, ..., 0.1),
+    ties to the lower index, and enumerates the tuples of those.
     """
     n = frame.system.n
     combos = math.comb(frame.q, n)
     if combos <= MAX_CANDIDATES:
         return list(itertools.combinations(range(1, frame.q + 1), n))
-    # beam: rank columns by norm of the coefficient maps at the origin-ish
-    ref = np.zeros(n) + 0.1
-    scores = [
-        (-float(np.linalg.norm(frame.map(i)(ref))), i) for i in range(1, frame.q + 1)
-    ]
+    Y = frame.eval_columns(range(1, frame.q + 1), np.full(n, 0.1))
+    scores = [(-float(np.linalg.norm(Y[:, i - 1])), i) for i in range(1, frame.q + 1)]
     scores.sort()
     keep = sorted(i for _, i in scores[: max(2 * n, n + 4)])
     return list(itertools.combinations(keep, n))
@@ -120,7 +121,7 @@ def select_maximal(frame, x, r):
         idx = np.array(cands, dtype=int).reshape(len(cands), frame.system.n) - 1
         frame.tables["candidates"] = cands, idx, np.array([frame.ell(I) for I in cands], float)
     cands, idx, ells = frame.tables["candidates"]
-    Y = frame.eval_columns(range(1, frame.q + 1), np.asarray(x, dtype=float))
+    Y = frame.eval_columns(range(1, frame.q + 1), x)
     w = r ** ells
     approx = np.abs(np.linalg.det(Y[:, idx].transpose(1, 0, 2))) * w
     lower = approx * (1 - _RANK_REL) - _RANK_ABS * w
@@ -170,16 +171,18 @@ def sample_rho_targets(system, frame, x, scale, count, seed):
     return control_endpoints(system, U, x, frame.words)
 
 
-def inclusion_check(
-    system, frame, I, x, r, eps, c=0.05, samples=200, seed=0,
-    collision_pairs=200,
-):
+# Pairs of box points in the injectivity probe of ``inclusion_check``.
+_COLLISION_PAIRS = 200
+
+
+def inclusion_check(system, frame, I, x, r, eps, c=0.05, samples=200, seed=0):
     """Ball-box inclusion experiment plus a sampled injectivity probe.
 
     Targets are generated with certified weighted distance below
     c * eps^s * r; each is inverted through the chart (``invert_chart``) and
     counted as covered when the solve converges (residual at most 1e-8 * r)
-    strictly inside the eps-box.
+    strictly inside the eps-box.  The probe maps ``_COLLISION_PAIRS`` pairs
+    of box points and counts the separated pairs whose images coincide.
     """
     if not 0 < eps <= 1:
         raise ValueError("eps must be in (0, 1]: the chart box is unit scale")
@@ -193,11 +196,11 @@ def inclusion_check(
     solved = norms[(residuals <= 1e-8 * r) & (norms < eps)]
     # collision probe: distinct box points should have distinct images
     rng = np.random.default_rng(seed + 1)
-    H = rng.uniform(-1, 1, size=(2 * collision_pairs, system.n))
+    H = rng.uniform(-1, 1, size=(2 * _COLLISION_PAIRS, system.n))
     H *= (eps ** np.array(degrees, dtype=float))[None, :]
     pts = e_map_batch(frame, I, x, r, H)
-    A, B = pts[:collision_pairs], pts[collision_pairs:]
-    HA, HB = H[:collision_pairs], H[collision_pairs:]
+    A, B = pts[:_COLLISION_PAIRS], pts[_COLLISION_PAIRS:]
+    HA, HB = H[:_COLLISION_PAIRS], H[_COLLISION_PAIRS:]
     sep = np.abs(HA - HB).max(axis=1)
     img = np.linalg.norm(A - B, axis=1)
     collisions = int(np.sum((sep > 1e-3) & (img < 1e-9)))
@@ -217,7 +220,7 @@ def inclusion_check(
 
 def express_in_frame(frame, v, x):
     """Min-norm coefficients of a vector over the frame columns at x."""
-    Y = frame.eval_columns(range(1, frame.q + 1), np.asarray(x, dtype=float))
+    Y = frame.eval_columns(range(1, frame.q + 1), x)
     b, rank, residual = min_norm_solve(Y, np.asarray(v, dtype=float))
     return {
         "coefficients": b,
@@ -234,12 +237,11 @@ def ad_coefficient_bound(system, frame, Z, w, x, times):
     Realizes the measurable-coefficient recovery: at each sampled time the
     ad field is expressed in the frame by the min-norm solve.
     """
-    g = system.ad(Z, w)
-    g_fn = g.compile_scalar()
+    g_fn = system.ad(Z, w).compile_batch()
     rows = []
     for t in times:
         p = system.flow(Z, t, x)
-        out = express_in_frame(frame, np.asarray(g_fn(p)), p)
+        out = express_in_frame(frame, g_fn(np.asarray(p)), p)
         rows.append((float(t), out["sup_norm"], out["residual"]))
     return {
         "rows": rows,
@@ -294,7 +296,7 @@ def doubling_ratio(system, frame, x, r, N=100_000, seed=0):
     I, _, _, inner, outer, nonfinite = _ball_sample(system, frame, x, r, 2 * r, N, seed)
     k2, k1 = int(outer.sum()), int(inner.sum())
     if k1 == 0:
-        raise RuntimeError("zero inner-ball count; enlarge N or the box")
+        raise EmptySampleError("zero inner-ball count; enlarge N or the box")
     ratio = k2 / k1
     se = ratio * math.sqrt(1.0 / k1 + 1.0 / k2)
     return {
@@ -323,7 +325,7 @@ def poincare_suite(system, frame, fs, x, r, C_enlarge=2.0, N=100_000, seed=0):
         system, frame, x, r, C_enlarge * r, N, seed)
     k_in, k_out = int(mask_in.sum()), int(mask_out.sum())
     if k_in == 0 or k_out == 0:
-        raise RuntimeError("empty ball sample; enlarge N")
+        raise EmptySampleError("empty ball sample; enlarge N")
     inner_pts = pts[mask_in]
     outer_pts = pts[mask_out]
     reports = []

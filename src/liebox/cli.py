@@ -4,7 +4,8 @@ Reports are JSON by default (CSV where tabular), always embedding the
 resolved configuration and the package version so a report is reproducible
 from its own header.  Exit status: 0 when all requested checks pass, 1 when
 a check fails, 2 on usage errors (bad or out-of-range flags, unknown model,
-bad files, a centre where no frame spans), each one ``error:`` line.
+bad files, a centre where no frame spans, a ball sample that accepts no
+point), each one ``error:`` line.
 """
 
 import argparse
@@ -21,7 +22,8 @@ import numpy as np
 
 from . import __version__, acceptance
 from .approxexp import CommutatorFrame, box_norm, jacobian_e, e_map
-from .ballbox import HormanderError, doubling_ratio, inclusion_check, poincare_suite, select_maximal
+from .ballbox import (EmptySampleError, HormanderError, doubling_ratio, inclusion_check,
+                      poincare_suite, select_maximal)
 from .flows import DomainEscapeError
 from .linalg import lambda_sweep, min_norm_solve
 from .metric import cc_distance, fl_distance, rho_distance
@@ -236,7 +238,7 @@ def cmd_bracket(args):
     if args.at:
         x = _parse_point(args.at, system.n, "--at")
         payload["at"] = list(x)
-        payload["value"] = [float(v) for v in fw(x)]
+        payload["value"] = system.batch_fn(w)(np.asarray(x)).tolist()
     rep = _report(args, "bracket", payload)
     _emit(args, rep)
     return 0
@@ -417,9 +419,6 @@ def cmd_pinv(args):
     b = _read_csv_matrix(args.rhs).reshape(-1)
     _require(b.size == A.shape[0],
              f"--rhs has {b.size} entries for a matrix of {A.shape[0]} rows")
-    _require(0 < args.lam_min < math.inf and 0 < args.lam_max < math.inf,
-             f"--lam-min and --lam-max must be positive and finite, "
-             f"got {args.lam_min} and {args.lam_max}")
     x, rank, residual = min_norm_solve(A, b)
     payload = {
         "solution": x.tolist(),
@@ -566,8 +565,8 @@ def build_parser():
     sp.add_argument("--matrix", required=True)
     sp.add_argument("--rhs", required=True)
     sp.add_argument("--lambda-sweep", action="store_true")
-    sp.add_argument("--lam-min", type=float, default=1e-6)
-    sp.add_argument("--lam-max", type=float, default=1e-2)
+    _number(sp, "--lam-min", POSITIVE, default=1e-6)
+    _number(sp, "--lam-max", POSITIVE, default=1e-2)
     _number(sp, "--lam-count", COUNT, default=9)
     common(sp, cmd_pinv, tabular=True)
 
@@ -583,7 +582,7 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (UsageError, HormanderError) as exc:
+    except (UsageError, HormanderError, EmptySampleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -97,9 +97,11 @@ def recover_controls(system, points, velocities):
     a residual above 1e-8 * (1 + |velocity|) flags a non-horizontal sample.
     Returns (controls, residuals, flags, max_norm).
     """
+    fns = [system.batch_fn(j) for j in range(1, system.m + 1)]
     controls, residuals, flags = [], [], []
     for p, v in zip(points, velocities):
-        X = np.stack([f(p) for f in system.fields], axis=1)
+        p = np.asarray(p, dtype=float)
+        X = np.stack([fn(p) for fn in fns], axis=1)
         b, _, res = min_norm_solve(X, np.asarray(v, dtype=float))
         controls.append(b)
         residuals.append(res)

@@ -27,6 +27,8 @@ class NCPoly(WordSum):
     def __init__(self, alphabet, terms=None):
         super().__init__()
         (self.alphabet,) = check_integers((alphabet,), "alphabet")
+        if self.alphabet < 0:
+            raise ValueError(f"alphabet must be nonnegative, got {self.alphabet}")
         if terms:
             for w, c in terms.items() if isinstance(terms, dict) else terms:
                 w = check_integers(w, "letters")

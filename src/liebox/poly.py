@@ -3,10 +3,11 @@
 Monomials are exponent tuples, coefficients are Fractions (ints are accepted
 and normalized).  This is the carrier for vector-field coefficients, scalar
 test functions and the operator witness model, so differentiation, products
-and evaluation must all be exact.  Numeric hot loops (ODE flows, Monte Carlo
-batches) use compiled forms instead, generated once per polynomial, and the
-flows of triangular fields and of their constant-control mixtures are
-compiled from their terminating Lie series.
+and evaluation must all be exact (``eval_exact``).  Every float evaluation
+goes through one generated vectorized evaluator per polynomial or map
+(``compile_batch``, over arrays of shape (..., nvars)); ``compile_scalar``
+is one row of it.  The flows of triangular fields and of their
+constant-control mixtures are compiled from their terminating Lie series.
 """
 
 from fractions import Fraction
@@ -126,16 +127,6 @@ class Poly:
             total += v
         return total
 
-    def __call__(self, point):
-        total = 0.0
-        for e, c in self.terms.items():
-            v = float(c)
-            for x, k in zip(point, e):
-                if k:
-                    v *= float(x) ** k
-            total += v
-        return total
-
     def is_zero(self):
         return not self.terms
 
@@ -163,21 +154,6 @@ class Poly:
             bits.append(f"{c}" + (f"*{mono}" if mono else ""))
         return " + ".join(bits)
 
-    def _scalar_expr(self):
-        bits = []
-        for e, c in sorted(self.terms.items()):
-            factors = [repr(float(c))]
-            for i, k in enumerate(e):
-                factors.extend([f"x{i}"] * k)
-            bits.append("*".join(factors))
-        return " + ".join(bits) if bits else "0.0"
-
-    def compile_scalar(self):
-        """Plain-Python float evaluator ``f(point) -> float``; fast path."""
-        unpack = "".join(f"x{i}, " for i in range(self.nvars))
-        return exec_source(["def _f(p):", f"    {unpack}= p" if unpack else "",
-                            f"    return {self._scalar_expr()}"])
-
     def _batch_terms(self):
         """Source of each term for the vectorized evaluators, in sorted order;
         a unit coefficient is left out of a monomial (1.0*v == v exactly)."""
@@ -194,6 +170,11 @@ class Poly:
         lines += [f"    out += {t}" for t in self._batch_terms()]
         lines.append("    return out")
         return exec_source(lines)
+
+    def compile_scalar(self):
+        """Float evaluator ``f(point) -> float``: one row of ``compile_batch``."""
+        batch = self.compile_batch()
+        return lambda p: float(batch(np.asarray(p, dtype=float)))
 
     def to_json_terms(self):
         return [
@@ -252,17 +233,8 @@ class PolyMap:
     def eval_exact(self, point):
         return tuple(p.eval_exact(point) for p in self.components)
 
-    def __call__(self, point):
-        return np.array([p(point) for p in self.components], dtype=float)
-
     def __repr__(self):
         return "(" + ", ".join(repr(p) for p in self.components) + ")"
-
-    def compile_scalar(self):
-        fns = [p.compile_scalar() for p in self.components]
-        def _f(point, _fns=tuple(fns)):
-            return tuple(g(point) for g in _fns)
-        return _f
 
     def compile_batch(self):
         """One vectorized evaluator writing all components into (..., n)."""

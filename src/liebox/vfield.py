@@ -270,22 +270,20 @@ class VectorFieldSystem:
         t, h = 0.1, 1e-4
         w = check_word(w, alphabet=self.m)
         psi_fn = psi.compile_scalar()
-        fw = self.commutator_coeffs(w)
-        fw_fn = fw.compile_scalar()
+        fw_fn = self.batch_fn(w, self.commutator_coeffs(w))
 
         def F(s):
             p = self.flow(Z, s, y)
             grad = self._pullback_gradient(psi_fn, Z, s, p)
-            v = fw_fn(p)
+            v = fw_fn(np.asarray(p))
             return sum(a * b for a, b in zip(v, grad))
 
         lhs = (F(t + h) - F(t - h)) / (2 * h)
-        g = self.ad(Z, w)
-        g_fn = g.compile_scalar()
+        g_fn = self.ad(Z, w).compile_batch()
         p = self.flow(Z, t, y)
         grad = self._pullback_gradient(psi_fn, Z, t, p)
-        rhs = sum(a * b for a, b in zip(g_fn(p), grad))
-        return abs(lhs - rhs)
+        rhs = sum(a * b for a, b in zip(g_fn(np.asarray(p)), grad))
+        return float(abs(lhs - rhs))
 
     def taylor_composed_flows(self, psi, jseq, x, t, ell):
         """Expansion of psi along composed generator flows, plus remainder.

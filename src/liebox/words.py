@@ -136,13 +136,19 @@ def pi_table(ell):
 
 
 def as_fraction(x):
-    """Parse exact rational input: Fraction, int (not bool), or 'a/b' string."""
+    """Parse exact rational input: Fraction, int (not bool), or 'a/b' string.
+
+    A malformed string, a zero denominator included, raises ``ValueError``.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"expected exact rational, got {type(x).__name__}")
 
 

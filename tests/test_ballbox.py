@@ -130,7 +130,7 @@ def test_inclusion_check_matches_single_target_loop(name, monkeypatch):
 def test_inclusion_check_heisenberg():
     rep = inclusion_check(
         HEIS, HEIS_FRAME, (1, 2, 4), ORIGIN3, 0.5, eps=0.3, c=0.05,
-        samples=50, seed=0, collision_pairs=100,
+        samples=50, seed=0,
     )
     assert rep["solved_fraction"] == 1.0
     assert rep["collisions"] == 0
@@ -154,7 +154,7 @@ def test_express_in_frame_cases():
     assert abs(b[3] - 0.5) < 1e-10 and abs(b[4] + 0.5) < 1e-10
     assert np.allclose([b[0], b[1], b[2], b[5]], 0.0, atol=1e-10)
     # generator direction is independent: indicator comes back
-    out1 = express_in_frame(HEIS_FRAME, HEIS_FRAME.map(1)(np.zeros(3)), ORIGIN3)
+    out1 = express_in_frame(HEIS_FRAME, HEIS_FRAME.eval_columns([1], ORIGIN3)[:, 0], ORIGIN3)
     assert abs(out1["coefficients"][0] - 1.0) < 1e-10
 
 
@@ -276,6 +276,27 @@ def test_select_maximal_tie_keeps_first():
     _, score, scores = _select_maximal_all_exact(HEIS_FRAME, ORIGIN3, 0.5)
     assert [I for I, s in scores if s == score] == [(1, 2, 4), (1, 2, 5)]
     assert select_maximal(HEIS_FRAME, ORIGIN3, 0.5).I == (1, 2, 4)
+
+
+def test_frame_candidates_beam_above_the_cap():
+    # X1 = d1, X2 = d2 + x0 d3, X3 = d3 + x1 d4 at step 3: q = 39 words and
+    # C(39, 4) tuples, over the cap, so the beam keeps the 8 columns of
+    # largest norm at (0.1, ..., 0.1): the 7 nonzero ones (the letters and
+    # the brackets 12, 21, 23, 32) and the zero column 11, the lowest index
+    v = [Poly.var(4, i) for i in range(4)]
+    one, zero = Poly.const(4, 1), Poly.zero(4)
+    system = VectorFieldSystem([PolyMap([one, zero, zero, zero]),
+                                PolyMap([zero, one, v[0], zero]),
+                                PolyMap([zero, zero, one, v[1]])], step=3)
+    frame = CommutatorFrame(system)
+    assert frame.q == 39 and math.comb(39, 4) > ballbox.MAX_CANDIDATES
+    cands = frame_candidates(frame)
+    assert len(cands) == math.comb(8, 4) == 70
+    kept = sorted({i for I in cands for i in I})
+    assert [frame.word(i) for i in kept] == [
+        (1,), (2,), (3,), (1, 1), (1, 2), (2, 1), (2, 3), (3, 2)]
+    triple = select_maximal(frame, (0.0,) * 4, 0.5)
+    assert (triple.I, triple.score, triple.candidates) == ((1, 2, 3, 9), 1 / 32, 70)
 
 
 def test_invert_chart_far_targets_on_non_triangular_chart():

@@ -119,6 +119,8 @@ def test_witness_bad_file(tmp_path, capsys):
         ("float.json", json.dumps({"alphabet": 2, "terms": [{"word": [1, 2], "coeff": 0.1}]})),
         ("bool.json", json.dumps({"alphabet": 2, "terms": [{"word": [1, 2], "coeff": True}]})),
         ("alphabet.json", json.dumps({"alphabet": 2.7, "terms": [{"word": [1, 2], "coeff": "1"}]})),
+        ("zeroden.json", json.dumps({"alphabet": 2, "terms": [{"word": [1, 2], "coeff": "3/0"}]})),
+        ("negative.json", json.dumps({"alphabet": -3, "terms": []})),
     ):
         path = tmp_path / name
         path.write_text(text)
@@ -261,6 +263,9 @@ def test_malformed_model_file_exits_2(tmp_path, capsys):
     float_counts = {"name": "bad", "n": 2, "m": 1.9, "s": 1.5, "fields": [field]}
     bool_step = {"name": "bad", "n": 2, "m": 1, "s": True, "fields": [field]}
     zero_step = {"name": "bad", "n": 2, "m": 1, "s": 0, "fields": [field]}
+    zero_denominator = {"name": "bad", "n": 2, "m": 1, "s": 1, "fields": [
+        [[{"exps": [0, 0], "coeff": "3/0"}], []],
+    ]}
     for name, text in (("count.json", json.dumps(bad_count)),
                        ("exponent.json", json.dumps(bad_exponent)),
                        ("float.json", json.dumps(float_coeff)),
@@ -268,6 +273,7 @@ def test_malformed_model_file_exits_2(tmp_path, capsys):
                        ("counts.json", json.dumps(float_counts)),
                        ("boolstep.json", json.dumps(bool_step)),
                        ("zerostep.json", json.dumps(zero_step)),
+                       ("zeroden.json", json.dumps(zero_denominator)),
                        ("nokey.json", json.dumps({"n": 2})),
                        ("type.json", json.dumps({"n": 2, "m": 1, "s": 1, "fields": 7})),
                        ("syntax.json", "{not json")):
@@ -297,6 +303,18 @@ def test_no_spanning_frame_exits_2(tmp_path, capsys, argv):
                              "--center", "0,0,0", *argv[1:])
     assert code == 2 and out == ""
     assert err == "error: all frame determinants vanish at (0.0, 0.0, 0.0)\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("doubling", "--center", "9,9,9"), "zero inner-ball count"),
+    (("poincare", "--center", "9.5,9.5,9.5"), "empty ball sample"),
+])
+def test_empty_ball_sample_exits_2(capsys, argv, message):
+    # far from the origin the sampling box dwarfs the ball: no point lands in the inner one
+    code, out, err = run_cli(capsys, argv[0], "--model", "heisenberg", *argv[1:],
+                             "--radius", "0.5", "--n", "2000")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -364,7 +382,7 @@ def test_pinv_non_numeric_cell_exits_2(tmp_path, capsys):
     ("1,2\n3,4\n", "1\n2\n3\n", (), "--rhs "),
     ("nan,2\n3,4\n", "1\n2\n", (), "malformed matrix file"),
     ("1,2\n3,4\n", "1\n2\n", ("--lambda-sweep", "--lam-min", "0"), "--lam-min "),
-    ("1,2\n3,4\n", "1\n2\n", ("--lambda-sweep", "--lam-max", "-1"), "--lam-min "),
+    ("1,2\n3,4\n", "1\n2\n", ("--lambda-sweep", "--lam-max", "-1"), "--lam-max "),
     ("1,2\n3,4\n", "1\n2\n", ("--lambda-sweep", "--lam-count", "0"), "--lam-count "),
 ])
 def test_pinv_bad_input_exits_2(tmp_path, capsys, matrix, rhs, extra, message):

@@ -125,7 +125,7 @@ def test_recover_controls_single_flow():
     for t in np.linspace(0.0, 0.5, 6):
         p = HEIS.flow(1, t, (0.0, 0.0, 0.0))
         pts.append(p)
-        vels.append(HEIS.fields[0](p))
+        vels.append(HEIS.batch_fn(1)(np.asarray(p)))
     controls, residuals, flags, max_norm = recover_controls(HEIS, pts, vels)
     for c in controls:
         assert np.allclose(c, [1.0, 0.0], atol=1e-10)
@@ -140,7 +140,7 @@ def test_recover_controls_heisenberg_circle():
 
     def rhs(t, p):
         c = control(t)
-        return c[0] * HEIS.fields[0](p) + c[1] * HEIS.fields[1](p)
+        return c[0] * HEIS.batch_fn(1)(p) + c[1] * HEIS.batch_fn(2)(p)
 
     # time-dependent RK4, test-local oracle
     p = np.zeros(3)

@@ -43,7 +43,7 @@ def test_tracer_installs_and_counts_every_reached_layer():
         lb.approxexp.e_map(frame, I, x, r, (0.1, -0.2, 0.05))
         lb.approxexp.jacobian_e(frame, I, x, r, (0.1, -0.2, 0.05))
         rep = lb.ballbox.inclusion_check(system, frame, I, x, r, eps=0.3, samples=10,
-                                         seed=3, collision_pairs=10)
+                                         seed=3)
         assert rep["solved_fraction"] == 1.0
         membership = tracer.counts[tracer.layer("metric.ball_membership")]
         calls0 = tracer.layer_times(True)["metric.ball_membership"][0]

@@ -1,12 +1,14 @@
 """Frame determinants, maximal-frame selection and ball-box experiments.
 
 Frame determinants are exact (Fraction arithmetic) at rational points; the
-selection rule scores |det| * r^(total degree) and keeps the winner, with
-ties broken by enumeration order.  The experiments are Monte Carlo or
-chart-inversion harnesses built on the chart and membership machinery; every
-sampling routine takes an explicit seed and reports it back.  The doubling
-and Poincare harnesses draw their points through one sampler,
-``_ball_sample``: one uniform stream and one membership solve per call.
+selection rule scores |det| * r^(total degree) exactly for every tuple over
+the frame's distinct columns and keeps the winner, with ties broken by
+enumeration order.  The experiments are Monte Carlo or chart-inversion
+harnesses built on the chart and membership machinery; every sampling
+routine takes an explicit seed and reports it back.  The doubling and
+Poincare harnesses draw their points through one sampler, ``_ball_sample``:
+one uniform stream split between the two balls' own boxes, and one
+membership solve per call.
 """
 
 import functools
@@ -36,8 +38,6 @@ def _exact_det(rows):
     n = len(rows)
     if n == 1:
         return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     total = Fraction(0)
     for j in range(n):
         if rows[0][j] == 0:
@@ -68,21 +68,27 @@ MAX_CANDIDATES = 20000
 
 
 def frame_candidates(frame):
-    """Index tuples without repetition, in deterministic enumeration order.
+    """Index tuples over the distinct columns, in deterministic enumeration order.
 
-    Above ``MAX_CANDIDATES`` tuples, a beam keeps the max(2n, n + 4)
-    columns of largest Euclidean norm at the reference point (0.1, ..., 0.1),
-    ties to the lower index, and enumerates the tuples of those.
+    The distinct columns are the nonzero word maps that are not +- the map of
+    an earlier word of the same degree.  A tuple with a zero column has
+    determinant 0, and one with a later twin scores as the earlier tuple that
+    holds the first twin instead (or 0, with both), so the first best of all
+    ``combinations(range(1, q + 1), n)`` is among these.  Above
+    ``MAX_CANDIDATES`` tuples, a beam keeps the max(2n, n + 4) distinct
+    columns of largest Euclidean norm at (0.1, ..., 0.1), ties to the lower
+    index, and enumerates the tuples of those.
     """
-    n = frame.system.n
-    combos = math.comb(frame.q, n)
-    if combos <= MAX_CANDIDATES:
-        return list(itertools.combinations(range(1, frame.q + 1), n))
-    Y = frame.eval_columns(range(1, frame.q + 1), np.full(n, 0.1))
-    scores = [(-float(np.linalg.norm(Y[:, i - 1])), i) for i in range(1, frame.q + 1)]
-    scores.sort()
-    keep = sorted(i for _, i in scores[: max(2 * n, n + 4)])
-    return list(itertools.combinations(keep, n))
+    n, cols = frame.system.n, []
+    for j in range(1, frame.q + 1):
+        Y = frame.map(j)
+        if not Y.is_zero() and not any(
+                frame.degree(i) == frame.degree(j) and frame.map(i) in (Y, -Y) for i in cols):
+            cols.append(j)
+    if math.comb(len(cols), n) > MAX_CANDIDATES:  # the beam; a stable sort keeps ties in order
+        norms = np.linalg.norm(frame.eval_columns(cols, np.full(n, 0.1)), axis=0)
+        cols = sorted(cols[k] for k in np.argsort(-norms, kind="stable")[: max(2 * n, n + 4)])
+    return list(itertools.combinations(cols, n))
 
 
 @dataclass
@@ -92,52 +98,28 @@ class MaximalTriple:
     r: float
     score: float
     candidates: int = 0
-    exact_dets: int = 0
-
-
-# Float pre-rank margins of ``select_maximal``: relative, and absolute in
-# determinant units.
-_RANK_REL, _RANK_ABS = 1e-6, 1e-9
 
 
 def select_maximal(frame, x, r):
     """Frame with the largest |det| * r^degree score; ties keep the first.
 
-    Every candidate is first scored by one batched float determinant at x,
-    and the float score ``s`` of a candidate of weight ``w = r^ell(I)`` is
-    taken to bound its exact score within ``s * (1 -+ 1e-6) -+ 1e-9 * w``.
-    Only the candidates whose upper bound reaches the highest lower bound get
-    an exact determinant, in enumeration order, and the exact scores decide,
-    so the winner is the one an all-exact scan gives.  The relative term
-    covers rounding in an n x n float determinant (about 1e-15 times its
-    condition).  The absolute term covers the point: the exact determinant
-    is taken at ``words.rational_point(x)``, which lies within 1e-12 of x in
-    every coordinate, so the determinant moves by 1e-12 times its gradient.
-    Each exact column map is evaluated at most once per call.
+    Every tuple of ``frame_candidates`` (listed once per frame) is scored by
+    its exact determinant at ``words.rational_point(x)``, each exact column
+    map evaluated at most once per call: the winner and score of an exact
+    scan over every index tuple or, above ``MAX_CANDIDATES``, the best of the
+    beam's tuples.
     """
     col = _exact_columns(frame, x)
     if "candidates" not in frame.tables:  # built once per frame
-        cands = frame_candidates(frame)
-        idx = np.array(cands, dtype=int).reshape(len(cands), frame.system.n) - 1
-        frame.tables["candidates"] = cands, idx, np.array([frame.ell(I) for I in cands], float)
-    cands, idx, ells = frame.tables["candidates"]
-    Y = frame.eval_columns(range(1, frame.q + 1), x)
-    w = r ** ells
-    approx = np.abs(np.linalg.det(Y[:, idx].transpose(1, 0, 2))) * w
-    lower = approx * (1 - _RANK_REL) - _RANK_ABS * w
-    upper = approx * (1 + _RANK_REL) + _RANK_ABS * w
-    near = np.flatnonzero(upper >= lower.max(initial=0.0))
-    best_I, best_score = None, -1.0
-    for k in near:
-        I = cands[k]
-        score = float(abs(_columns_det(col, I))) * r ** int(ells[k])
-        if score > best_score:
-            best_I, best_score = I, score
+        frame.tables["candidates"] = frame_candidates(frame)
+    cands = frame.tables["candidates"]
+    scores = [float(abs(_columns_det(col, I))) * r ** frame.ell(I) for I in cands]
+    best_score = max(scores, default=0.0)
     if best_score <= 0.0:
         raise HormanderError(f"all frame determinants vanish at {tuple(x)}")
     return MaximalTriple(
-        I=best_I, x=tuple(float(v) for v in x), r=float(r), score=best_score,
-        candidates=len(cands), exact_dets=len(near),
+        I=cands[scores.index(best_score)], x=tuple(float(v) for v in x), r=float(r),
+        score=best_score, candidates=len(cands),
     )
 
 
@@ -268,37 +250,51 @@ def _bounding_box(frame, I, x, r):
 
 
 def _ball_sample(system, frame, x, r, R, N, seed):
-    """Seeded uniform points in the radius-R ball's box, with both ball masks.
+    """Seeded uniform points in each ball's own box, with both ball masks.
 
-    The frame is the maximal one at radius r.  One membership solve runs at
-    R, and the radius-r mask is read off it by the chart's dilation
-    (``metric.membership_mask``).  Returns the frame, the points, the box
-    volume, the radius-r and radius-R masks, and the count of rows whose
+    The frame is the maximal one at radius r.  One uniform stream of N rows
+    fills two strata, the first N // 2 rows the radius-r ball's box and the
+    rest the radius-R ball's box, and one membership solve runs at R over
+    all N rows.  The inner stratum reads the radius-r mask off it by the
+    chart's dilation (``metric.membership_mask``), so the inner region is
+    still the exact chart dilate of the outer one.  Returns the frame, then
+    per ball (radius r, then R) its accepted points, its volume (box volume
+    times accepted fraction) and that fraction, and the count of rows whose
     residual is not finite: they fail both masks, and counting them keeps a
     numerical breakdown from passing as a small ball.
     """
     I = select_maximal(frame, x, r).I
-    lo, hi = _bounding_box(frame, I, x, R)
-    pts = np.random.default_rng(seed).uniform(lo, hi, size=(N, system.n))
+    k = N // 2
+    U = np.random.default_rng(seed).uniform(size=(N, system.n))
+    strata = [(slice(0, k), _bounding_box(frame, I, x, r)),
+              (slice(k, N), _bounding_box(frame, I, x, R))]
+    pts = np.concatenate([lo + U[rows] * (hi - lo) for rows, (lo, hi) in strata])
     outer, H, res = ball_membership(system, frame, I, x, R, pts)
-    inner = membership_mask(frame, I, R, H, res, r)
-    nonfinite = int((~np.isfinite(res)).sum())
-    return I, pts, float(np.prod(hi - lo)), inner, outer, nonfinite
+    masks = membership_mask(frame, I, R, H[:k], res[:k], r), outer[k:]
+    balls = []
+    for (rows, (lo, hi)), mask in zip(strata, masks):
+        p = int(mask.sum()) / max(mask.size, 1)
+        balls.append((pts[rows][mask], float(np.prod(hi - lo)) * p, p))
+    return I, balls, int((~np.isfinite(res)).sum())
 
 
 def doubling_ratio(system, frame, x, r, N=100_000, seed=0):
     """Monte Carlo volume ratio of the radius-2r and radius-r balls.
 
     One ``_ball_sample`` at R = 2r, with the maximal frame selected once at
-    radius r and reused.  ``nonfinite`` counts the rows whose residual in
-    its one membership solve is not finite.
+    radius r and reused.  With k accepted rows, a fraction p of its stratum,
+    in each ball, the ratio's stderr is ratio * sqrt((1 - p1) / k1 +
+    (1 - p2) / k2).  ``nonfinite`` counts the rows whose residual in its one
+    membership solve is not finite.
     """
-    I, _, _, inner, outer, nonfinite = _ball_sample(system, frame, x, r, 2 * r, N, seed)
-    k2, k1 = int(outer.sum()), int(inner.sum())
-    if k1 == 0:
-        raise EmptySampleError("zero inner-ball count; enlarge N or the box")
-    ratio = k2 / k1
-    se = ratio * math.sqrt(1.0 / k1 + 1.0 / k2)
+    I, ((in1, vol1, p1), (in2, vol2, p2)), nonfinite = _ball_sample(
+        system, frame, x, r, 2 * r, N, seed)
+    k1, k2 = len(in1), len(in2)
+    if k1 == 0 or k2 == 0:
+        raise EmptySampleError(
+            f"zero {'inner' if k1 == 0 else 'outer'}-ball count; enlarge N or the box")
+    ratio = vol2 / vol1
+    se = ratio * math.sqrt((1 - p1) / k1 + (1 - p2) / k2)
     return {
         "ratio": ratio,
         "stderr": se,
@@ -316,36 +312,30 @@ def poincare_suite(system, frame, fs, x, r, C_enlarge=2.0, N=100_000, seed=0):
     """Monte Carlo mean-oscillation vs horizontal-gradient integrals.
 
     One ``_ball_sample`` at the enlarged radius R = C_enlarge * r, its two
-    masks reused for every test function; ``nonfinite`` counts the rows
-    whose residual in its one membership solve is not finite.  Both
-    integrals are box-volume * accepted-fraction * sample mean; the
-    per-function ratio is the empirical constant.
+    balls reused for every test function; ``nonfinite`` counts the rows
+    whose residual in its one membership solve is not finite.  Each integral
+    is a ball's volume times a sample mean over that ball's own stratum: the
+    mean oscillation over the radius-r ball, the horizontal gradient over
+    the radius-R ball.  The per-function ratio is the empirical constant.
     """
-    I, pts, box_vol, mask_in, mask_out, nonfinite = _ball_sample(
+    I, ((inner_pts, vol_in, _), (outer_pts, vol_out, _)), nonfinite = _ball_sample(
         system, frame, x, r, C_enlarge * r, N, seed)
-    k_in, k_out = int(mask_in.sum()), int(mask_out.sum())
-    if k_in == 0 or k_out == 0:
+    if not (len(inner_pts) and len(outer_pts)):
         raise EmptySampleError("empty ball sample; enlarge N")
-    inner_pts = pts[mask_in]
-    outer_pts = pts[mask_out]
     reports = []
     for f in fs:
         f_fn, *grad_fns = system.horizontal_fns(f)
         vals_in = f_fn(inner_pts)
-        f_mean = float(vals_in.mean())
-        lhs = box_vol * (k_in / N) * float(np.abs(vals_in - f_mean).mean())
-        rhs = 0.0
-        for g in grad_fns:
-            rhs += box_vol * (k_out / N) * float(np.abs(r * g(outer_pts)).mean())
+        lhs = vol_in * float(np.abs(vals_in - vals_in.mean()).mean())
+        rhs = vol_out * sum(float(np.abs(r * g(outer_pts)).mean()) for g in grad_fns)
         reports.append({
             "lhs": lhs,
             "rhs": rhs,
             "ratio": (lhs / rhs) if rhs > 0 else 0.0,
-            "inner_count": k_in,
-            "outer_count": k_out,
+            "inner_count": len(inner_pts),
+            "outer_count": len(outer_pts),
             "nonfinite": nonfinite,
             "I": I,
             "seed": seed,
         })
     return reports
-

@@ -314,7 +314,6 @@ def cmd_ballbox(args):
         "words": ["".join(map(str, frame.word(i))) for i in triple.I],
         "score": triple.score,
         "candidates": triple.candidates,
-        "exact_dets": triple.exact_dets,
     }
     if args.check_inclusion:
         rep_inc = inclusion_check(

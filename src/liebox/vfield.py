@@ -150,7 +150,8 @@ class VectorFieldSystem:
         ``key`` is a letter, or a 1-tuple holding the keys of a control
         mixture (no word has that shape, so its evaluator shares the
         ``batch_fn`` cache).  A triangular field or control lift flows by its
-        exact Lie series; any other field by ``flows.dopri5``.
+        exact Lie series; any other field by ``flows.dopri5``, a lift's rows
+        with s = max|u| > 1 as u / s for time s * T (``_unit_controls``).
         """
         fn = self._flows.get(key)
         if fn is None:
@@ -162,7 +163,8 @@ class VectorFieldSystem:
                 fn = pmap.compile_flow_batch()
             else:
                 fb = self.batch_fn(key, pmap)
-                fn = lambda T, Y: flows.dopri5(fb, T, Y)
+                d = len(key[0]) if isinstance(key, tuple) else 0
+                fn = lambda T, Y: flows.dopri5(fb, *_unit_controls(d, T, Y))
             self._flows[key] = fn
         return fn
 
@@ -312,6 +314,13 @@ class VectorFieldSystem:
     def taylor_remainder_order(self, psi, jseq, x, ts, ell, floor=1e-13):
         rems = [self.taylor_composed_flows(psi, jseq, x, t, ell)[2] for t in ts]
         return rems, _log_slope(ts, rems, floor)
+
+
+def _unit_controls(d, T, P):
+    """Each row's controls u (its first d entries) over s = max(1, max|u|) and
+    its time times s: the same path, and rows with max|u| <= 1 bitwise kept."""
+    s = np.abs(P[:, :d]).max(axis=1, initial=1.0)
+    return T * s, np.concatenate([P[:, :d] / s[:, None], P[:, d:]], axis=1)
 
 
 def _log_slope(ts, errors, floor):

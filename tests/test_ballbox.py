@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -23,6 +24,7 @@ from liebox.ballbox import (
 )
 from liebox.poly import Poly, PolyMap
 from liebox.vfield import MODEL_BUILDERS, VectorFieldSystem, load_model
+from liebox.words import rational_point
 
 HEIS = load_model("heisenberg")
 GRUSHIN = load_model("grushin")
@@ -221,9 +223,9 @@ def test_inclusion_rejects_eps_beyond_box():
 
 
 @pytest.mark.parametrize("system, frame, counts", [
-    (HEIS, HEIS_FRAME, (6048, 395)),
-    (GRUSHIN, GRUSHIN_FRAME, (11794, 1481)),
-    (ENGEL, ENGEL_FRAME, (4696, 35)),
+    (HEIS, HEIS_FRAME, (3027, 3021)),
+    (GRUSHIN, GRUSHIN_FRAME, (5920, 5874)),
+    (ENGEL, ENGEL_FRAME, (2385, 2311)),
 ])
 def test_doubling_counts_pinned(system, frame, counts):
     rep = doubling_ratio(system, frame, (0.0,) * system.n, 0.25, N=20_000, seed=101)
@@ -233,25 +235,81 @@ def test_doubling_counts_pinned(system, frame, counts):
 
 def test_doubling_counts_pinned_martinet():
     rep = doubling_ratio(MARTINET, MARTINET_FRAME, ORIGIN3, 0.25, N=20_000, seed=101)
-    assert (rep["outer_count"], rep["inner_count"]) == (9091, 278)
+    assert (rep["outer_count"], rep["inner_count"]) == (4583, 4508)
     assert rep["nonfinite"] == 0
 
 
 def test_poincare_counts_pinned_heisenberg():
     rep = poincare_suite(HEIS, HEIS_FRAME, [Poly.var(3, 0)], ORIGIN3, 0.5,
                          N=20_000, seed=5)[0]
-    assert (rep["inner_count"], rep["outer_count"]) == (347, 6081)
+    assert (rep["inner_count"], rep["outer_count"]) == (3006, 3075)
     assert rep["nonfinite"] == 0
 
 
-def _select_maximal_all_exact(frame, x, r):
-    """Reference: an exact determinant for every candidate, first best kept."""
-    scores = [
-        (I, float(abs(lambda_I(frame, I, x))) * r ** frame.ell(I))
-        for I in frame_candidates(frame)
-    ]
-    best = max(s for _, s in scores)
-    return next(I for I, s in scores if s == best), best, scores
+def test_engel_doubling_within_five_stderr():
+    # with one box for both balls this seed read 76.37 +- 10.01 (5.2 sigma)
+    rep = doubling_ratio(ENGEL, ENGEL_FRAME, (0.0,) * 4, 0.25, N=20_000, seed=3396813856)
+    assert abs(rep["ratio"] - 128.0) <= 5 * rep["stderr"]
+
+
+@pytest.mark.parametrize("system, frame", [
+    (HEIS, HEIS_FRAME), (GRUSHIN, GRUSHIN_FRAME), (ENGEL, ENGEL_FRAME),
+    (MARTINET, MARTINET_FRAME),
+])
+def test_inner_ball_gets_its_own_box(system, frame):
+    # the inner stratum fills a fixed share of its box, not 2^-Q of the outer one
+    for seed in (101, 3396813856):
+        rep = doubling_ratio(system, frame, (0.0,) * system.n, 0.25, N=20_000, seed=seed)
+        assert rep["inner_count"] >= 20_000 / 10
+
+
+def _fraction_det(rows):
+    """Exact determinant by Gaussian elimination over Fractions."""
+    rows = [list(r) for r in rows]
+    det = Fraction(1)
+    for k in range(len(rows)):
+        p = next((i for i in range(k, len(rows)) if rows[i][k] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for i in range(k + 1, len(rows)):
+            f = rows[i][k] / rows[k][k]
+            if f:
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
+    return det
+
+
+def _select_maximal_all_exact(frame, x, radii):
+    """Reference: an exact determinant for every tuple of ``combinations(range(1,
+    q + 1), n)``, first best kept, per radius: [(I, score, scores)]."""
+    cols = [Y.eval_exact(rational_point(x)) for Y in frame.maps]
+    tuples = itertools.combinations(range(frame.q), frame.system.n)
+    dets = [(tuple(i + 1 for i in I), abs(_fraction_det(zip(*(cols[i] for i in I)))))
+            for I in tuples]
+    out = []
+    for r in radii:
+        scores = [(I, float(d) * r ** frame.ell(I)) for I, d in dets]
+        best = max(s for _, s in scores)
+        out.append((next(I for I, s in scores if s == best), best, scores))
+    return out
+
+
+def _generic_affine():
+    """A generic affine model with small integer coefficients: m = 3, s = 3,
+    n = 4, q = 39 words, of which 15 are distinct columns."""
+    v = [Poly.var(4, i) for i in range(4)]
+    c = lambda a: Poly.const(4, a)
+    return VectorFieldSystem([
+        PolyMap([c(-2) - v[1].scale(2) + v[0], -v[0], -v[1],
+                 c(1) - v[3].scale(3) + v[2].scale(3) - v[1].scale(3)]),
+        PolyMap([c(3) - v[2].scale(2) + v[1] + v[0], v[3], c(2),
+                 c(3) + v[2].scale(2) + v[0].scale(3)]),
+        PolyMap([v[2] + v[1].scale(3), c(-3) + v[3] - v[2].scale(3),
+                 v[3].scale(2) + v[1].scale(3), v[0].scale(3)]),
+    ], step=3, name="generic")
 
 
 @pytest.mark.parametrize("name", sorted(MODEL_BUILDERS))
@@ -260,43 +318,72 @@ def test_select_maximal_matches_all_exact_scan(name):
     frame = CommutatorFrame(system)
     rng = np.random.default_rng(17)
     points = [(0.0,) * system.n, (0.5,) + (0.0,) * (system.n - 1)]
-    points += [tuple(rng.uniform(-1, 1, system.n)) for _ in range(3)]
+    points += [tuple(rng.uniform(-1, 1, system.n)) for _ in range(18)]
+    radii = (0.01, 0.25, 0.5, 1.0, 2.0)
     for x in points:
-        for r in (0.01, 0.25, 1.0):
-            I, score, scores = _select_maximal_all_exact(frame, x, r)
+        for r, (I, score, _) in zip(radii, _select_maximal_all_exact(frame, x, radii)):
             triple = select_maximal(frame, x, r)
             assert triple.I == I and repr(triple.score) == repr(score)
-            assert triple.candidates == len(scores)
-            assert 1 <= triple.exact_dets <= triple.candidates
+            assert triple.candidates == len(frame_candidates(frame))
+
+
+def test_select_maximal_generic_model_matches_all_exact_scan():
+    # 82,251 tuples over all 39 words, 1,365 over the 15 distinct columns
+    frame = CommutatorFrame(_generic_affine())
+    assert math.comb(frame.q, 4) == 82_251
+    x, radii = (0.0,) * 4, (0.1, 0.5)
+    full = _select_maximal_all_exact(frame, x, radii)
+    for r, (I, score, _), want in zip(radii, full, [(1, 2, 3, 6), (23, 24, 27, 33)]):
+        triple = select_maximal(frame, x, r)
+        assert triple.I == I == want and repr(triple.score) == repr(score)
+        assert triple.candidates == math.comb(15, 4)
+    assert abs(full[0][1] - 0.00189) < 1e-15 and full[1][1] == 310.90625
 
 
 def test_select_maximal_tie_keeps_first():
     # the columns of the words 12 and 21 are opposite, so (1, 2, 4) and
     # (1, 2, 5) tie at every point and radius
-    _, score, scores = _select_maximal_all_exact(HEIS_FRAME, ORIGIN3, 0.5)
+    [(_, score, scores)] = _select_maximal_all_exact(HEIS_FRAME, ORIGIN3, [0.5])
     assert [I for I, s in scores if s == score] == [(1, 2, 4), (1, 2, 5)]
     assert select_maximal(HEIS_FRAME, ORIGIN3, 0.5).I == (1, 2, 4)
 
 
-def test_frame_candidates_beam_above_the_cap():
-    # X1 = d1, X2 = d2 + x0 d3, X3 = d3 + x1 d4 at step 3: q = 39 words and
-    # C(39, 4) tuples, over the cap, so the beam keeps the 8 columns of
-    # largest norm at (0.1, ..., 0.1): the 7 nonzero ones (the letters and
-    # the brackets 12, 21, 23, 32) and the zero column 11, the lowest index
+def test_frame_candidates_drop_zero_and_twin_columns():
+    # X1 = d1, X2 = d2 + x0 d3, X3 = d3 + x1 d4 at step 3: of q = 39 words,
+    # 32 have the zero map and 21 = -12, 32 = -23, leaving 5 distinct columns
     v = [Poly.var(4, i) for i in range(4)]
     one, zero = Poly.const(4, 1), Poly.zero(4)
     system = VectorFieldSystem([PolyMap([one, zero, zero, zero]),
                                 PolyMap([zero, one, v[0], zero]),
                                 PolyMap([zero, zero, one, v[1]])], step=3)
     frame = CommutatorFrame(system)
-    assert frame.q == 39 and math.comb(39, 4) > ballbox.MAX_CANDIDATES
     cands = frame_candidates(frame)
-    assert len(cands) == math.comb(8, 4) == 70
-    kept = sorted({i for I in cands for i in I})
-    assert [frame.word(i) for i in kept] == [
-        (1,), (2,), (3,), (1, 1), (1, 2), (2, 1), (2, 3), (3, 2)]
+    assert [frame.word(i) for i in sorted({i for I in cands for i in I})] == [
+        (1,), (2,), (3,), (1, 2), (2, 3)]
+    assert len(cands) == math.comb(5, 4)
     triple = select_maximal(frame, (0.0,) * 4, 0.5)
-    assert (triple.I, triple.score, triple.candidates) == ((1, 2, 3, 9), 1 / 32, 70)
+    assert (triple.I, triple.score, triple.candidates) == ((1, 2, 3, 9), 1 / 32, 5)
+
+
+def test_frame_candidates_beam_above_the_cap(monkeypatch):
+    # with the cap below C(15, 4), the beam keeps the max(2n, n + 4) = 8 distinct
+    # columns of largest norm at (0.1, ..., 0.1): no zero map and no +- twin
+    frame = CommutatorFrame(_generic_affine())
+    distinct = sorted({i for I in frame_candidates(frame) for i in I})
+    monkeypatch.setattr(ballbox, "MAX_CANDIDATES", 100)
+    cands = frame_candidates(frame)
+    assert len(distinct) == 15 and len(cands) == math.comb(8, 4)
+    kept = sorted({i for I in cands for i in I})
+    assert len(kept) == 8 and not any(frame.map(i).is_zero() for i in kept)
+    assert not any(frame.degree(i) == frame.degree(j)
+                   and frame.map(i) in (frame.map(j), -frame.map(j))
+                   for a, i in enumerate(kept) for j in kept[a + 1:])
+    norms = np.linalg.norm(frame.eval_columns(range(1, frame.q + 1), np.full(4, 0.1)), axis=0)
+    assert min(norms[i - 1] for i in kept) >= max(
+        norms[j - 1] for j in distinct if j not in kept)
+    # above the cap the result is the best of the beam's tuples
+    triple = select_maximal(frame, (0.0,) * 4, 0.5)
+    assert triple.candidates == 70 and triple.I in cands
 
 
 def test_invert_chart_far_targets_on_non_triangular_chart():

@@ -181,7 +181,7 @@ def test_ballbox_inclusion(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["maximal_frame"] == [1, 2, 4]
-    assert "candidates" in rep and "exact_dets" in rep
+    assert rep["candidates"] == 1
     assert rep["inclusion"]["solved_fraction"] == 1.0
 
 
@@ -310,9 +310,10 @@ def test_no_spanning_frame_exits_2(tmp_path, capsys, argv):
     (("poincare", "--center", "9.5,9.5,9.5"), "empty ball sample"),
 ])
 def test_empty_ball_sample_exits_2(capsys, argv, message):
-    # far from the origin the sampling box dwarfs the ball: no point lands in the inner one
+    # far from the origin each ball is a thin sheared slab in its own box: at
+    # 10 rows per box (acceptance about 0.4 %) no point lands in either ball
     code, out, err = run_cli(capsys, argv[0], "--model", "heisenberg", *argv[1:],
-                             "--radius", "0.5", "--n", "2000")
+                             "--radius", "0.5", "--n", "20")
     assert code == 2 and out == ""
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 

@@ -477,6 +477,25 @@ def test_non_triangular_mixture_flows_by_dopri5(monkeypatch):
     assert np.array_equal(XY.batch_fn((1, 2))(P), fw.compile_batch()(P))
 
 
+def test_non_triangular_mixture_scales_large_controls():
+    # 20 X1 for time 0.05 is X1 for time 1: the control is no coordinate of the box
+    got = XY.mixture_flow_batch((1, 2), [[20.0, 0.0]], 0.05, [[0.0, 0.0]])
+    assert np.abs(got - [[1.0, 0.0]]).max() <= 1e-10
+    # rows with max |u| <= 1 are bitwise those of a batch without the large rows
+    rng = np.random.default_rng(37)
+    U = rng.uniform(-1, 1, size=(8, 2))
+    U[::2] *= 15.0
+    X0 = rng.uniform(-0.5, 0.5, size=(8, 2))
+    T = rng.uniform(-0.3, 0.3, size=8)
+    got = XY.mixture_flow_batch((1, 2), U, T, X0)
+    assert np.isfinite(got).all()
+    small = np.abs(U).max(axis=1) <= 1.0
+    alone = XY.mixture_flow_batch((1, 2), U[small], T[small], X0[small])
+    assert np.array_equal(got[small], alone)
+    ref = _mixture_rk4(XY, (1, 2), U, T, X0, steps=4096)
+    assert np.abs(got - ref).max() <= 1e-9
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     name=st.sampled_from(sorted(MODEL_BUILDERS)),

@@ -1,9 +1,9 @@
 """Frame determinants, maximal-frame selection and ball-box experiments.
 
-Frame determinants are exact (Fraction arithmetic) at rational points; the
-selection rule scores |det| * r^(total degree) exactly for every tuple over
-the frame's distinct columns and keeps the winner, with ties broken by
-enumeration order.  The experiments are Monte Carlo or chart-inversion
+Frame determinants are exact at rational points (integer elimination on
+columns with their denominators cleared); the selection rule scores
+|det| * r^(total degree) exactly for every tuple over the frame's distinct
+columns and keeps the winner, with ties broken by enumeration order.  The experiments are Monte Carlo or chart-inversion
 harnesses built on the chart and membership machinery; every sampling
 routine takes an explicit seed and reports it back.  The doubling and
 Poincare harnesses draw their points through one sampler, ``_ball_sample``:
@@ -34,28 +34,42 @@ class EmptySampleError(RuntimeError):
     """A Monte Carlo ball sample accepted no point in a ball it needs."""
 
 
-def _exact_det(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = Fraction(0)
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        total += (-1) ** j * rows[0][j] * _exact_det(minor)
-    return total
+def _bareiss_det(rows):
+    """Determinant of a square integer matrix by fraction-free elimination."""
+    a = [list(r) for r in rows]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            p = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if p is None:
+                return 0
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
 
 
 def _exact_columns(frame, x):
-    """Exact column maps at the rational point of x, each evaluated on first use."""
+    """Exact column maps at the rational point of x, each evaluated on first use,
+    as (integer column, denominator): the column is the one over the other."""
     xf = rational_point(x)
-    return functools.cache(lambda i: frame.map(i).eval_exact(xf))
+
+    def column(i):
+        v = frame.map(i).eval_exact(xf)
+        d = math.lcm(*(c.denominator for c in v))
+        return [c.numerator * (d // c.denominator) for c in v], d
+
+    return functools.cache(column)
 
 
 def _columns_det(col, I):
-    rows = [[col(j)[i] for j in I] for i in range(len(I))]
-    return _exact_det(rows)
+    """Exact determinant of the columns I: one integer elimination (the
+    determinant of the transpose) over the product of the denominators."""
+    cols = [col(j) for j in I]
+    return Fraction(_bareiss_det([c for c, _ in cols]), math.prod(d for _, d in cols))
 
 
 def lambda_I(frame, I, x):

@@ -150,7 +150,8 @@ def _emit(args, rep, csv_rows=None, csv_header=None):
         writer.writerows(csv_rows)
         text = buf.getvalue()
     else:
-        text = json.dumps(rep, indent=2, sort_keys=True, default=_json_default)
+        text = json.dumps(_finite(rep), indent=2, sort_keys=True, allow_nan=False,
+                          default=_json_default)
     if not text.endswith("\n"):
         text += "\n"
     if args.out:
@@ -160,11 +161,23 @@ def _emit(args, rep, csv_rows=None, csv_header=None):
         sys.stdout.write(text)
 
 
+def _finite(obj):
+    """``obj`` with every non-finite float, at any depth, as "inf", "-inf" or
+    "nan", so that the report is strict JSON."""
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        return _finite(obj.tolist())
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
+        return str(float(obj))
+    return obj
+
+
 def _json_default(obj):
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
     return str(obj)  # Fraction and anything else
 
 
@@ -348,7 +361,7 @@ def cmd_distance(args):
         )
     rep = _report(args, "distance", {
         "kind": est.kind,
-        "value": est.value if math.isfinite(est.value) else "inf",
+        "value": est.value,
         "status": est.status,
         "certificate": est.certificate,
         "feasibility_trace": [[r, bool(f)] for r, f in est.trace],

@@ -10,27 +10,20 @@ linear combination of nested commutators is accumulated in place by
 
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 
-from .words import apply_perm, check_integers, check_word, pi_support
+from .words import SparseSum, apply_perm, check_integers, check_word, pi_support
 
 
-class WordSum:
+class WordSum(SparseSum):
     """Formal linear combination of words with exact coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for w, c in terms.items() if isinstance(terms, dict) else terms:
-                self._add(tuple(w), c)
+    def _like(self, other):
+        return WordSum()
 
-    def _add(self, w, c):
-        c = self.terms.get(w, 0) + c
-        if c == 0:
-            self.terms.pop(w, None)
-        else:
-            self.terms[w] = c
+    _key_product = staticmethod(add)  # concatenation
 
     @classmethod
     def single(cls, w, c=1):
@@ -39,42 +32,11 @@ class WordSum:
             s.terms[check_word(w)] = c
         return s
 
-    def __add__(self, other):
-        out = WordSum()
-        out.terms = dict(self.terms)
-        for w, c in other.terms.items():
-            out._add(w, c)
-        return out
-
-    def __sub__(self, other):
-        out = WordSum()
-        out.terms = dict(self.terms)
-        for w, c in other.terms.items():
-            out._add(w, -c)
-        return out
-
-    def scale(self, c):
-        out = WordSum()
-        if c != 0:
-            out.terms = {w: c * v for w, v in self.terms.items()}
-        return out
-
-    def concat(self, other):
-        """Concatenation product of the free associative algebra."""
-        out = WordSum()
-        for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                out._add(wa + wb, ca * cb)
-        return out
-
-    def is_zero(self):
-        return not self.terms
+    # concatenation product of the free associative algebra
+    concat = SparseSum._product
 
     def __eq__(self, other):
         return isinstance(other, WordSum) and self.terms == other.terms
-
-    def __len__(self):
-        return len(self.terms)
 
     def __repr__(self):
         if not self.terms:
@@ -162,19 +124,16 @@ class FResult:
         self.known_failure = known_failure
 
 
-def check_F(ell, p, b, v=None, w=()):
+def check_F(ell, p, b, w=()):
     """Double sum over permutations and index subsets; zero for p < l.
 
-    ``b`` lists the exponents (b_1..b_p), each >= 0 with sum >= 1; exponent
-    b_k repeats the letter at the k-th chosen position, blocks concatenated
-    from the p-th choice down to the first, then ``w``.  The case p = l is
-    the documented failure: the residual is returned flagged, not asserted.
+    The permuted word is v = 1 2 .. l.  ``b`` lists the exponents
+    (b_1..b_p), each >= 0 with sum >= 1; exponent b_k repeats the letter at
+    the k-th chosen position, blocks concatenated from the p-th choice down
+    to the first, then ``w``.  The case p = l is the documented failure: the
+    residual is returned flagged, not asserted.
     """
-    if v is None:
-        v = tuple(range(1, ell + 1))
-    v = check_word(v)
-    if len(v) != ell:
-        raise ValueError(f"|v| = {len(v)} != ell = {ell}")
+    v = check_word(range(1, ell + 1))
     w = tuple(w) if w else ()
     b = check_integers(b, "exponents")
     if len(b) != p or any(x < 0 for x in b) or sum(b) < 1:

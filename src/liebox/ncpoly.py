@@ -34,7 +34,18 @@ class NCPoly(WordSum):
                 w = check_integers(w, "letters")
                 if any(not 1 <= a <= self.alphabet for a in w):
                     raise ValueError(f"word {w} outside alphabet 1..{self.alphabet}")
-                self._add(w, as_fraction(c))
+                self._add(w, c)
+
+    def _add(self, w, c):
+        super()._add(w, as_fraction(c))
+
+    def _like(self, other):
+        """An empty NCPoly whose alphabet covers both operands."""
+        if isinstance(other, NCPoly):
+            letters = other.alphabet
+        else:  # a plain WordSum
+            letters = max((a for w in other.terms for a in w), default=0)
+        return NCPoly(max(self.alphabet, letters))
 
     @classmethod
     def from_wordsum(cls, s, alphabet):
@@ -46,21 +57,6 @@ class NCPoly(WordSum):
         out = cls(alphabet)
         out.terms = terms
         return out
-
-    def _like(self, s, other=None):
-        """The WordSum ``s`` as an NCPoly whose alphabet covers both operands."""
-        letters = (a for w in s.terms for a in w)
-        alphabet = max(self.alphabet, getattr(other, "alphabet", 0), *letters)
-        return NCPoly(alphabet, s.terms)
-
-    def __add__(self, other):
-        return self._like(super().__add__(other), other)
-
-    def __sub__(self, other):
-        return self._like(super().__sub__(other), other)
-
-    def scale(self, c):
-        return self._like(super().scale(c))
 
     def degree(self):
         return max((len(w) for w in self.terms), default=0)

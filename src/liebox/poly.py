@@ -11,16 +11,17 @@ constant-control mixtures are compiled from their terminating Lie series.
 """
 
 from fractions import Fraction
+from operator import add
 
 import numpy as np
 
-from .words import as_fraction, check_integers
+from .words import SparseSum, as_fraction, check_integers
 
 
-class Poly:
+class Poly(SparseSum):
     """Polynomial in ``nvars`` variables; ``terms`` maps exponents to coeffs."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars",)
 
     def __init__(self, nvars, terms=None):
         self.nvars = int(nvars)
@@ -31,13 +32,18 @@ class Poly:
                 exps = check_integers(exps, "exponents")
                 if len(exps) != self.nvars or any(e < 0 for e in exps):
                     raise ValueError(f"bad exponent tuple {exps}")
-                c = as_fraction(c) if not isinstance(c, Fraction) else c
-                if c != 0:
-                    acc = self.terms.get(exps, Fraction(0)) + c
-                    if acc == 0:
-                        self.terms.pop(exps, None)
-                    else:
-                        self.terms[exps] = acc
+                self._add(exps, as_fraction(c))
+
+    def _like(self, other):
+        if self.nvars != other.nvars:
+            raise ValueError("variable count mismatch")
+        return Poly(self.nvars)
+
+    @staticmethod
+    def _key_product(a, b):
+        return tuple(map(add, a, b))
+
+    __mul__ = SparseSum._product
 
     @classmethod
     def zero(cls, nvars):
@@ -52,58 +58,6 @@ class Poly:
         exps = [0] * nvars
         exps[i] = 1
         return cls(nvars, {tuple(exps): 1})
-
-    def _check(self, other):
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-
-    def __add__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.const(self.nvars, other)
-        self._check(other)
-        out = Poly(self.nvars)
-        out.terms = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = out.terms.get(e, Fraction(0)) + c
-            if acc == 0:
-                out.terms.pop(e, None)
-            else:
-                out.terms[e] = acc
-        return out
-
-    def __neg__(self):
-        out = Poly(self.nvars)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.const(self.nvars, other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, Poly):
-            return self.scale(other)
-        self._check(other)
-        out = Poly(self.nvars)
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                acc = out.terms.get(e, Fraction(0)) + ca * cb
-                if acc == 0:
-                    out.terms.pop(e, None)
-                else:
-                    out.terms[e] = acc
-        return out
-
-    __rmul__ = __mul__
-
-    def scale(self, c):
-        c = as_fraction(c)
-        out = Poly(self.nvars)
-        if c != 0:
-            out.terms = {e: c * v for e, v in self.terms.items()}
-        return out
 
     def diff(self, i):
         """Exact partial derivative with respect to variable ``i``."""
@@ -126,12 +80,6 @@ class Poly:
                     v *= as_fraction(x) ** k
             total += v
         return total
-
-    def is_zero(self):
-        return not self.terms
-
-    def degree(self):
-        return max((sum(e) for e in self.terms), default=0)
 
     def __eq__(self, other):
         return (

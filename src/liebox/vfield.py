@@ -230,10 +230,10 @@ class VectorFieldSystem:
             acc += sgn * psi_fn(y)
         return acc / t ** len(w)
 
-    def bracket_limit_order(self, w, psi, x, ts, floor=1e-12):
+    def bracket_limit_order(self, w, psi, x, ts):
         """Quotients against the exact value plus a fitted convergence order.
 
-        Errors at or below ``floor`` are excluded from the fit; if fewer than
+        Errors at or below 1e-12 are excluded from the fit; if fewer than
         two samples remain the order is reported as inf (converged below the
         measurement floor everywhere).
         """
@@ -245,7 +245,7 @@ class VectorFieldSystem:
             "ts": list(ts),
             "quotients": quotients,
             "errors": errors,
-            "slope": _log_slope(ts, errors, floor),
+            "slope": _log_slope(ts, errors, 1e-12),
         }
 
     def _pullback_gradient(self, psi_fn, Z, s, p):
@@ -311,9 +311,9 @@ class VectorFieldSystem:
         actual = psi.compile_scalar()(y)
         return partial, actual, abs(actual - partial)
 
-    def taylor_remainder_order(self, psi, jseq, x, ts, ell, floor=1e-13):
+    def taylor_remainder_order(self, psi, jseq, x, ts, ell):
         rems = [self.taylor_composed_flows(psi, jseq, x, t, ell)[2] for t in ts]
-        return rems, _log_slope(ts, rems, floor)
+        return rems, _log_slope(ts, rems, 1e-13)
 
 
 def _unit_controls(d, T, P):

@@ -5,6 +5,8 @@ tuple of 1-based images ``p`` acting on words by ``apply_perm(p, w)[j] =
 w[p[j]-1]``.  The coefficient ``pi(p)`` is defined by the recursion that keeps
 a permutation only when it fixes the first or the last position at every
 level, with a sign flip whenever the last position is the fixed one.
+``SparseSum`` is the exact term table under ``Poly``, ``WordSum`` and
+``NCPoly``.
 """
 
 import numbers
@@ -14,6 +16,63 @@ from itertools import permutations
 
 # Longest permutation order (word length) the expansions accept.
 MAX_ORDER = 8
+
+
+class SparseSum:
+    """Exact sparse sum: ``terms`` maps a key tuple to a nonzero coefficient.
+
+    Subclasses supply ``_like(other)``, an empty sum of their own kind fit to
+    hold a result with ``other``, and ``_key_product(a, b)``, the key of the
+    product of two terms.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self):
+        self.terms = {}
+
+    def _add(self, key, c):
+        """Add ``c`` to the coefficient of ``key``; a coefficient of 0 is dropped."""
+        c = self.terms.get(key, 0) + c
+        if c == 0:
+            self.terms.pop(key, None)
+        else:
+            self.terms[key] = c
+
+    def __add__(self, other):
+        out = self._like(other)
+        out.terms = dict(self.terms)
+        for k, c in other.terms.items():
+            out._add(k, c)
+        return out
+
+    def __neg__(self):
+        out = self._like(self)
+        out.terms = {k: -c for k, c in self.terms.items()}
+        return out
+
+    def __sub__(self, other):
+        return self + -other
+
+    def scale(self, c):
+        out = self._like(self)
+        if c != 0:
+            out.terms = {k: c * v for k, v in self.terms.items()}
+        return out
+
+    def _product(self, other):
+        out = self._like(other)
+        add, key = out._add, self._key_product
+        for ka, ca in self.terms.items():
+            for kb, cb in other.terms.items():
+                add(key(ka, kb), ca * cb)
+        return out
+
+    def is_zero(self):
+        return not self.terms
+
+    def __len__(self):
+        return len(self.terms)
 
 
 def check_integers(values, what):

@@ -340,6 +340,18 @@ def test_select_maximal_generic_model_matches_all_exact_scan():
     assert abs(full[0][1] - 0.00189) < 1e-15 and full[1][1] == 310.90625
 
 
+def test_lambda_I_matches_fraction_elimination_on_every_candidate():
+    # a rational point with distinct denominators per coordinate exercises the
+    # integer columns with their denominators cleared
+    frame = CommutatorFrame(_generic_affine())
+    x = (0.3, -0.2, 0.1, 0.7)
+    cols = [Y.eval_exact(rational_point(x)) for Y in frame.maps]
+    dets = [lambda_I(frame, I, x) for I in frame_candidates(frame)]
+    assert len(dets) == 1365 and sum(d != 0 for d in dets) > 1000
+    for I, d in zip(frame_candidates(frame), dets):
+        assert d == _fraction_det(zip(*(cols[i - 1] for i in I)))
+
+
 def test_select_maximal_tie_keeps_first():
     # the columns of the words 12 and 21 are opposite, so (1, 2, 4) and
     # (1, 2, 5) tie at every point and radius

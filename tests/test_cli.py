@@ -198,6 +198,21 @@ def test_distance_fl(capsys):
     assert rep["feasibility_trace"]
 
 
+def test_distance_cc_and_rho(capsys):
+    value = {}
+    for kind in ("fl", "cc", "rho"):
+        code, out, _ = run_cli(
+            capsys, "distance", "--kind", kind, "--model", "heisenberg",
+            "--from", "0,0,0", "--to", "0.05,0.02,0.01", "--seed", "0",
+        )
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["kind"] == kind and rep["status"] == "ok"
+        value[kind] = rep["value"]
+    assert rep["certificate"]["form"] == "controls"  # rho's
+    assert value["rho"] <= value["cc"] <= value["fl"] + 1e-6
+
+
 def test_doubling_small(capsys):
     code, out, _ = run_cli(
         capsys, "doubling", "--model", "flat2", "--center", "0,0",
@@ -494,3 +509,41 @@ def test_non_finite_input_exits_2(capsys, argv, flag):
     code, out, err = run_cli(capsys, argv[0], "--model", "heisenberg", *argv[1:])
     assert code == 2 and out == ""
     assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+
+
+def _strict_json(text):
+    """Parse ``text`` as JSON that has no Infinity or NaN constant."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_limit_check_report_is_strict_json(capsys):
+    # on heisenberg word 12 every quotient error is 0, so the slope is inf
+    code, out, _ = run_cli(capsys, "limit-check", "--model", "heisenberg",
+                           "--word", "12", "--at", "0,0,0")
+    assert code == 0
+    assert _strict_json(out)["slope"] == "inf"
+
+
+def test_suite_out_is_strict_json(tmp_path, capsys):
+    # criterion 06 reports slope inf and a numpy bool for "converged"
+    path = tmp_path / "r.json"
+    run_cli(capsys, "suite", "--criteria", "6", "--out", str(path))
+    (res,) = _strict_json(path.read_text())["results"]
+    assert res["details"]["slope"] == "inf"
+    assert res["details"]["converged"] is True
+
+
+def test_unreachable_distance_is_strict_json(tmp_path, capsys):
+    # one field (1, 0) on the plane never leaves the x axis
+    plane = {"name": "plane1", "n": 2, "m": 1, "s": 1,
+             "fields": [[[{"exps": [0, 0], "coeff": "1"}], []]]}
+    path = tmp_path / "plane1.json"
+    path.write_text(json.dumps(plane))
+    code, out, _ = run_cli(capsys, "distance", "--kind", "fl", "--model", str(path),
+                           "--from", "0,0", "--to", "0,1")
+    assert code == 1
+    rep = _strict_json(out)
+    assert rep["value"] == "inf" and rep["status"] == "budget_exhausted"

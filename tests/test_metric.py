@@ -572,3 +572,16 @@ def test_distance_ordering_off_heisenberg(name, rng_seed):
         assert fl.ok() and cc.ok() and rho.ok()
         assert cc.value <= fl.value + 1e-6
         assert rho.value <= cc.value + 1e-6
+
+
+def test_gauss_newton_stops_on_a_non_finite_jacobian():
+    # the endpoint map leaves its domain above 0.5, so the first forward
+    # difference from 0.5 - 1e-7 is NaN and the solve keeps its start
+    def endpoint(theta):
+        return np.where(theta > 0.5, np.nan, theta)
+
+    start = 0.5 - 1e-7
+    theta, res = metric._gauss_newton(endpoint, [start], np.array([2.0]), 1e-8)
+    assert theta.tolist() == [start]
+    assert res == pytest.approx(1.5000001, abs=1e-12)
+    assert not res <= 1e-8

@@ -11,7 +11,11 @@ again, so a zero-time leg (which leaves a finite in-box row unchanged) pads
 both signs to one letter sequence.  ``e_map_batch`` is the one chart;
 ``e_map`` is one of its rows, ``jacobian_e`` its central-difference
 Jacobian, ``invert_chart`` its one inverse and ``chart_leg_count`` its
-number of legs.  Each (frame, I) runs one straight-line chart function,
+number of legs.  The volume harnesses' ball membership is built on these:
+``ball_membership`` inverts the chart once, and ``membership_mask`` is the
+one acceptance rule, box gauge at most 1/M for the M legs.  Its unread
+``system`` argument stays because the perfbench tracer reads the sample
+points at position 5.  Each (frame, I) runs one straight-line chart function,
 generated on first use and kept on the frame, in which a leg updates the
 coordinate columns in place by its exact Lie series on a triangular field
 (``PolyMap.flow_source``) and is one ``flow_batch`` call (DOPRI5, NaN rows
@@ -262,6 +266,39 @@ def _chart_step(cols, R, triangular):
         return np.linalg.solve(J, R[..., None])[..., 0]
     except np.linalg.LinAlgError:
         return (np.linalg.pinv(J) @ R[..., None])[..., 0]
+
+
+def ball_membership(system, frame, I, x, r, pts):
+    """Vectorized membership test for the radius-r ball.
+
+    Inverts the almost-exponential chart at scale r (``invert_chart``) and
+    accepts a target when the recovered box coordinate certifies an
+    admissible path: the chart decomposes into M single-generator arcs of
+    time at most |h|_I * r, so |h|_I <= 1/M certifies arc distance at most r.
+    An arc path is admissible for every class, so the same rule is a valid
+    one-sided test for the weighted and the control ball; rejected points may
+    still lie in the ball.  A row is accepted only with residual at most
+    1e-8 + 1e-6 * r.  The acceptance rule is ``membership_mask`` at R = r.
+    """
+    H, res = invert_chart(frame, I, x, r, pts)
+    return membership_mask(frame, I, r, H, res, r), H, res
+
+
+def membership_mask(frame, I, R, H, res, r):
+    """Acceptance mask of the radius-r ball from a membership solve at R >= r.
+
+    ``H`` and ``res`` are the box coordinates and residuals that
+    ``ball_membership`` returned at radius R.  The chart dilates exactly:
+    E_r(h) = E_R(delta_{r/R} h), with delta_lam multiplying h_k by
+    lam**l_k, because the leg times |h_k|**(1/l_k) * r depend on h and r only
+    through that product.  The radius-r coordinates of a row are therefore
+    delta_{R/r} H, with the same chart point and residual, and their box gauge
+    is R/r times that of H.  A row is accepted when its residual is at most
+    1e-8 + 1e-6 * r and that gauge is at most 1/M, M the chart's leg count.
+    """
+    boxn = box_norm(H, [frame.degree(i) for i in I]) * (R / r)
+    tol = 1e-8 + 1e-6 * r
+    return (res <= tol) & (boxn <= 1.0 / chart_leg_count(frame, I))
 
 
 def _column_max(A):

@@ -20,8 +20,9 @@ from fractions import Fraction
 import numpy as np
 
 from .linalg import min_norm_solve
-from .metric import ball_membership, control_endpoints, membership_mask
-from .approxexp import box_norm, chart_leg_count, e_map_batch, invert_chart
+from .metric import control_endpoints
+from .approxexp import (ball_membership, box_norm, chart_leg_count, e_map_batch,
+                        invert_chart, membership_mask)
 from .approxexp import e_map  # noqa: F401  (the perfbench tracer patches ballbox.e_map)
 from .words import rational_point
 
@@ -143,14 +144,17 @@ def select_maximal(frame, x, r):
 def newton_invert(frame, I, x, r, y, eps):
     """Single-target ``invert_chart`` with the box gauge of the solve.
 
-    Converged means a residual of at most 1e-8 * r.
+    Converged means a residual of at most 1e-8 * r, and in the box a gauge
+    below ``eps``, which must lie in (0, 1] as in ``inclusion_check``.
     """
+    if not 0 < eps <= 1:
+        raise ValueError("eps must be in (0, 1]: the chart box is unit scale")
     I = frame.check_index_tuple(I)
     H, res = invert_chart(frame, I, x, r, [y])
     h = H[0]
     bn = float(box_norm(h, [frame.degree(i) for i in I]))
     return {"h": h, "residual": float(res[0]), "converged": bool(res[0] <= 1e-8 * r),
-            "box_norm": bn, "in_box": bool(bn < eps or not h.any())}
+            "box_norm": bn, "in_box": bool(bn < eps)}
 
 
 def sample_rho_targets(system, frame, x, scale, count, seed):
@@ -270,7 +274,7 @@ def _ball_sample(system, frame, x, r, R, N, seed):
     fills two strata, the first N // 2 rows the radius-r ball's box and the
     rest the radius-R ball's box, and one membership solve runs at R over
     all N rows.  The inner stratum reads the radius-r mask off it by the
-    chart's dilation (``metric.membership_mask``), so the inner region is
+    chart's dilation (``approxexp.membership_mask``), so the inner region is
     still the exact chart dilate of the outer one.  Returns the frame, then
     per ball (radius r, then R) its accepted points, its volume (box volume
     times accepted fraction) and that fraction, and the count of rows whose

@@ -125,23 +125,9 @@ def _load_system(name):
         raise UsageError(f"malformed model file {name!r}: {type(exc).__name__}: {exc}")
 
 
-def _report(args, command, payload):
-    rep = {
-        "version": __version__,
-        "command": command,
-        "config": {
-            k: v for k, v in sorted(vars(args).items())
-            if k not in ("func",) and not k.startswith("_")
-        },
-        **payload,
-    }
-    if not args.no_timestamp:
-        rep["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    return rep
-
-
-def _emit(args, rep, csv_rows=None, csv_header=None):
-    """Write the report: JSON, or CSV when requested and rows are tabular."""
+def _emit(args, payload, csv_rows=None, csv_header=None):
+    """Write the report: the CSV rows when requested and tabular, else JSON of
+    the payload under the version, the command and the resolved configuration."""
     if getattr(args, "format", "json") == "csv" and csv_rows is not None:
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -150,6 +136,17 @@ def _emit(args, rep, csv_rows=None, csv_header=None):
         writer.writerows(csv_rows)
         text = buf.getvalue()
     else:
+        rep = {
+            "version": __version__,
+            "command": args.command,
+            "config": {
+                k: v for k, v in sorted(vars(args).items())
+                if k not in ("func",) and not k.startswith("_")
+            },
+            **payload,
+        }
+        if not args.no_timestamp:
+            rep["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
         text = json.dumps(_finite(rep), indent=2, sort_keys=True, allow_nan=False,
                           default=_json_default)
     if not text.endswith("\n"):
@@ -187,12 +184,11 @@ def _json_default(obj):
 def cmd_pi_table(args):
     table = pi_table(args.order)
     rows = table.rows()
-    rep = _report(args, "pi-table", {
+    _emit(args, {
         "order": args.order,
         "nonzero": sum(1 for _, v in rows if v),
         "rows": [{"permutation": p, "coefficient": v} for p, v in rows],
-    })
-    _emit(args, rep, csv_rows=rows, csv_header=("permutation", "coefficient"))
+    }, csv_rows=rows, csv_header=("permutation", "coefficient"))
     return 0
 
 
@@ -206,7 +202,7 @@ def cmd_identities(args):
     else:
         rows = [acceptance.run_identity(it) for it in instances]
     failures = [r for r in rows if not r[2]]
-    rep = _report(args, "identities", {
+    _emit(args, {
         "family": args.family,
         "instances": len(rows),
         "failures": len(failures),
@@ -214,9 +210,7 @@ def cmd_identities(args):
             {"lhs": a, "rhs": b, "zero": ok, "residual_terms": nt}
             for a, b, ok, nt in rows
         ],
-    })
-    _emit(args, rep,
-          csv_rows=rows, csv_header=("instance", "arg", "zero", "residual_terms"))
+    }, csv_rows=rows, csv_header=("instance", "arg", "zero", "residual_terms"))
     return 0 if not failures else 1
 
 
@@ -235,8 +229,7 @@ def cmd_witness(args):
             "collapsed_word": list(cert.collapsed_word),
             "source_signature": list(cert.source_signature),
         }
-    rep = _report(args, "witness", payload)
-    _emit(args, rep)
+    _emit(args, payload)
     return 0
 
 
@@ -252,8 +245,7 @@ def cmd_bracket(args):
         x = _parse_point(args.at, system.n, "--at")
         payload["at"] = list(x)
         payload["value"] = system.batch_fn(w)(np.asarray(x)).tolist()
-    rep = _report(args, "bracket", payload)
-    _emit(args, rep)
+    _emit(args, payload)
     return 0
 
 
@@ -268,8 +260,7 @@ def cmd_flow(args):
         y = system.flow(args.field, args.t, x)
     except DomainEscapeError as exc:
         raise UsageError(f"--t {args.t}: {exc}")
-    rep = _report(args, "flow", {"point": [float(v) for v in y]})
-    _emit(args, rep)
+    _emit(args, {"point": [float(v) for v in y]})
     return 0
 
 
@@ -286,7 +277,7 @@ def cmd_limit_check(args):
         abs(rep_data["quotients"][-1] - rep_data["exact"])
         <= args.tol * max(1.0, abs(rep_data["exact"]))
     )
-    rep = _report(args, "limit-check", {
+    _emit(args, {
         "exact": rep_data["exact"],
         "ts": rep_data["ts"],
         "quotients": rep_data["quotients"],
@@ -294,7 +285,6 @@ def cmd_limit_check(args):
         "slope": rep_data["slope"],
         "converged": converged,
     })
-    _emit(args, rep)
     return 0 if converged else 1
 
 
@@ -307,13 +297,12 @@ def cmd_emap(args):
     point = e_map(frame, I, x, args.radius, h)
     J, det = jacobian_e(frame, I, x, args.radius, h)
     degrees = [frame.degree(i) for i in I]
-    rep = _report(args, "emap", {
+    _emit(args, {
         "point": [float(v) for v in point],
         "jacobian": J.tolist(),
         "det": det,
         "box_norm": float(box_norm(h, degrees)) if any(h) else 0.0,
     })
-    _emit(args, rep)
     return 0
 
 
@@ -337,8 +326,7 @@ def cmd_ballbox(args):
         ok = rep_inc["solved_fraction"] == 1.0 and rep_inc["collisions"] == 0
     else:
         ok = True
-    rep = _report(args, "ballbox", payload)
-    _emit(args, rep)
+    _emit(args, payload)
     return 0 if ok else 1
 
 
@@ -348,25 +336,17 @@ def cmd_distance(args):
     y = _parse_point(args.to, system.n, "--to")
     est = fl_distance(system, x, y, max_segments=args.segments, seed=args.seed)
     if args.kind != "fl":
-        est = cc_distance(
-            system, x, y, segments=args.segments, seed=args.seed,
-            fl_cert=est.certificate if est.ok() else None,
-        )
+        est = cc_distance(system, x, y, segments=args.segments, seed=args.seed, fl=est)
     if args.kind == "rho":
-        est = rho_distance(
-            system, CommutatorFrame(system), x, y, segments=args.segments,
-            seed=args.seed,
-            cc_cert=est.certificate if est.ok() else None,
-            cc_value=est.value if est.ok() else None,
-        )
-    rep = _report(args, "distance", {
+        est = rho_distance(system, CommutatorFrame(system), x, y, segments=args.segments,
+                           seed=args.seed, cc=est)
+    _emit(args, {
         "kind": est.kind,
         "value": est.value,
         "status": est.status,
         "certificate": est.certificate,
         "feasibility_trace": [[r, bool(f)] for r, f in est.trace],
     })
-    _emit(args, rep)
     return 0 if est.ok() else 1
 
 
@@ -374,11 +354,7 @@ def cmd_doubling(args):
     system = _load_system(args.model)
     frame = CommutatorFrame(system)
     x = _parse_point(args.center, system.n, "--center")
-    rep_d = doubling_ratio(
-        system, frame, x, args.radius, N=args.n, seed=args.seed
-    )
-    rep = _report(args, "doubling", rep_d)
-    _emit(args, rep)
+    _emit(args, doubling_ratio(system, frame, x, args.radius, N=args.n, seed=args.seed))
     return 0
 
 
@@ -402,11 +378,10 @@ def cmd_poincare(args):
                      "lhs": rep_p["lhs"], "rhs": rep_p["rhs"],
                      "ratio": rep_p["ratio"]})
         worst = max(worst, rep_p["ratio"])
-    rep = _report(args, "poincare", {
+    _emit(args, {
         "rows": rows, "empirical_constant": worst,
         "nonfinite": reports[0]["nonfinite"],
     })
-    _emit(args, rep)
     return 0
 
 
@@ -443,26 +418,24 @@ def cmd_pinv(args):
         rows = lambda_sweep(A, b, lams)
         payload["sweep"] = [{"lambda": l, "error": e} for l, e in rows]
         csv_rows = rows
-    rep = _report(args, "pinv", payload)
-    _emit(args, rep, csv_rows=csv_rows, csv_header=("lambda", "error"))
+    _emit(args, payload, csv_rows=csv_rows, csv_header=("lambda", "error"))
     return 0
 
 
 def cmd_suite(args):
     numbers = set(_parse_ints(args.criteria, "--criteria")) if args.criteria else None
     results = acceptance.run_criteria(numbers=numbers, emit=print)
-    rep = _report(args, "suite", {
-        "results": [
-            {"criterion": r.number, "name": r.name, "passed": r.passed,
-             "elapsed_s": round(r.elapsed, 2), "cpu_s": round(r.cpu_s, 2),
-             "load_before": r.load_before, "load_after": r.load_after,
-             "details": r.details}
-            for r in results
-        ],
-        "all_passed": all(r.passed for r in results),
-    })
     if args.out:
-        _emit(args, rep)
+        _emit(args, {
+            "results": [
+                {"criterion": r.number, "name": r.name, "passed": r.passed,
+                 "elapsed_s": round(r.elapsed, 2), "cpu_s": round(r.cpu_s, 2),
+                 "load_before": r.load_before, "load_after": r.load_after,
+                 "details": r.details}
+                for r in results
+            ],
+            "all_passed": all(r.passed for r in results),
+        })
     return 0 if all(r.passed for r in results) else 1
 
 

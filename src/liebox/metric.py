@@ -6,20 +6,16 @@ distance searches over sequences of single-generator arcs, the control
 distance over piecewise-constant generator mixtures, and the weighted frame
 distance over mixtures of all commutators with degree-weighted speeds.
 Gauss-Newton shooting (with finite-difference Jacobians evaluated as one
-vectorized batch) finds feasible paths, and each estimator reports its best
-shooting solution.  Cross-seeding guarantees the admissible-class orderings:
-an arc path is imported into the control pool, a control path into the
-weighted pool.  Paths flow exactly on triangular fields and by the adaptive
-``flows.dopri5`` on any other field, where a path that leaves the domain box
-ends at NaN and is never feasible.  Endpoints must be finite (``ValueError``
-otherwise); the feasibility tolerance and iteration caps are module
-constants.
-
-The volume harnesses' ball membership lives here too: ``ball_membership``
-inverts the chart once, and ``membership_mask`` is the one acceptance rule;
-the chart's leg count M that it divides by is ``approxexp.chart_leg_count``.
-Its unread ``system`` argument stays because the perfbench tracer reads the
-sample points at position 5.
+vectorized batch) finds feasible paths: ``_shoot`` solves from each start and
+keeps the feasible ones, and ``_best`` reports the first smallest.  Each
+estimator seeds the next by its estimate, which guarantees the
+admissible-class orderings: ``cc_distance(..., fl=)`` shoots from the arc
+path and imports its value, and ``rho_distance(..., cc=)`` does the same with
+the control path.  Paths flow exactly on triangular fields and by the
+adaptive ``flows.dopri5`` on any other field, where a path that leaves the
+domain box ends at NaN and is never feasible.  Endpoints must be finite
+(``ValueError`` otherwise); the feasibility tolerance and iteration caps are
+module constants.
 """
 
 import math
@@ -27,8 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .approxexp import box_norm, chart_leg_count, invert_chart
-from .approxexp import e_map_batch  # noqa: F401  (the perfbench tracer patches metric.e_map_batch)
+from .approxexp import ball_membership, e_map_batch  # noqa: F401  (the perfbench tracer patches both)
 from .linalg import min_norm_solve
 
 FEAS_TOL = 1e-9
@@ -118,6 +113,25 @@ def _gauss_newton(endpoint_batch, theta0, target, tol):
     return theta, best
 
 
+def _shoot(ep, starts, y, tol, value, cert):
+    """(value(theta), cert(theta)) of each start whose solve reaches y, in order."""
+    pool = []
+    for theta0 in starts:
+        theta, res = _gauss_newton(ep, theta0, y, tol)
+        if res <= tol:
+            pool.append((value(theta), cert(theta)))
+    return pool
+
+
+def _best(kind, pool):
+    """The first smallest (value, certificate) of the pool, traced as the one
+    value reported; ``budget_exhausted`` when the pool is empty."""
+    if not pool:
+        return DistanceEstimate(kind, math.inf, "budget_exhausted", None)
+    value, cert = min(pool, key=lambda c: c[0])
+    return DistanceEstimate(kind, value, "ok", cert, [(value, True)])
+
+
 # -- the flow-arc estimator -------------------------------------------------------
 
 
@@ -193,44 +207,31 @@ def fl_distance(system, x, y, max_segments=8, seed=0, seed_paths=()):
     x, y, dx, tol = _pair(x, y)
     if dx <= tol:
         return DistanceEstimate("fl", 0.0, "ok", {"form": "legs", "legs": []})
+
+    def shoot(letters, starts):
+        def legs(T):
+            return {"form": "legs", "legs": [
+                (int(j) if t >= 0 else -int(j), abs(float(t)))
+                for j, t in zip(letters, T) if abs(t) > 1e-14]}
+
+        ep = lambda T: arc_endpoints(system, letters, T, x)
+        return _shoot(ep, starts, y, tol, lambda T: float(np.abs(T).sum()), legs)
+
     rng = np.random.default_rng(seed)
-    candidates = []
+    pool = []
     templates, n_canonical = _arc_templates(system, max_segments, rng)
     for ti, letters in enumerate(templates):
-        if len(candidates) >= 8 or (ti >= n_canonical and len(candidates) >= 3):
+        if len(pool) >= 8 or (ti >= n_canonical and len(pool) >= 3):
             break
-        ep = lambda T, L=letters: arc_endpoints(system, L, T, x)
-        for theta0 in _arc_inits(letters, dx, rng, system.s):
-            theta, res = _gauss_newton(ep, theta0, y, tol)
-            if res <= tol:
-                candidates.append((float(np.abs(theta).sum()), letters, theta))
+        pool += shoot(letters, _arc_inits(letters, dx, rng, system.s))
     for cert in seed_paths:
         if cert and cert.get("form") == "legs" and cert["legs"]:
             letters = tuple(abs(j) for j, _ in cert["legs"])
-            theta0 = np.array([t if j > 0 else -t for j, t in cert["legs"]])
-            ep = lambda T, L=letters: arc_endpoints(system, L, T, x)
-            theta, res = _gauss_newton(ep, theta0, y, tol)
-            if res <= tol:
-                candidates.append((float(np.abs(theta).sum()), letters, theta))
-    if not candidates:
-        return DistanceEstimate("fl", math.inf, "budget_exhausted", None)
-    candidates.sort(key=lambda c: c[0])
-    best_val, best_letters, best_theta = candidates[0]
-    legs = [
-        (int(j) if t >= 0 else -int(j), abs(float(t)))
-        for j, t in zip(best_letters, best_theta)
-        if abs(t) > 1e-14
-    ]
-    return DistanceEstimate(
-        "fl", best_val, "ok", {"form": "legs", "legs": legs}, [(best_val, True)]
-    )
+            pool += shoot(letters, [[t if j > 0 else -t for j, t in cert["legs"]]])
+    return _best("fl", pool)
 
 
 # -- control-path estimators -------------------------------------------------------
-
-
-def _cc_value(U):
-    return float(np.linalg.norm(U, axis=-1).max())
 
 
 def _segment_scales(U, degrees):
@@ -258,10 +259,6 @@ def _segment_scales(U, degrees):
     return out
 
 
-def _rho_value(U, degrees):
-    return float(_segment_scales(U.reshape(-1, U.shape[-1]), degrees).max())
-
-
 def _legs_to_controls(legs, k, d):
     """Spread arc legs over k equal-duration segments, one generator per leg."""
     total = sum(t for _, t in legs)
@@ -281,10 +278,11 @@ def _legs_to_controls(legs, k, d):
     return U
 
 
-def _control_estimate(
-    kind, system, keys, degrees, value_fn, x, y, segments, seed, seed_certs,
-    imported_value,
-):
+def _control_estimate(kind, system, keys, degrees, value_fn, x, y, segments, seed, seeds,
+                      imported):
+    """The best of the paths shot from ``seeds``, the min-norm constant control
+    and one random start, and of the ``imported`` (value, certificate) pairs,
+    which follow the shooting solutions: a shooting solution wins a tie."""
     x, y, dx, tol = _pair(x, y)
     d = len(keys)
     if dx <= tol:
@@ -298,124 +296,65 @@ def _control_estimate(
         return control_endpoints(system, batch.reshape(-1, *shape), x, keys)
 
     rng = np.random.default_rng(seed)
-    inits = [np.asarray(c, dtype=float) for c in seed_certs]
-    # constant-control min-norm start toward the target direction
+    # the constant min-norm control toward the target direction, then a random start
     cols = np.stack([system.batch_fn(key)(x[None, :])[0] for key in keys], axis=1)
     b0, _, _ = min_norm_solve(cols, y - x)
-    inits.append(np.tile(b0, (segments, 1)))
-    inits.append(rng.normal(size=shape) * 0.3 * (dx + dx ** (1.0 / max(degrees))))
-    pool = []
-    for U0 in inits:
-        theta, res = _gauss_newton(ep, U0.reshape(-1), y, tol)
-        if res <= tol:
-            U = theta.reshape(shape)
-            cert = {"form": "controls", "segments": segments, "controls": U.tolist()}
-            pool.append((value_fn(U), cert))
-    if imported_value is not None:
-        pool.append(imported_value)
-    if not pool:
-        return DistanceEstimate(kind, math.inf, "budget_exhausted", None)
-    # the first smallest: a shooting solution wins a tie with the import
-    value, cert = min(pool, key=lambda c: c[0])
-    return DistanceEstimate(kind, value, "ok", cert, [(value, True)])
+    starts = seeds + [np.tile(b0, (segments, 1)),
+                      rng.normal(size=shape) * 0.3 * (dx + dx ** (1.0 / max(degrees)))]
+    pool = _shoot(ep, [U.reshape(-1) for U in starts], y, tol,
+                  lambda U: value_fn(U.reshape(shape)),
+                  lambda U: {"form": "controls", "segments": segments,
+                             "controls": U.reshape(shape).tolist()})
+    return _best(kind, pool + imported)
 
 
-def cc_distance(system, x, y, segments=8, seed=0, fl_cert=None):
+def cc_distance(system, x, y, segments=8, seed=0, fl=None):
     """Control-distance estimate over piecewise-constant generator mixtures.
 
-    Any arc certificate passed as ``fl_cert`` is admissible here, so its
-    value enters the candidate pool; the reported bound never exceeds it.
-    The reported value is the smallest in that pool, which also holds the
-    paths shot from the imported legs, the min-norm constant control and
-    one random start; the trace holds that one value.
+    The arc path of an ``fl`` estimate is admissible here, so its legs seed
+    one shooting start and their total time enters the candidate pool; the
+    reported bound never exceeds it.  The reported value is the smallest in
+    that pool, which also holds the paths shot from the min-norm constant
+    control and one random start; the trace holds that one value.
     """
-    keys = tuple(range(1, system.m + 1))
-    degrees = (1,) * system.m
-    seeds = []
-    imported = None
-    if fl_cert and fl_cert.get("form") == "legs" and fl_cert["legs"]:
-        seeds.append(_legs_to_controls(fl_cert["legs"], segments, system.m))
-        imported = (
-            sum(t for _, t in fl_cert["legs"]),
-            {"form": "legs", "legs": fl_cert["legs"]},
-        )
-    return _control_estimate(
-        "cc", system, keys, degrees, _cc_value, x, y, segments, seed, seeds, imported
-    )
+    seeds, imported = [], []
+    if fl is not None and fl.ok() and fl.certificate["legs"]:
+        legs = fl.certificate["legs"]
+        seeds.append(_legs_to_controls(legs, segments, system.m))
+        # the certificate's own legs: fl.value also counts the dropped tiny legs
+        imported.append((sum(t for _, t in legs), fl.certificate))
+    return _control_estimate("cc", system, tuple(range(1, system.m + 1)), (1,) * system.m,
+                             lambda U: float(np.linalg.norm(U, axis=-1).max()),
+                             x, y, segments, seed, seeds, imported)
 
 
-def rho_distance(system, frame, x, y, segments=8, seed=0, cc_cert=None, cc_value=None):
+def rho_distance(system, frame, x, y, segments=8, seed=0, cc=None):
     """Weighted-frame distance estimate over all commutator directions.
 
-    A control certificate embeds with identical value (the generators are
-    the degree-one frame members), so the weighted estimate never exceeds
-    the control one.
+    A ``cc`` estimate's path embeds with identical value (the generators are
+    the degree-one frame members), so it enters the candidate pool and, when
+    it is a control path of ``segments`` segments, seeds one shooting start:
+    the weighted estimate never exceeds the control one.
     """
-    degrees = frame.degrees
-    seeds = []
-    imported = None
-    if cc_cert is not None and cc_cert.get("form") == "controls":
-        U = np.zeros((segments, frame.q))
-        Uc = np.asarray(cc_cert["controls"], dtype=float)
-        if Uc.shape[0] == segments:
-            U[:, : system.m] = Uc
+    seeds, imported = [], []
+    if cc is not None and cc.ok():
+        cert = cc.certificate
+        imported.append((cc.value, cert))
+        if cert["form"] == "controls" and len(cert["controls"]) == segments:
+            U = np.zeros((segments, frame.q))
+            U[:, : system.m] = cert["controls"]
             seeds.append(U)
-    if cc_value is not None and math.isfinite(cc_value):
-        imported = (cc_value, cc_cert)
-    return _control_estimate(
-        "rho", system, frame.words, degrees, lambda U: _rho_value(U, degrees),
-        x, y, segments, seed, seeds, imported,
-    )
+    return _control_estimate("rho", system, frame.words, frame.degrees,
+                             lambda U: float(_segment_scales(U, frame.degrees).max()),
+                             x, y, segments, seed, seeds, imported)
 
 
 def estimate_all(system, frame, x, y, seed=0):
-    """fl, cc and rho estimates with the cross-seeding that fixes ordering."""
+    """fl, cc and rho estimates, each seeded by the one before it, which
+    fixes the ordering rho <= cc <= fl."""
     fl = fl_distance(system, x, y, seed=seed)
-    cc = cc_distance(
-        system, x, y, seed=seed, fl_cert=fl.certificate if fl.ok() else None,
-    )
-    rho = rho_distance(
-        system, frame, x, y, seed=seed,
-        cc_cert=cc.certificate if cc.ok() else None,
-        cc_value=cc.value if cc.ok() else None,
-    )
-    return fl, cc, rho
-
-
-# -- fast ball membership (volume harnesses) ------------------------------------------
-
-
-def ball_membership(system, frame, I, x, r, pts):
-    """Vectorized membership test for the radius-r ball.
-
-    Inverts the almost-exponential chart at scale r (``invert_chart``) and
-    accepts a target when the recovered box coordinate certifies an
-    admissible path: the chart decomposes into M single-generator arcs of
-    time at most |h|_I * r, so |h|_I <= 1/M certifies arc distance at most r.
-    An arc path is admissible for every class, so the same rule is a valid
-    one-sided test for the weighted and the control ball; rejected points may
-    still lie in the ball.  A row is accepted only with residual at most
-    1e-8 + 1e-6 * r.  The acceptance rule is ``membership_mask`` at R = r.
-    """
-    H, res = invert_chart(frame, I, x, r, pts)
-    return membership_mask(frame, I, r, H, res, r), H, res
-
-
-def membership_mask(frame, I, R, H, res, r):
-    """Acceptance mask of the radius-r ball from a membership solve at R >= r.
-
-    ``H`` and ``res`` are the box coordinates and residuals that
-    ``ball_membership`` returned at radius R.  The chart dilates exactly:
-    E_r(h) = E_R(delta_{r/R} h), with delta_lam multiplying h_k by
-    lam**l_k, because the leg times |h_k|**(1/l_k) * r depend on h and r only
-    through that product.  The radius-r coordinates of a row are therefore
-    delta_{R/r} H, with the same chart point and residual, and their box gauge
-    is R/r times that of H.  A row is accepted when its residual is at most
-    1e-8 + 1e-6 * r and that gauge is at most 1/M, M the chart's leg count.
-    """
-    boxn = box_norm(H, [frame.degree(i) for i in I]) * (R / r)
-    tol = 1e-8 + 1e-6 * r
-    return (res <= tol) & (boxn <= 1.0 / chart_leg_count(frame, I))
+    cc = cc_distance(system, x, y, seed=seed, fl=fl)
+    return fl, cc, rho_distance(system, frame, x, y, seed=seed, cc=cc)
 
 
 def fefferman_phong_check(system, x, directions, scales, s, seed=0):

@@ -93,7 +93,7 @@ def multilinearize(P, var):
     ``var`` keeps the role of U; a fresh variable (index alphabet+1) is T.
     Requires degree >= 2 in ``var`` on every term (P homogeneous in var).
     """
-    degs = {P.signature(w)[var - 1] for w in P.terms}
+    degs = {w.count(var) for w in P.terms}
     if len(degs) != 1 or min(degs, default=0) < 2:
         raise ValueError(f"need uniform degree >= 2 in variable {var}")
     new = P.alphabet + 1

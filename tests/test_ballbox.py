@@ -83,6 +83,13 @@ def test_newton_invert_recovers_box_point():
     assert np.allclose(out["h"], h_true, atol=1e-7)
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.1, 1.5, math.nan])
+def test_newton_invert_rejects_eps_outside_unit_interval(eps):
+    y = e_map(HEIS_FRAME, (1, 2, 4), ORIGIN3, 0.5, (0.1, -0.05, 0.02))
+    with pytest.raises(ValueError, match=r"eps must be in \(0, 1\]"):
+        newton_invert(HEIS_FRAME, (1, 2, 4), ORIGIN3, 0.5, y, eps=eps)
+
+
 def _chart_targets(name, count, seed=9):
     system, frame, x = CHART_CASES[name]
     I = select_maximal(frame, x, 0.5).I

@@ -5,7 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from liebox.approxexp import CommutatorFrame
 from liebox.cli import main
+from liebox.metric import estimate_all
+from liebox.vfield import load_model
 
 
 def run_cli(capsys, *argv):
@@ -211,6 +214,20 @@ def test_distance_cc_and_rho(capsys):
         value[kind] = rep["value"]
     assert rep["certificate"]["form"] == "controls"  # rho's
     assert value["rho"] <= value["cc"] <= value["fl"] + 1e-6
+
+
+def test_distance_rho_runs_the_estimate_all_chain(capsys):
+    a, b = (0.05, -0.1, 0.02), (-0.08, 0.04, 0.01)
+    code, out, _ = run_cli(
+        capsys, "distance", "--kind", "rho", "--model", "heisenberg", "--seed", "0",
+        "--from=" + ",".join(map(str, a)), "--to=" + ",".join(map(str, b)),
+    )
+    assert code == 0
+    system = load_model("heisenberg")
+    rho = estimate_all(system, CommutatorFrame(system), a, b, seed=0)[2]
+    rep = json.loads(out)
+    assert rep["value"] == rho.value
+    assert rep["certificate"] == json.loads(json.dumps(rho.certificate))
 
 
 def test_doubling_small(capsys):

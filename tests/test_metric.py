@@ -4,14 +4,19 @@ import numpy as np
 import pytest
 
 from liebox import approxexp, ballbox, flows, metric
-from liebox.approxexp import CommutatorFrame, chart_leg_count, e_map_batch, invert_chart
-from liebox.metric import (
+from liebox.approxexp import (
+    CommutatorFrame,
     ball_membership,
+    chart_leg_count,
+    e_map_batch,
+    invert_chart,
+    membership_mask,
+)
+from liebox.metric import (
     cc_distance,
     estimate_all,
     fefferman_phong_check,
     fl_distance,
-    membership_mask,
     rho_distance,
 )
 from liebox.poly import Poly, PolyMap
@@ -71,11 +76,8 @@ def test_ordering_on_sampled_pairs():
 def test_rho_vertical_beats_cc():
     dz = 0.01
     fl = fl_distance(HEIS, ORIGIN, (0, 0, dz))
-    cc = cc_distance(HEIS, ORIGIN, (0, 0, dz), fl_cert=fl.certificate)
-    rho = rho_distance(
-        HEIS, HEIS_FRAME, ORIGIN, (0, 0, dz),
-        cc_cert=cc.certificate, cc_value=cc.value,
-    )
+    cc = cc_distance(HEIS, ORIGIN, (0, 0, dz), fl=fl)
+    rho = rho_distance(HEIS, HEIS_FRAME, ORIGIN, (0, 0, dz), cc=cc)
     assert rho.value <= math.sqrt(dz) + 1e-6  # single weighted frame move
     assert rho.value <= cc.value + 1e-6
 
@@ -142,200 +144,6 @@ def test_cc_dilation_homogeneity():
     v1 = cc_distance(HEIS, ORIGIN, p, seed=0).value
     v2 = cc_distance(HEIS, ORIGIN, dil, seed=0).value
     assert abs(v2 / v1 - lam) <= 0.05 * lam
-
-
-def test_ball_membership_roundtrip_and_dilation():
-    rng = np.random.default_rng(11)
-    r = 0.25
-    M = chart_leg_count(HEIS_FRAME, HEIS_I)
-    Hin = rng.uniform(-1, 1, size=(200, 3)) * (0.5 / M) ** np.array([1.0, 1.0, 2.0])
-    pts_in = e_map_batch(HEIS_FRAME, HEIS_I, ORIGIN, r, Hin)
-    mask, H, res = ball_membership(HEIS, HEIS_FRAME, HEIS_I, ORIGIN, r, pts_in)
-    assert mask.all()
-    assert np.abs(H - Hin).max() < 1e-10
-
-    pts_out = rng.uniform(0.5, 1.0, size=(100, 3))
-    mask_out, _, _ = ball_membership(HEIS, HEIS_FRAME, HEIS_I, ORIGIN, r, pts_out)
-    assert not mask_out.any()
-
-    pts = rng.uniform(-0.1, 0.1, size=(500, 3))
-    m1, _, _ = ball_membership(HEIS, HEIS_FRAME, HEIS_I, ORIGIN, r, pts)
-    lam = 2.0
-    dil = pts * np.array([lam, lam, lam * lam])
-    m2, _, _ = ball_membership(HEIS, HEIS_FRAME, HEIS_I, ORIGIN, lam * r, dil)
-    assert (m1 == m2).all()
-
-
-def _xy_system():
-    """X1 = (1, 0), X2 = (y, x): X2 is not triangular, and neither is frame (1, 2)."""
-    one, zero = Poly.const(2, 1), Poly.zero(2)
-    return VectorFieldSystem(
-        [PolyMap([one, zero]), PolyMap([Poly.var(2, 1), Poly.var(2, 0)])],
-        step=2, name="xy",
-    )
-
-
-def _count_calls(monkeypatch, module, name):
-    calls = []
-    real = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
-def test_ball_membership_singular_fallback_solves_each_row(monkeypatch):
-    # a non-triangular frame: every step is a batched solve, pinv when it raises
-    system = _xy_system()
-    frame, I, x = CommutatorFrame(system), (1, 2), (0.3, 0.1)
-    rng = np.random.default_rng(12)
-    r = 0.25
-    M = chart_leg_count(frame, I)
-    Hin = rng.uniform(-1, 1, size=(5, 2)) * (0.5 / M)
-    pts = np.vstack([e_map_batch(frame, I, x, r, Hin), [[0.9, 0.9]]])
-    solves = _count_calls(monkeypatch, np.linalg, "solve")
-    ref, H_ref, _ = ball_membership(system, frame, I, x, r, pts)
-    assert solves
-
-    def singular(*args, **kwargs):
-        raise np.linalg.LinAlgError("forced")
-
-    monkeypatch.setattr(np.linalg, "solve", singular)
-    pinvs = _count_calls(monkeypatch, np.linalg, "pinv")
-    mask, H, _ = ball_membership(system, frame, I, x, r, pts)
-    assert pinvs
-    assert mask.shape == (6,)
-    assert (mask == ref).all() and mask[:5].all() and not mask[5]
-    assert np.abs(H[:5] - H_ref[:5]).max() < 1e-10
-
-
-def _membership_fixed_iterations(system, frame, I, x, r, pts, max_iter=8):
-    """Reference: every row runs all ``max_iter`` quasi-Newton iterations."""
-    n = system.n
-    H = np.zeros((len(pts), n))
-    ridge = 1e-12 * np.eye(n)
-    for _ in range(max_iter):
-        E = e_map_batch(frame, I, x, r, H)
-        cols = [
-            (r ** frame.degree(i)) * system.batch_fn(frame.word(i))(E) for i in I
-        ]
-        J = np.stack(cols, axis=2) + ridge
-        dH = np.linalg.solve(J, (pts - E)[..., None])[..., 0]
-        cap = np.maximum(np.abs(dH).max(axis=1), 1e-300)
-        H = H + dH * np.minimum(1.0, 0.5 / cap)[:, None]
-    res = np.linalg.norm(pts - e_map_batch(frame, I, x, r, H), axis=1)
-    degs = np.array([frame.degree(i) for i in I], dtype=float)
-    boxn = (np.abs(H) ** (1.0 / degs)).max(axis=1)
-    tol = 1e-8 + 1e-6 * r
-    return (res <= tol) & (boxn <= 1.0 / chart_leg_count(frame, I)), H, res
-
-
-@pytest.mark.parametrize("name", ["heisenberg", "grushin", "engel", "martinet"])
-def test_ball_membership_matches_fixed_iteration_loop(name):
-    system = load_model(name)
-    frame = CommutatorFrame(system)
-    x = (0.0,) * system.n
-    for r in (0.25, 0.5):
-        I = ballbox.select_maximal(frame, x, r).I
-        lo, hi = ballbox._bounding_box(frame, I, x, 2 * r)
-        tol = 1e-8 + 1e-6 * r
-        for seed in (101, 5):
-            pts = np.random.default_rng(seed).uniform(lo, hi, size=(20_000, system.n))
-            mask, H, res = ball_membership(system, frame, I, x, r, pts)
-            ref, H_ref, res_ref = _membership_fixed_iterations(
-                system, frame, I, x, r, pts
-            )
-            assert np.array_equal(mask, ref)
-            assert np.abs(H - H_ref).max() <= 1e-12
-            assert np.array_equal(res <= tol, res_ref <= tol)
-
-
-MAXIMAL_CASES = pytest.mark.parametrize("name, x", [
-    ("heisenberg", (0.0, 0.0, 0.0)),
-    ("grushin", (0.0, 0.0)),
-    ("grushin", (1.0, 0.0)),
-    ("engel", (0.0, 0.0, 0.0, 0.0)),
-    ("martinet", (0.0, 0.0, 0.0)),
-    ("flat3", (0.0, 0.0, 0.0)),
-], ids=["heisenberg", "grushin-origin", "grushin-1-0", "engel", "martinet", "flat3"])
-
-
-@MAXIMAL_CASES
-def test_invert_chart_forward_substitution_matches_solve_loop(name, x, monkeypatch):
-    """On a triangular maximal frame the solve is forward substitution, and it
-    agrees with the batched-solve loop."""
-    system = load_model(name)
-    frame = CommutatorFrame(system)
-    r = 0.25
-    I = ballbox.select_maximal(frame, x, r).I
-    lo, hi = ballbox._bounding_box(frame, I, x, 2 * r)
-    pts = np.random.default_rng(7).uniform(lo, hi, size=(4_000, system.n))
-    with monkeypatch.context() as patch:
-        solves = _count_calls(patch, np.linalg, "solve")
-        H, res = invert_chart(frame, I, x, r, pts)
-    assert not solves
-    # one step at the sample points: a wrong step would still converge
-    cols = [r ** frame.degree(i) * system.batch_fn(frame.word(i))(pts) for i in I]
-    J = np.stack(cols, axis=2) + 1e-12 * np.eye(system.n)
-    R = np.random.default_rng(8).uniform(-1, 1, size=pts.shape)
-    step = approxexp._chart_step(cols, R, True)
-    assert np.allclose(step, np.linalg.solve(J, R[..., None])[..., 0], rtol=1e-10, atol=0)
-    _, H_ref, res_ref = _membership_fixed_iterations(
-        system, frame, I, x, r, pts, max_iter=approxexp._INVERT_ITERS
-    )
-    assert np.abs(H - H_ref).max() <= 1e-12
-    assert np.abs(res - res_ref).max() <= 1e-12
-
-
-def test_heisenberg_doubling_makes_no_batched_solve(monkeypatch):
-    solves = _count_calls(monkeypatch, np.linalg, "solve")
-    rep = ballbox.doubling_ratio(HEIS, HEIS_FRAME, ORIGIN, 0.25, N=20_000, seed=101)
-    assert rep["inner_count"] > 0 and not solves
-
-
-def test_invert_chart_zero_diagonal_falls_back_to_pinv(monkeypatch):
-    # X2 = x d/dy vanishes on x = 0: at the centre the ridged diagonal entry
-    # r * x + 1e-12 is exactly 0, so the first step is singular
-    frame, I, x, r = CommutatorFrame(load_model("grushin")), (1, 2), (-1e-12, 0.0), 1.0
-    Hin = np.random.default_rng(3).uniform(-0.3, 0.3, size=(8, 2))
-    Y = e_map_batch(frame, I, x, r, Hin)
-    solves = _count_calls(monkeypatch, np.linalg, "solve")
-    pinvs = _count_calls(monkeypatch, np.linalg, "pinv")
-    H, res = invert_chart(frame, I, x, r, Y)
-    assert solves and pinvs
-    assert np.isfinite(H).all() and (res <= 1e-8 * r).all()
-
-
-def test_invert_chart_non_triangular_frame_solves(monkeypatch):
-    system = _xy_system()
-    frame, I, x, r = CommutatorFrame(system), (1, 2), (0.3, 0.1), 0.5
-    Hin = np.random.default_rng(4).uniform(-0.4, 0.4, size=(8, 2))
-    Y = e_map_batch(frame, I, x, r, Hin)
-    solves = _count_calls(monkeypatch, np.linalg, "solve")
-    H, res = invert_chart(frame, I, x, r, Y)
-    assert solves
-    assert (res <= 1e-12).all() and np.abs(H - Hin).max() < 1e-10
-
-
-@MAXIMAL_CASES
-def test_membership_mask_by_dilation_matches_direct_solve(name, x):
-    """One solve at R gives the radius-r mask of a direct solve at r, bitwise."""
-    system = load_model(name)
-    frame = CommutatorFrame(system)
-    for r in (0.25, 0.5):
-        I = ballbox.select_maximal(frame, x, r).I
-        for scale in (1.5, 2.0, 3.0):
-            R = scale * r
-            lo, hi = ballbox._bounding_box(frame, I, x, R)
-            for seed in (101, 5):
-                pts = np.random.default_rng(seed).uniform(lo, hi, size=(20_000, system.n))
-                _, H, res = ball_membership(system, frame, I, x, R, pts)
-                direct = ball_membership(system, frame, I, x, r, pts)[0]
-                assert direct.any()
-                assert np.array_equal(membership_mask(frame, I, R, H, res, r), direct)
 
 
 def test_fefferman_phong_bounded():
@@ -549,13 +357,12 @@ def test_cc_and_rho_report_their_best_shooting_solve(monkeypatch):
     a, b = (0.05, -0.1, 0.02), (-0.08, 0.04, 0.01)
     fl = fl_distance(HEIS, a, b, seed=1)
     assert fl.ok()
-    for fl_cert, starts in ((fl.certificate, 3), (None, 2)):
+    for seed_by, starts in ((fl, 3), (None, 2)):
         solves.clear()
-        cc = cc_distance(HEIS, a, b, seed=1, fl_cert=fl_cert)
+        cc = cc_distance(HEIS, a, b, seed=1, fl=seed_by)
         assert len(solves) == starts
         assert cc.ok() and cc.trace == [(cc.value, True)]
-    rho = rho_distance(HEIS, HEIS_FRAME, a, b, seed=1,
-                       cc_cert=cc.certificate, cc_value=cc.value)
+    rho = rho_distance(HEIS, HEIS_FRAME, a, b, seed=1, cc=cc)
     assert rho.ok() and rho.trace == [(rho.value, True)]
 
 
@@ -585,3 +392,200 @@ def test_gauss_newton_stops_on_a_non_finite_jacobian():
     assert theta.tolist() == [start]
     assert res == pytest.approx(1.5000001, abs=1e-12)
     assert not res <= 1e-8
+
+
+# -- approxexp: chart inversion and ball membership ----------------------------------
+
+
+def test_ball_membership_roundtrip_and_dilation():
+    rng = np.random.default_rng(11)
+    r = 0.25
+    M = chart_leg_count(HEIS_FRAME, HEIS_I)
+    Hin = rng.uniform(-1, 1, size=(200, 3)) * (0.5 / M) ** np.array([1.0, 1.0, 2.0])
+    pts_in = e_map_batch(HEIS_FRAME, HEIS_I, ORIGIN, r, Hin)
+    mask, H, res = ball_membership(HEIS, HEIS_FRAME, HEIS_I, ORIGIN, r, pts_in)
+    assert mask.all()
+    assert np.abs(H - Hin).max() < 1e-10
+
+    pts_out = rng.uniform(0.5, 1.0, size=(100, 3))
+    mask_out, _, _ = ball_membership(HEIS, HEIS_FRAME, HEIS_I, ORIGIN, r, pts_out)
+    assert not mask_out.any()
+
+    pts = rng.uniform(-0.1, 0.1, size=(500, 3))
+    m1, _, _ = ball_membership(HEIS, HEIS_FRAME, HEIS_I, ORIGIN, r, pts)
+    lam = 2.0
+    dil = pts * np.array([lam, lam, lam * lam])
+    m2, _, _ = ball_membership(HEIS, HEIS_FRAME, HEIS_I, ORIGIN, lam * r, dil)
+    assert (m1 == m2).all()
+
+
+def _xy_system():
+    """X1 = (1, 0), X2 = (y, x): X2 is not triangular, and neither is frame (1, 2)."""
+    one, zero = Poly.const(2, 1), Poly.zero(2)
+    return VectorFieldSystem(
+        [PolyMap([one, zero]), PolyMap([Poly.var(2, 1), Poly.var(2, 0)])],
+        step=2, name="xy",
+    )
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_ball_membership_singular_fallback_solves_each_row(monkeypatch):
+    # a non-triangular frame: every step is a batched solve, pinv when it raises
+    system = _xy_system()
+    frame, I, x = CommutatorFrame(system), (1, 2), (0.3, 0.1)
+    rng = np.random.default_rng(12)
+    r = 0.25
+    M = chart_leg_count(frame, I)
+    Hin = rng.uniform(-1, 1, size=(5, 2)) * (0.5 / M)
+    pts = np.vstack([e_map_batch(frame, I, x, r, Hin), [[0.9, 0.9]]])
+    solves = _count_calls(monkeypatch, np.linalg, "solve")
+    ref, H_ref, _ = ball_membership(system, frame, I, x, r, pts)
+    assert solves
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    pinvs = _count_calls(monkeypatch, np.linalg, "pinv")
+    mask, H, _ = ball_membership(system, frame, I, x, r, pts)
+    assert pinvs
+    assert mask.shape == (6,)
+    assert (mask == ref).all() and mask[:5].all() and not mask[5]
+    assert np.abs(H[:5] - H_ref[:5]).max() < 1e-10
+
+
+def _membership_fixed_iterations(system, frame, I, x, r, pts, max_iter=8):
+    """Reference: every row runs all ``max_iter`` quasi-Newton iterations."""
+    n = system.n
+    H = np.zeros((len(pts), n))
+    ridge = 1e-12 * np.eye(n)
+    for _ in range(max_iter):
+        E = e_map_batch(frame, I, x, r, H)
+        cols = [
+            (r ** frame.degree(i)) * system.batch_fn(frame.word(i))(E) for i in I
+        ]
+        J = np.stack(cols, axis=2) + ridge
+        dH = np.linalg.solve(J, (pts - E)[..., None])[..., 0]
+        cap = np.maximum(np.abs(dH).max(axis=1), 1e-300)
+        H = H + dH * np.minimum(1.0, 0.5 / cap)[:, None]
+    res = np.linalg.norm(pts - e_map_batch(frame, I, x, r, H), axis=1)
+    degs = np.array([frame.degree(i) for i in I], dtype=float)
+    boxn = (np.abs(H) ** (1.0 / degs)).max(axis=1)
+    tol = 1e-8 + 1e-6 * r
+    return (res <= tol) & (boxn <= 1.0 / chart_leg_count(frame, I)), H, res
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "grushin", "engel", "martinet"])
+def test_ball_membership_matches_fixed_iteration_loop(name):
+    system = load_model(name)
+    frame = CommutatorFrame(system)
+    x = (0.0,) * system.n
+    for r in (0.25, 0.5):
+        I = ballbox.select_maximal(frame, x, r).I
+        lo, hi = ballbox._bounding_box(frame, I, x, 2 * r)
+        tol = 1e-8 + 1e-6 * r
+        for seed in (101, 5):
+            pts = np.random.default_rng(seed).uniform(lo, hi, size=(20_000, system.n))
+            mask, H, res = ball_membership(system, frame, I, x, r, pts)
+            ref, H_ref, res_ref = _membership_fixed_iterations(
+                system, frame, I, x, r, pts
+            )
+            assert np.array_equal(mask, ref)
+            assert np.abs(H - H_ref).max() <= 1e-12
+            assert np.array_equal(res <= tol, res_ref <= tol)
+
+
+MAXIMAL_CASES = pytest.mark.parametrize("name, x", [
+    ("heisenberg", (0.0, 0.0, 0.0)),
+    ("grushin", (0.0, 0.0)),
+    ("grushin", (1.0, 0.0)),
+    ("engel", (0.0, 0.0, 0.0, 0.0)),
+    ("martinet", (0.0, 0.0, 0.0)),
+    ("flat3", (0.0, 0.0, 0.0)),
+], ids=["heisenberg", "grushin-origin", "grushin-1-0", "engel", "martinet", "flat3"])
+
+
+@MAXIMAL_CASES
+def test_invert_chart_forward_substitution_matches_solve_loop(name, x, monkeypatch):
+    """On a triangular maximal frame the solve is forward substitution, and it
+    agrees with the batched-solve loop."""
+    system = load_model(name)
+    frame = CommutatorFrame(system)
+    r = 0.25
+    I = ballbox.select_maximal(frame, x, r).I
+    lo, hi = ballbox._bounding_box(frame, I, x, 2 * r)
+    pts = np.random.default_rng(7).uniform(lo, hi, size=(4_000, system.n))
+    with monkeypatch.context() as patch:
+        solves = _count_calls(patch, np.linalg, "solve")
+        H, res = invert_chart(frame, I, x, r, pts)
+    assert not solves
+    # one step at the sample points: a wrong step would still converge
+    cols = [r ** frame.degree(i) * system.batch_fn(frame.word(i))(pts) for i in I]
+    J = np.stack(cols, axis=2) + 1e-12 * np.eye(system.n)
+    R = np.random.default_rng(8).uniform(-1, 1, size=pts.shape)
+    step = approxexp._chart_step(cols, R, True)
+    assert np.allclose(step, np.linalg.solve(J, R[..., None])[..., 0], rtol=1e-10, atol=0)
+    _, H_ref, res_ref = _membership_fixed_iterations(
+        system, frame, I, x, r, pts, max_iter=approxexp._INVERT_ITERS
+    )
+    assert np.abs(H - H_ref).max() <= 1e-12
+    assert np.abs(res - res_ref).max() <= 1e-12
+
+
+def test_heisenberg_doubling_makes_no_batched_solve(monkeypatch):
+    solves = _count_calls(monkeypatch, np.linalg, "solve")
+    rep = ballbox.doubling_ratio(HEIS, HEIS_FRAME, ORIGIN, 0.25, N=20_000, seed=101)
+    assert rep["inner_count"] > 0 and not solves
+
+
+def test_invert_chart_zero_diagonal_falls_back_to_pinv(monkeypatch):
+    # X2 = x d/dy vanishes on x = 0: at the centre the ridged diagonal entry
+    # r * x + 1e-12 is exactly 0, so the first step is singular
+    frame, I, x, r = CommutatorFrame(load_model("grushin")), (1, 2), (-1e-12, 0.0), 1.0
+    Hin = np.random.default_rng(3).uniform(-0.3, 0.3, size=(8, 2))
+    Y = e_map_batch(frame, I, x, r, Hin)
+    solves = _count_calls(monkeypatch, np.linalg, "solve")
+    pinvs = _count_calls(monkeypatch, np.linalg, "pinv")
+    H, res = invert_chart(frame, I, x, r, Y)
+    assert solves and pinvs
+    assert np.isfinite(H).all() and (res <= 1e-8 * r).all()
+
+
+def test_invert_chart_non_triangular_frame_solves(monkeypatch):
+    system = _xy_system()
+    frame, I, x, r = CommutatorFrame(system), (1, 2), (0.3, 0.1), 0.5
+    Hin = np.random.default_rng(4).uniform(-0.4, 0.4, size=(8, 2))
+    Y = e_map_batch(frame, I, x, r, Hin)
+    solves = _count_calls(monkeypatch, np.linalg, "solve")
+    H, res = invert_chart(frame, I, x, r, Y)
+    assert solves
+    assert (res <= 1e-12).all() and np.abs(H - Hin).max() < 1e-10
+
+
+@MAXIMAL_CASES
+def test_membership_mask_by_dilation_matches_direct_solve(name, x):
+    """One solve at R gives the radius-r mask of a direct solve at r, bitwise."""
+    system = load_model(name)
+    frame = CommutatorFrame(system)
+    for r in (0.25, 0.5):
+        I = ballbox.select_maximal(frame, x, r).I
+        for scale in (1.5, 2.0, 3.0):
+            R = scale * r
+            lo, hi = ballbox._bounding_box(frame, I, x, R)
+            for seed in (101, 5):
+                pts = np.random.default_rng(seed).uniform(lo, hi, size=(20_000, system.n))
+                _, H, res = ball_membership(system, frame, I, x, R, pts)
+                direct = ball_membership(system, frame, I, x, r, pts)[0]
+                assert direct.any()
+                assert np.array_equal(membership_mask(frame, I, R, H, res, r), direct)

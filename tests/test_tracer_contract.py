@@ -126,3 +126,12 @@ def test_tracer_counts_the_exact_layers():
     assert times["freelie.check"][0] == 4
     assert times["ncpoly.witness_coefficients"][0] - witness_calls == 1
     assert [getattr(owner, attr) for owner, attr in traced] == originals
+
+
+def test_tracer_only_imports_are_the_chart_functions():
+    # metric imports these only for the tracer to patch; a copy there would
+    # let the traced layer drift from the function the harnesses call
+    from liebox import approxexp, ballbox, metric
+
+    assert metric.ball_membership is ballbox.ball_membership is approxexp.ball_membership
+    assert metric.e_map_batch is approxexp.e_map_batch

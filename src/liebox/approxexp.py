@@ -5,33 +5,43 @@ legs for a word of length l by its recursion.  The almost-exponential map
 chains one approximate exponential per frame entry, with the radius folded
 into the leg times: a scaled commutator r^l Y flown for parameter h
 uses leg times |h|^(1/l) * r over the original generators, which is exactly
-the scaled-generator composition.  For h < 0 the legs are inverted, and the
-inverse legs run the forward letters from the second on and then the first
-again, so a zero-time leg (which leaves a finite in-box row unchanged) pads
-both signs to one letter sequence.  ``e_map_batch`` is the one chart;
-``e_map`` is one of its rows, ``jacobian_e`` its central-difference
-Jacobian, ``invert_chart`` its one inverse and ``chart_leg_count`` its
-number of legs.  The volume harnesses' ball membership is built on these:
-``ball_membership`` inverts the chart once, and ``membership_mask`` is the
-one acceptance rule, box gauge at most 1/M for the M legs.  Its unread
-``system`` argument stays because the perfbench tracer reads the sample
-points at position 5.  Each (frame, I) runs one straight-line chart function,
-generated on first use and kept on the frame, in which a leg updates the
-coordinate columns in place by its exact Lie series on a triangular field
-(``PolyMap.flow_source``) and is one ``flow_batch`` call (DOPRI5, NaN rows
-off the domain box) on any other.  ``invert_chart`` steps by forward
-substitution on the leading-order Jacobian when the frame is
-lower-triangular, as exponential coordinates of the second kind are on
-stratified groups, and by a batched ``solve`` (``pinv`` when singular)
-otherwise.  Its leading-order columns, like every float frame column
-(``CommutatorFrame.eval_columns``), come from the system's cached batch
-evaluators (``batch_fn``).  ``exp_ap`` and ``c_map`` compose single flows
-(``compose_flows``), one leg at a time.
+the scaled-generator composition.  For h < 0 the legs are inverted.
+``e_map_batch`` is the one chart; ``e_map`` is one of its rows,
+``jacobian_e`` its central-difference Jacobian, ``invert_chart`` its one
+inverse and ``chart_leg_count`` its number of legs.  The volume harnesses'
+ball membership is built on these: ``ball_membership`` inverts the chart
+once, and ``membership_mask`` is the one acceptance rule, box gauge at most
+1/M for the M legs.  Its unread ``system`` argument stays because the
+perfbench tracer reads the sample points at position 5.
+
+Each (frame, I) runs one straight-line chart function, generated on first
+use and kept on the frame.  An entry whose letters are all triangular fields
+is one exact polynomial step: ``branch_maps`` composes its forward legs and
+their inverse into one polynomial map over (x, tau) each (``Poly.substitute``
+of each letter's ``PolyMap.flow_map``), and the columns gain the half-sum
+plus, times the sign of h, the half-difference of the two displacements; a
+single letter is its exact flow for the signed time h * r.  Any other entry
+runs leg by leg, a triangular letter as its exact Lie series in place
+(``PolyMap.flow_source``) and any other as one ``flow_batch`` call (DOPRI5,
+NaN rows off the domain box); there the inverse legs run the forward letters
+from the second on and then the first again, so a zero-time leg (which
+leaves a finite in-box row unchanged) pads both signs to one letter
+sequence.  A row with a non-finite h comes back all NaN.
+
+``invert_chart`` steps by forward substitution on the leading-order Jacobian
+when the frame is lower-triangular, as exponential coordinates of the second
+kind are on stratified groups, and by a batched ``solve`` (``pinv`` when
+singular) otherwise.  Its leading-order columns, like every float frame
+column (``CommutatorFrame.eval_columns``), come from the system's cached
+batch evaluators (``batch_fn``).  ``exp_ap`` and ``c_map`` compose single
+flows (``compose_flows``), one leg at a time.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
-from .poly import exec_source
+from .poly import Poly, PolyMap, exec_source
 from .vfield import all_words
 from .words import check_integers, check_word
 
@@ -143,12 +153,14 @@ def chart_leg_count(frame, I):
 
 
 def e_map_batch(frame, I, x, r, H):
-    """Vectorized chart over H of shape (N, n), one leg sequence per entry.
+    """Vectorized chart over H of shape (N, n); a row with a non-finite h is NaN.
 
-    Entry k takes tau_k once and runs every row at times p * tau_k (h_k >= 0)
-    or q * tau_k (h_k < 0), one time array per distinct (p, q).  For l >= 2 a
-    zero-time leg joins the forward and the inverse legs; it leaves a finite
-    row in the domain box unchanged and makes an off-box or non-finite row NaN.
+    Entry k takes tau_k once.  With only triangular letters it moves every row
+    by its composed branch polynomials at tau_k (``_composed_entry``).  Any
+    other entry runs every row at times p * tau_k (h_k >= 0) or q * tau_k
+    (h_k < 0), one time array per distinct (p, q).  For l >= 2 a zero-time
+    leg joins its forward and inverse legs; it leaves a finite row in the
+    domain box unchanged and makes an off-box or non-finite row NaN.
     """
     I = frame.check_index_tuple(I)
     return _chart(frame, I)[0](x, r, np.asarray(H, dtype=float))
@@ -165,6 +177,9 @@ def _chart(frame, I):
              f"    {cols}= np.broadcast_to(np.asarray(x, dtype=float), H.shape).T.copy()"]
     for k in range(n - 1, -1, -1):
         w = frame.word(I[k])
+        if all(system.field(j).is_triangular() for j in w):
+            lines += _composed_entry(system, w, k)
+            continue
         lines += [f"    tau = np.abs(H[:, {k}]) ** {1.0 / len(w)!r} * r",
                   f"    forward = H[:, {k}] >= 0"]
         legs = c_map_legs(w, 1.0)
@@ -179,11 +194,69 @@ def _chart(frame, I):
             lines.append(f"    T = {times[p, q]}")
             lines += [f"    {s}" for s in field.flow_source()] if field.is_triangular() else [
                 f"    {cols}= system.flow_batch({j}, T, np.stack(({cols}), axis=1)).T"]
-    lines.append(f"    return np.stack(({cols}), axis=1)")
+    lines += [f"    out = np.stack(({cols}), axis=1)",
+              "    if not np.isfinite(H).all():",
+              "        out[~np.isfinite(H).all(axis=1)] = np.nan",
+              "    return out"]
     triangular = all(frame.map(I[k])[i].is_zero() for k in range(n) for i in range(k))
     columns = [(frame.degree(i), system.batch_fn(frame.word(i))) for i in I]
     frame.tables[I] = exec_source(lines, system=system), triangular, columns
     return frame.tables[I]
+
+
+def branch_maps(system, w):
+    """The forward legs ``c_map_legs(w, tau)`` and their ``invert_legs``, each
+    composed exactly into one PolyMap over (x, tau), tau the last variable.
+
+    Every letter of ``w`` must be a triangular field, whose flow is the exact
+    polynomial ``flow_map``; leg (j, c * tau) substitutes the map so far for x
+    and c * tau for T in the flow of letter j.
+    """
+    n = system.n
+    tau = Poly.var(n + 1, n)
+    legs = c_map_legs(w, 1)
+    out = []
+    for branch in (legs, invert_legs(legs)):
+        X = [Poly.var(n + 1, i) for i in range(n)]
+        for j, c in branch:
+            X = [p.substitute(X + [tau.scale(c)]) for p in system.field(j).flow_map()]
+        out.append(PolyMap(X))
+    return out
+
+
+def _composed_entry(system, w, k):
+    """Lines moving the columns by entry k's composed branch maps: with s the
+    sign of h_k as +-1 (its sign bit), x_i += A_i + s*B_i, A and B the halves
+    of the sum and the difference of the two branches' displacements, which
+    read only the columns before i; tau's powers t1, t2, .. by repeated
+    products.  A single letter is its flow for the signed time h_k * r."""
+    if len(w) == 1:
+        return [f"    T = H[:, {k}] * r"] + [f"    {s}" for s in system.field(w[0]).flow_source()]
+    forward, inverse = branch_maps(system, w)
+    ident = [Poly.var(system.n + 1, i) for i in range(system.n)]
+    A = [((p + q).scale(Fraction(1, 2)) - x) for p, q, x in zip(forward, inverse, ident)]
+    B = [(p - q).scale(Fraction(1, 2)) for p, q in zip(forward, inverse)]
+    top = max((e[-1] for p in A + B for e in p.terms), default=1)
+    lines = [f"    t1 = np.abs(H[:, {k}]) ** {1.0 / len(w)!r} * r",
+             f"    s = np.copysign(1.0, H[:, {k}])"]
+    lines += [f"    t{d} = t{d - 1} * t1" for d in range(2, top + 1)]
+    for i in reversed(range(system.n)):
+        a, b = _tau_source(A[i]), _tau_source(B[i])
+        parts = ([a] if a else []) + ([f"s*({b})"] if b else [])
+        if parts:
+            lines.append(f"    x{i} += {' + '.join(parts)}")
+    return lines
+
+
+def _tau_source(p):
+    """Source of a Poly over (x, tau): each power d >= 1 of tau as t{d} times
+    its coefficient's terms; the empty string for the zero Poly."""
+    groups = []
+    for d, g in enumerate(p.split_last()):
+        if g.terms:
+            terms = g._batch_terms()
+            groups.append(f"t{d}" if terms == ["1.0"] else f"t{d}*({' + '.join(terms)})")
+    return " + ".join(groups)
 
 
 def jacobian_e(frame, I, x, r, h):

@@ -7,7 +7,9 @@ and evaluation must all be exact (``eval_exact``).  Every float evaluation
 goes through one generated vectorized evaluator per polynomial or map
 (``compile_batch``, over arrays of shape (..., nvars)); ``compile_scalar``
 is one row of it.  The flows of triangular fields and of their
-constant-control mixtures are compiled from their terminating Lie series.
+constant-control mixtures are compiled from their terminating Lie series,
+which ``PolyMap.flow_map`` holds as an exact map over (x, T);
+``Poly.substitute`` composes such maps exactly.
 """
 
 from fractions import Fraction
@@ -69,6 +71,34 @@ class Poly(SparseSum):
             ne[i] -= 1
             out.terms[tuple(ne)] = c * e[i]
         return out
+
+    def substitute(self, values):
+        """Exact composition: variable i replaced by the Poly ``values[i]``.
+
+        The values share one variable count, which the result takes; each
+        power of a value is multiplied out once.
+        """
+        values = tuple(values)
+        if len(values) != self.nvars:
+            raise ValueError(f"need {self.nvars} values, got {len(values)}")
+        out = Poly(values[0].nvars)
+        powers = [[v] for v in values]  # powers[i][k - 1] is values[i]**k
+        for e, c in self.terms.items():
+            term = None
+            for v, pw, k in zip(values, powers, e):
+                if k:
+                    while len(pw) < k:
+                        pw.append(pw[-1] * v)
+                    term = pw[k - 1] if term is None else term * pw[k - 1]
+            out = out + (Poly.const(out.nvars, c) if term is None else term.scale(c))
+        return out
+
+    def split_last(self):
+        """Coefficients of the powers 0.. of the last variable, Polys over the others."""
+        groups = [[] for _ in range(1 + max((e[-1] for e in self.terms), default=0))]
+        for e, c in self.terms.items():
+            groups[e[-1]].append((e[:-1], c))
+        return [Poly(self.nvars - 1, g) for g in groups]
 
     def eval_exact(self, point):
         """Exact evaluation at a point of Fractions/ints."""
@@ -138,7 +168,7 @@ class Poly(SparseSum):
 class PolyMap:
     """Vector of polynomials, one per ambient coordinate."""
 
-    __slots__ = ("n", "components", "_flow_src")
+    __slots__ = ("n", "components", "_flow_map")
 
     def __init__(self, components):
         comps = tuple(components)
@@ -149,7 +179,7 @@ class PolyMap:
             raise ValueError("component variable counts differ")
         self.components = comps
         self.n = nv
-        self._flow_src = None
+        self._flow_map = None
 
     def __iter__(self):
         return iter(self.components)
@@ -209,32 +239,44 @@ class PolyMap:
             not any(e[i:]) for i, p in enumerate(self.components) for e in p.terms
         )
 
+    def flow_map(self):
+        """The exact flow exp(T X) of a triangular field, as a map over (x, T).
+
+        Component i is x_i plus the terminating Lie series
+        sum_{k>=1} T^k/k! X^k(x_i) (repeated ``directional_derivative``),
+        which reads only the coordinates before i; T is the last of the n + 1
+        variables.  Built once per map.
+        """
+        if self._flow_map is None:
+            if not self.is_triangular():
+                raise ValueError("Lie series of a non-triangular field need not terminate")
+            comps = []
+            for i in range(self.n):
+                terms, g, k = [], Poly.var(self.n, i), 0
+                while not g.is_zero():
+                    terms += [(e + (k,), c) for e, c in g.terms.items()]
+                    k += 1
+                    g = directional_derivative(self, g).scale(Fraction(1, k))
+                comps.append(Poly(self.n + 1, terms))
+            self._flow_map = PolyMap(comps)
+        return self._flow_map
+
     def flow_source(self):
         """Lines flowing the columns x0.. in place by exp(T X), X triangular.
 
-        Column i gains the terminating Lie series sum_{k>=1} T^k/k! X^k(x_i)
-        (repeated ``directional_derivative``, Horner form in T), which reads
-        only the columns before i: the lines run from the last column down.
-        ``T`` is a scalar or one time per row.  Built once per map.
+        Column i gains the T^k coefficients of ``flow_map`` in Horner form in
+        T; they read only the columns before i, so the lines run from the
+        last column down.  ``T`` is a scalar or one time per row.
         """
-        if self._flow_src is None:
-            if not self.is_triangular():
-                raise ValueError("Lie series of a non-triangular field need not terminate")
-            lines = []
-            for i in reversed(range(self.n)):
-                series, g = [], Poly.var(self.n, i)
-                while True:
-                    g = directional_derivative(self, g).scale(Fraction(1, len(series) + 1))
-                    if g.is_zero():
-                        break
-                    series.append(" + ".join(g._batch_terms()))
-                if series:
-                    expr = series[-1]
-                    for c in reversed(series[:-1]):
-                        expr = f"{c} + T*({expr})"
-                    lines.append(f"x{i} += T" if expr == "1.0" else f"x{i} += T*({expr})")
-            self._flow_src = tuple(lines)
-        return self._flow_src
+        lines = []
+        for i in reversed(range(self.n)):
+            series = [" + ".join(g._batch_terms()) for g in self.flow_map()[i].split_last()[1:]]
+            if series:
+                expr = series[-1]
+                for c in reversed(series[:-1]):
+                    expr = f"{c} + T*({expr})"
+                lines.append(f"x{i} += T" if expr == "1.0" else f"x{i} += T*({expr})")
+        return lines
 
     def compile_flow_batch(self):
         """Exact batched flow ``(T, P) -> exp(T X)(P)``: ``flow_source`` on a copy of P."""

@@ -32,8 +32,12 @@ class SparseSum:
         self.terms = {}
 
     def _add(self, key, c):
-        """Add ``c`` to the coefficient of ``key``; a coefficient of 0 is dropped."""
-        c = self.terms.get(key, 0) + c
+        """Add ``c`` to the coefficient of ``key``; a coefficient of 0 is dropped.
+
+        A new key stores ``c`` itself (``0 + c`` would build a new Fraction)."""
+        old = self.terms.get(key)
+        if old is not None:
+            c = old + c
         if c == 0:
             self.terms.pop(key, None)
         else:

@@ -24,6 +24,25 @@ def test_ring_axioms_spot():
         assert (a - a).is_zero()
 
 
+def test_substitute_commutes_with_exact_evaluation():
+    """Substituting then evaluating equals evaluating the values then the
+    polynomial, at seeded random rational points."""
+    rng = random.Random(27)
+    for _ in range(60):
+        k, m = rng.randint(1, 3), rng.randint(1, 3)
+        p = random_poly(rng, k, nterms=rng.randint(0, 4))
+        values = [random_poly(rng, m, nterms=rng.randint(0, 3), max_exp=2) for _ in range(k)]
+        q = p.substitute(values)
+        assert q.nvars == m and all(c != 0 for c in q.terms.values())
+        for _ in range(3):
+            z = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(m)]
+            assert q.eval_exact(z) == p.eval_exact([v.eval_exact(z) for v in values])
+    x, y = Poly.var(2, 0), Poly.var(2, 1)
+    assert (x * x - y).substitute([y + x, x]) == y * y + x * y.scale(2) + x * x - x
+    with pytest.raises(ValueError, match="need 2 values"):
+        (x * y).substitute([x])
+
+
 def test_diff_product_rule():
     rng = random.Random(1)
     for _ in range(20):

@@ -15,18 +15,17 @@ once, and ``membership_mask`` is the one acceptance rule, box gauge at most
 perfbench tracer reads the sample points at position 5.
 
 Each (frame, I) runs one straight-line chart function, generated on first
-use and kept on the frame.  An entry whose letters are all triangular fields
-is one exact polynomial step: ``branch_maps`` composes its forward legs and
-their inverse into one polynomial map over (x, tau) each (``Poly.substitute``
-of each letter's ``PolyMap.flow_map``), and the columns gain the half-sum
-plus, times the sign of h, the half-difference of the two displacements; a
-single letter is its exact flow for the signed time h * r.  Any other entry
-runs leg by leg, a triangular letter as its exact Lie series in place
-(``PolyMap.flow_source``) and any other as one ``flow_batch`` call (DOPRI5,
-NaN rows off the domain box); there the inverse legs run the forward letters
-from the second on and then the first again, so a zero-time leg (which
-leaves a finite in-box row unchanged) pads both signs to one letter
-sequence.  A row with a non-finite h comes back all NaN.
+use and kept on the frame.  An entry whose letters are all triangular
+fields is one exact polynomial step: ``branch_maps`` composes its forward
+legs and their inverse into one polynomial map over (x, tau) each
+(``Poly.substitute`` of each letter's ``PolyMap.flow_map``), and the columns
+gain the half-sum plus, times the sign of h, the half-difference of the two
+displacements.  Any other entry runs leg by leg, a triangular letter as its
+exact Lie series in place (``PolyMap.flow_source``) and any other as one
+``flow_batch`` call (DOPRI5, NaN rows off the domain box); there the inverse
+legs run the forward letters from the second on and then the first again,
+so a zero-time leg (which leaves a finite in-box row unchanged) pads both
+signs to one letter sequence.  A row with a non-finite h comes back all NaN.
 
 ``invert_chart`` steps by forward substitution on the leading-order Jacobian
 when the frame is lower-triangular, as exponential coordinates of the second
@@ -155,12 +154,12 @@ def chart_leg_count(frame, I):
 def e_map_batch(frame, I, x, r, H):
     """Vectorized chart over H of shape (N, n); a row with a non-finite h is NaN.
 
-    Entry k takes tau_k once.  With only triangular letters it moves every row
-    by its composed branch polynomials at tau_k (``_composed_entry``).  Any
-    other entry runs every row at times p * tau_k (h_k >= 0) or q * tau_k
-    (h_k < 0), one time array per distinct (p, q).  For l >= 2 a zero-time
-    leg joins its forward and inverse legs; it leaves a finite row in the
-    domain box unchanged and makes an off-box or non-finite row NaN.
+    Entry k takes tau_k once.  With only triangular letters it moves every
+    row by its composed branch polynomials at tau_k (``_composed_entry``).
+    Any other entry runs every row at times p * tau_k (h_k >= 0) or
+    q * tau_k (h_k < 0), one time array per distinct (p, q).  For l >= 2 a
+    zero-time leg joins its forward and inverse legs; it leaves a finite row
+    in the domain box unchanged and makes an off-box or non-finite row NaN.
     """
     I = frame.check_index_tuple(I)
     return _chart(frame, I)[0](x, r, np.asarray(H, dtype=float))
@@ -229,9 +228,7 @@ def _composed_entry(system, w, k):
     sign of h_k as +-1 (its sign bit), x_i += A_i + s*B_i, A and B the halves
     of the sum and the difference of the two branches' displacements, which
     read only the columns before i; tau's powers t1, t2, .. by repeated
-    products.  A single letter is its flow for the signed time h_k * r."""
-    if len(w) == 1:
-        return [f"    T = H[:, {k}] * r"] + [f"    {s}" for s in system.field(w[0]).flow_source()]
+    products."""
     forward, inverse = branch_maps(system, w)
     ident = [Poly.var(system.n + 1, i) for i in range(system.n)]
     A = [((p + q).scale(Fraction(1, 2)) - x) for p, q, x in zip(forward, inverse, ident)]

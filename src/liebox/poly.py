@@ -82,6 +82,7 @@ class Poly(SparseSum):
         if len(values) != self.nvars:
             raise ValueError(f"need {self.nvars} values, got {len(values)}")
         out = Poly(values[0].nvars)
+        one = {(0,) * out.nvars: 1}
         powers = [[v] for v in values]  # powers[i][k - 1] is values[i]**k
         for e, c in self.terms.items():
             term = None
@@ -90,7 +91,8 @@ class Poly(SparseSum):
                     while len(pw) < k:
                         pw.append(pw[-1] * v)
                     term = pw[k - 1] if term is None else term * pw[k - 1]
-            out = out + (Poly.const(out.nvars, c) if term is None else term.scale(c))
+            for key, v in (one if term is None else term.terms).items():
+                out._add(key, c * v)
         return out
 
     def split_last(self):

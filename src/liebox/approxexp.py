@@ -29,10 +29,11 @@ signs to one letter sequence.  A row with a non-finite h comes back all NaN.
 
 ``invert_chart`` steps by forward substitution on the leading-order Jacobian
 when the frame is lower-triangular, as exponential coordinates of the second
-kind are on stratified groups, and by a batched ``solve`` (``pinv`` when
-singular) otherwise.  Its leading-order columns, like every float frame
-column (``CommutatorFrame.eval_columns``), come from the system's cached
-batch evaluators (``batch_fn``).  ``exp_ap`` and ``c_map`` compose single
+kind are on stratified groups; that step is generated beside the chart, in
+its record (``_step_source``).  The one fallback, for other frames and for a
+zero diagonal entry, is a batched ``solve`` (``pinv`` when singular) on the
+system's cached batch evaluators (``batch_fn``).  Its first iteration, at
+h = 0, runs the chart on one row.  ``exp_ap`` and ``c_map`` compose single
 flows (``compose_flows``), one leg at a time.
 """
 
@@ -166,13 +167,14 @@ def e_map_batch(frame, I, x, r, H):
 
 
 def _chart(frame, I):
-    """(compiled chart, triangular, [(degree, evaluator) of each Y_{i_k}])
-    of frame I, built on first use and kept on the frame."""
+    """(compiled chart, Newton step or None, [(degree, evaluator) of each
+    Y_{i_k}]) of frame I, one generated source built on first use and kept on
+    the frame; the step (``_step_source``) exists for a lower-triangular frame."""
     if I in frame.tables:
         return frame.tables[I]
     system, n = frame.system, frame.system.n
     cols = "".join(f"x{i}, " for i in range(n))
-    lines = ["def _f(x, r, H):",
+    lines = ["def _chart(x, r, H):",
              f"    {cols}= np.broadcast_to(np.asarray(x, dtype=float), H.shape).T.copy()"]
     for k in range(n - 1, -1, -1):
         w = frame.word(I[k])
@@ -198,9 +200,41 @@ def _chart(frame, I):
               "        out[~np.isfinite(H).all(axis=1)] = np.nan",
               "    return out"]
     triangular = all(frame.map(I[k])[i].is_zero() for k in range(n) for i in range(k))
+    lines += _step_source(frame, I) if triangular else ["_step = None"]
     columns = [(frame.degree(i), system.batch_fn(frame.word(i))) for i in I]
-    frame.tables[I] = exec_source(lines, system=system), triangular, columns
+    chart, step = exec_source(lines + ["_f = _chart, _step"], system=system)
+    frame.tables[I] = chart, step, columns
     return frame.tables[I]
+
+
+def _step_source(frame, I):
+    """Lines of ``_step(E, R, r)``, one capped quasi-Newton step of
+    ``invert_chart`` on a lower-triangular frame: the columns
+    c{k}_{i} = r**l_k * Y_{i_k}[i](E) for i >= k, each summed from 0.0 in
+    its batch evaluator's order (zero ones too: 0 * inf is NaN), forward
+    substitution with the 1e-12 ridge, and the 0.5 cap in max norm.  Returns
+    (dH, cap), or None when a ridged diagonal entry is exactly 0."""
+    n = frame.system.n
+    lines = ["def _step(E, R, r):"] + [f"    x{i} = E[:, {i}]" for i in range(n)]
+    diag = []
+    for k, j in enumerate(I):
+        for i in range(k, n):
+            terms = " + ".join(["0.0"] + frame.map(j)[i]._batch_terms())
+            lines.append(f"    c{k}_{i} = r ** {frame.degree(j)} * ({terms})")
+        lines.append(f"    d{k} = c{k}_{k} + 1e-12")
+        # a constant column entry is a float, which has no .all()
+        constant = not any(any(e) for e in frame.map(j)[k].terms)
+        diag.append(f"d{k} != 0.0" if constant else f"d{k}.all()")
+    lines += [f"    if not ({' and '.join(diag)}):", "        return None"]
+    for i in range(n):
+        acc = "".join(f" - c{k}_{i} * h{k}" for k in range(i))
+        lines.append(f"    h{i} = (R[:, {i}]{acc}) / d{i}")
+    lines.append("    cap = np.abs(h0)")
+    lines += [f"    cap = np.maximum(cap, np.abs(h{i}))" for i in range(1, n)]
+    lines += ["    cap = np.maximum(cap, 1e-300)",
+              "    s = np.minimum(1.0, 0.5 / cap)",
+              f"    return np.stack(({''.join(f'h{i} * s, ' for i in range(n))}), axis=1), cap"]
+    return lines
 
 
 def branch_maps(system, w):
@@ -234,7 +268,8 @@ def _composed_entry(system, w, k):
     A = [((p + q).scale(Fraction(1, 2)) - x) for p, q, x in zip(forward, inverse, ident)]
     B = [(p - q).scale(Fraction(1, 2)) for p, q in zip(forward, inverse)]
     top = max((e[-1] for p in A + B for e in p.terms), default=1)
-    lines = [f"    t1 = np.abs(H[:, {k}]) ** {1.0 / len(w)!r} * r",
+    root = f" ** {1.0 / len(w)!r}" if len(w) > 1 else ""
+    lines = [f"    t1 = np.abs(H[:, {k}]){root} * r",
              f"    s = np.copysign(1.0, H[:, {k}])"]
     lines += [f"    t{d} = t{d - 1} * t1" for d in range(2, top + 1)]
     for i in reversed(range(system.n)):
@@ -281,18 +316,20 @@ def invert_chart(frame, I, x, r, Y):
     the current chart point, plus a 1e-12 ridge, and every step is capped at
     0.5 in max norm.  When the frame is lower-triangular (component i of
     Y_{i_k} is the zero polynomial for every i < k, as at the maximal frame
-    of every built-in model) each step is n vectorized forward-substitution
-    steps.  Otherwise, or when a diagonal entry of the batch is exactly 0,
-    the step is a batched ``solve``, and ``pinv`` when that batch is
-    singular.  Each row stops on its own: once the undamped step it just
-    took is at the floating-point floor (max |dH| <= 1e-12), its residual is
-    evaluated once more at the new H and the row leaves the batch.  Rows
-    that never reach the floor (slow or non-finite rows) run all
-    ``_INVERT_ITERS`` iterations.  Returns the solutions H and the residuals
-    |y - e_map(H)|; each caller applies its own acceptance rule.
+    of every built-in model) each step is the frame's generated step
+    (``_step_source``), n forward-substitution steps.  Otherwise, or when a
+    diagonal entry of the batch is exactly 0, the step is a batched
+    ``solve``, and ``pinv`` when that batch is singular.  Every row starts
+    at h = 0, so the first iteration runs the chart and columns on one row.
+    Each row stops on its own: once the undamped step it just took is at the
+    floating-point floor (max |dH| <= 1e-12), its residual is evaluated once
+    more at the new H and the row leaves the batch.  Rows that never reach
+    the floor (slow or non-finite rows) run all ``_INVERT_ITERS``
+    iterations.  Returns the solutions H and the residuals |y - e_map(H)|;
+    each caller applies its own acceptance rule.
     """
     I = frame.check_index_tuple(I)
-    _, triangular, columns = _chart(frame, I)
+    _, step, columns = _chart(frame, I)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     N, n = Y.shape
     H, res = np.empty((N, n)), np.empty(N)
@@ -300,7 +337,7 @@ def invert_chart(frame, I, x, r, Y):
     live, HL, YL = np.arange(N), np.zeros((N, n)), Y
     settled = np.zeros(N, dtype=bool)
     for it in range(_INVERT_ITERS + 1):
-        E = e_map_batch(frame, I, x, r, HL)
+        E = e_map_batch(frame, I, x, r, HL if it else HL[:1])
         R = YL - E
         done = settled | (it == _INVERT_ITERS)
         if done.any():
@@ -310,32 +347,24 @@ def invert_chart(frame, I, x, r, Y):
             live, HL, YL, E, R = live[keep], HL[keep], YL[keep], E[keep], R[keep]
             if not live.size:
                 break
-        cols = [r ** d * fn(E) for d, fn in columns]
-        dH = _chart_step(cols, R, triangular)
-        cap = np.maximum(_column_max(np.abs(dH)), 1e-300)
-        dH *= np.minimum(1.0, 0.5 / cap)[:, None]
+        out = step(E, R, r) if step else None
+        dH, cap = out or _chart_step([r ** d * fn(E) for d, fn in columns], R)
         HL += dH
         settled = cap <= 1e-12
     return H, res
 
 
-def _chart_step(cols, R, triangular):
-    """Solve J dH = R for every row, J the column arrays ``cols`` plus a 1e-12 ridge."""
-    n = len(cols)
-    diag = [cols[i][:, i] + 1e-12 for i in range(n)]
-    if triangular and all(d.all() for d in diag):
-        dH = np.empty_like(R)
-        for i in range(n):
-            acc = R[:, i]
-            for k in range(i):
-                acc = acc - cols[k][:, i] * dH[:, k]
-            dH[:, i] = acc / diag[i]
-        return dH
-    J = np.stack(cols, axis=2) + 1e-12 * np.eye(n)
+def _chart_step(cols, R):
+    """Solve J dH = R for every row, J the column arrays ``cols`` plus a 1e-12
+    ridge, by a batched ``solve`` (``pinv`` when singular); returns dH capped
+    at 0.5 in max norm and its max norm before the cap (at least 1e-300)."""
+    J = np.stack(cols, axis=2) + 1e-12 * np.eye(len(cols))
     try:
-        return np.linalg.solve(J, R[..., None])[..., 0]
+        dH = np.linalg.solve(J, R[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        return (np.linalg.pinv(J) @ R[..., None])[..., 0]
+        dH = (np.linalg.pinv(J) @ R[..., None])[..., 0]
+    cap = np.maximum(_column_max(np.abs(dH)), 1e-300)
+    return dH * np.minimum(1.0, 0.5 / cap)[:, None], cap
 
 
 def ball_membership(system, frame, I, x, r, pts):

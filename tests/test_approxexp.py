@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from liebox import flows
+from liebox import approxexp, flows
 from liebox.approxexp import (
     CommutatorFrame,
     box_norm,
@@ -537,3 +537,137 @@ def test_chart_is_compiled_once_per_frame_and_index_tuple(monkeypatch):
     other = CommutatorFrame(HEIS)
     assert e_map(other, HEIS_MAXIMAL, x, 0.5, h) == y
     assert len(built) == 3
+
+
+def _reference_invert_chart(frame, I, x, r, Y):
+    """``invert_chart`` as the plain loop it replaces: the chart on every live
+    row from the first iteration on, the columns r**l * Y_{i_k}(E) from the
+    batch evaluators, and a Python forward substitution on a lower-triangular
+    frame, with the batched solve (pinv when singular) otherwise."""
+    system, n = frame.system, frame.system.n
+    triangular = all(frame.map(I[k])[i].is_zero() for k in range(n) for i in range(k))
+    columns = [(frame.degree(i), system.batch_fn(frame.word(i))) for i in I]
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    N = len(Y)
+    H, res = np.empty((N, n)), np.empty(N)
+    live, HL, YL = np.arange(N), np.zeros((N, n)), Y
+    settled = np.zeros(N, dtype=bool)
+    for it in range(approxexp._INVERT_ITERS + 1):
+        E = e_map_batch(frame, I, x, r, HL)
+        R = YL - E
+        done = settled | (it == approxexp._INVERT_ITERS)
+        if done.any():
+            H[live[done]] = HL[done]
+            res[live[done]] = np.linalg.norm(R[done], axis=1)
+            keep = ~done
+            live, HL, YL, E, R = live[keep], HL[keep], YL[keep], E[keep], R[keep]
+            if not live.size:
+                break
+        cols = [r ** d * fn(E) for d, fn in columns]
+        diag = [cols[i][:, i] + 1e-12 for i in range(n)]
+        if triangular and all(d.all() for d in diag):
+            dH = np.empty_like(R)
+            for i in range(n):
+                acc = R[:, i]
+                for k in range(i):
+                    acc = acc - cols[k][:, i] * dH[:, k]
+                dH[:, i] = acc / diag[i]
+        else:
+            J = np.stack(cols, axis=2) + 1e-12 * np.eye(n)
+            try:
+                dH = np.linalg.solve(J, R[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                dH = (np.linalg.pinv(J) @ R[..., None])[..., 0]
+        cap = np.maximum(np.abs(dH).max(axis=1), 1e-300)
+        dH *= np.minimum(1.0, 0.5 / cap)[:, None]
+        HL += dH
+        settled = cap <= 1e-12
+    return H, res
+
+
+def _assert_inverts_as_reference(frame, I, x, r, Y):
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        H, res = approxexp.invert_chart(frame, I, x, r, Y)
+        H_ref, res_ref = _reference_invert_chart(frame, I, x, r, Y)
+    assert np.array_equal(H, H_ref, equal_nan=True)
+    assert np.array_equal(res, res_ref, equal_nan=True)
+    return H, res
+
+
+INVERT_CASES = (
+    ("heisenberg", (0.0, 0.0, 0.0)),
+    ("grushin", (0.0, 0.0)),
+    ("grushin", (1.0, 0.0)),
+    ("engel", (0.0, 0.0, 0.0, 0.0)),
+    ("martinet", (0.0, 0.0, 0.0)),
+    ("flat3", (0.0, 0.0, 0.0)),
+)
+
+
+@pytest.mark.parametrize("name, x", INVERT_CASES)
+@pytest.mark.parametrize("r", [0.25, 0.5])
+def test_invert_chart_is_bitwise_the_reference_loop(name, x, r):
+    """The generated step and the one-row first iteration change no bit of
+    (H, res): on box points, on NaN and +-inf targets, and on far targets
+    that run every iteration."""
+    from liebox.ballbox import _bounding_box
+
+    frame = CommutatorFrame(load_model(name))
+    n = len(x)
+    I = select_maximal(frame, x, r).I
+    lo, hi = _bounding_box(frame, I, x, 2 * r)
+    rng = np.random.default_rng(7)
+    pts = rng.uniform(lo, hi, size=(4_000, n))
+    # NaN, +inf and -inf in the first and in the last coordinate
+    bad = np.repeat(pts[:1], 6, axis=0)
+    for row, (col, v) in enumerate(itertools.product((0, n - 1), (np.nan, np.inf, -np.inf))):
+        bad[row, col] = v
+    far = 40 * rng.uniform(-1, 1, size=(20, n)) * (np.asarray(hi) - np.asarray(lo))
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(approxexp, "e_map_batch",
+                      lambda *args: calls.append(1) or e_map_batch(*args))
+        approxexp.invert_chart(frame, I, x, r, far)
+    assert len(calls) == approxexp._INVERT_ITERS + 1  # some far row never settles
+    _, res = _assert_inverts_as_reference(frame, I, x, r, np.vstack([pts, bad, far]))
+    assert (res[:4_000] <= 1e-8).sum() > 1_000
+    assert np.isnan(res[4_000:4_006]).all()
+
+
+def test_invert_chart_fallbacks_are_bitwise_the_reference_loop(monkeypatch):
+    # grushin at x = -1e-12: the ridged diagonal r * x + 1e-12 is exactly 0
+    # at h = 0, so the first step falls back to solve, and solve to pinv
+    frame, I, x, r = CommutatorFrame(load_model("grushin")), (1, 2), (-1e-12, 0.0), 1.0
+    Y = e_map_batch(frame, I, x, r, np.random.default_rng(3).uniform(-0.3, 0.3, size=(64, 2)))
+    pinvs = []
+    pinv = np.linalg.pinv
+    monkeypatch.setattr(np.linalg, "pinv", lambda J: pinvs.append(len(J)) or pinv(J))
+    _assert_inverts_as_reference(frame, I, x, r, Y)
+    assert pinvs[0] == 1
+    # a non-triangular frame always solves
+    I, x = (1, 2), (0.3, 0.1)
+    rng = np.random.default_rng(4)
+    Y = np.vstack([e_map_batch(XY_FRAME, I, x, 0.5, rng.uniform(-0.4, 0.4, size=(64, 2))),
+                   rng.uniform(-3, 3, size=(16, 2))])
+    _, res = _assert_inverts_as_reference(XY_FRAME, I, x, 0.5, Y)
+    assert (res[:64] <= 1e-12).sum() > 50
+
+
+@pytest.mark.parametrize("frame, I, x", [
+    (HEIS_FRAME, HEIS_MAXIMAL, (0.0, 0.0, 0.0)),
+    (GRUSHIN_FRAME, GRUSHIN_AT_A, (1.0, 0.0)),
+    (XY_FRAME, (1, 2), (0.3, 0.1)),
+])
+def test_invert_chart_runs_the_first_iteration_on_one_row(frame, I, x, monkeypatch):
+    rows = []
+
+    def recording(frame, I, x, r, H):
+        rows.append(len(H))
+        return e_map_batch(frame, I, x, r, H)
+
+    monkeypatch.setattr(approxexp, "e_map_batch", recording)
+    H0 = np.random.default_rng(5).uniform(-0.2, 0.2, size=(300, len(x)))
+    Y = e_map_batch(frame, I, x, 0.5, H0)
+    _, res = approxexp.invert_chart(frame, I, x, 0.5, Y)
+    assert rows[0] == 1 and len(rows) > 2 and max(rows[1:]) <= 300
+    assert (res <= 1e-8).all()

@@ -530,12 +530,14 @@ def test_invert_chart_forward_substitution_matches_solve_loop(name, x, monkeypat
         solves = _count_calls(patch, np.linalg, "solve")
         H, res = invert_chart(frame, I, x, r, pts)
     assert not solves
-    # one step at the sample points: a wrong step would still converge
+    # one generated step at the sample points: a wrong step would still converge
     cols = [r ** frame.degree(i) * system.batch_fn(frame.word(i))(pts) for i in I]
     J = np.stack(cols, axis=2) + 1e-12 * np.eye(system.n)
     R = np.random.default_rng(8).uniform(-1, 1, size=pts.shape)
-    step = approxexp._chart_step(cols, R, True)
-    assert np.allclose(step, np.linalg.solve(J, R[..., None])[..., 0], rtol=1e-10, atol=0)
+    step, cap = approxexp._chart(frame, I)[1](pts, R, r)
+    solved = np.linalg.solve(J, R[..., None])[..., 0]
+    assert np.allclose(cap, np.abs(solved).max(axis=1), rtol=1e-10, atol=0)
+    assert np.allclose(step, solved * np.minimum(1.0, 0.5 / cap)[:, None], rtol=1e-10, atol=0)
     _, H_ref, res_ref = _membership_fixed_iterations(
         system, frame, I, x, r, pts, max_iter=approxexp._INVERT_ITERS
     )

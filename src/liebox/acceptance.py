@@ -344,15 +344,52 @@ def criterion_12_tychonoff():
     }
 
 
+def _heisenberg_phase(ratio):
+    """Root phi in [0, 2 pi) of (phi - sin phi) / (8 sin^2(phi/2)) = ratio."""
+    lo, hi = 0.0, 2.0 * math.pi
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if (mid - math.sin(mid)) / (8.0 * math.sin(0.5 * mid) ** 2) < ratio:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def heisenberg_distance(a, b):
+    """Exact Carnot-Caratheodory distance on the ``heisenberg`` model, the
+    truth criterion 13 holds the distance estimates against.
+
+    Left-invariance gives d(a, b) = d(0, a^-1 b).  With r = |(x, y)| > 0 the
+    geodesic turns through the root phi of (phi - sin phi) / (8 sin^2(phi/2))
+    = |z| / r^2 and has length r (phi/2) / sin(phi/2); on the z-axis the
+    length is sqrt(4 pi |z|).  Reference: Agrachev, Barilari, Boscain, A
+    Comprehensive Introduction to Sub-Riemannian Geometry (CUP 2019).
+    """
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    dz = b[2] - a[2] - 0.5 * (a[0] * b[1] - a[1] * b[0])
+    r = math.hypot(dx, dy)
+    if r == 0.0:
+        return math.sqrt(4.0 * math.pi * abs(dz))
+    if dz == 0.0:
+        return r
+    phi = _heisenberg_phase(abs(dz) / (r * r))
+    return r * (0.5 * phi) / math.sin(0.5 * phi)
+
+
 def criterion_13_distance_properties():
     heis = load_model("heisenberg")
     frame = CommutatorFrame(heis)
     rng = np.random.default_rng(13)
     violations = 0
+    ratios = {"fl": [], "cc": []}  # estimate / exact distance, reported only
     for i in range(100):
         a = tuple(rng.uniform(-0.2, 0.2, 3))
         b = tuple(rng.uniform(-0.2, 0.2, 3))
         fl, cc, rho = estimate_all(heis, frame, a, b, seed=i)
+        exact = heisenberg_distance(a, b)
+        ratios["fl"].append(fl.value / exact)
+        ratios["cc"].append(cc.value / exact)
         if not (fl.ok() and cc.ok() and rho.ok()):
             violations += 1
             continue
@@ -368,11 +405,15 @@ def criterion_13_distance_properties():
     sups = [v for _, v in rows]
     fp_ok = all(math.isfinite(v) for v in sups) and max(sups) / min(sups) < 3.0
     ok = violations == 0 and fp_ok
-    return ok, {
+    details = {
         "ordering_violations": violations,
         "fp_sups": sups,
         "fp_variation": max(sups) / min(sups) if all(map(math.isfinite, sups)) else math.inf,
     }
+    for kind, r in ratios.items():
+        details[f"{kind}_exact_median"] = float(np.median(r))
+        details[f"{kind}_exact_max"] = max(r)
+    return ok, details
 
 
 # (number, name, callable, time budget in seconds)

@@ -174,8 +174,11 @@ def _chart(frame, I):
         return frame.tables[I]
     system, n = frame.system, frame.system.n
     cols = "".join(f"x{i}, " for i in range(n))
+    # column-major P: the columns x0.. are contiguous views, which the legs
+    # move in place and a fallback leg (``leg_source``) rewrites through P
     lines = ["def _chart(x, r, H):",
-             f"    {cols}= np.broadcast_to(np.asarray(x, dtype=float), H.shape).T.copy()"]
+             "    P = np.broadcast_to(np.asarray(x, dtype=float), H.shape).T.copy().T",
+             f"    {cols}= P.T"]
     for k in range(n - 1, -1, -1):
         w = frame.word(I[k])
         if all(system.field(j).is_triangular() for j in w):
@@ -191,18 +194,17 @@ def _chart(frame, I):
                 times[p, q] = f"t{len(times)}"
                 sign = repr(p) if p == q else f"np.where(forward, {p!r}, {q!r})"
                 lines.append(f"    {times[p, q]} = {sign} * tau")
-            field = system.field(j)
             lines.append(f"    T = {times[p, q]}")
-            lines += [f"    {s}" for s in field.flow_source()] if field.is_triangular() else [
-                f"    {cols}= system.flow_batch({j}, T, np.stack(({cols}), axis=1)).T"]
-    lines += [f"    out = np.stack(({cols}), axis=1)",
-              "    if not np.isfinite(H).all():",
+            lines += [f"    {s}" for s in system.leg_source(j)]
+    # one column at a time: cheaper than np.stack on few rows and on many
+    lines += ["    out = np.empty(H.shape)"] + [f"    out[:, {i}] = x{i}" for i in range(n)]
+    lines += ["    if not np.isfinite(H).all():",
               "        out[~np.isfinite(H).all(axis=1)] = np.nan",
               "    return out"]
     triangular = all(frame.map(I[k])[i].is_zero() for k in range(n) for i in range(k))
     lines += _step_source(frame, I) if triangular else ["_step = None"]
     columns = [(frame.degree(i), system.batch_fn(frame.word(i))) for i in I]
-    chart, step = exec_source(lines + ["_f = _chart, _step"], system=system)
+    chart, step = exec_source(lines + ["_f = _chart, _step"], flow_batch=system.flow_batch)
     frame.tables[I] = chart, step, columns
     return frame.tables[I]
 

@@ -43,16 +43,18 @@ _E = tuple(b5 - b4 for b5, b4 in zip(_A[6] + (0.0,), (
 )))
 
 
-def dopri5(fb, T, Y0):
+def dopri5(fb, T, Y0, controls=0):
     """Integrate y' = fb(y) from 0 to T over the rows of Y0; returns (N, n).
 
     ``fb`` maps an (N, n) array to (N, n); ``T`` is a scalar or has one
     (signed) entry per row.  Each row runs its own step size, so a row's
     result never depends on the other rows, and leaves the batch once it
     reaches its T.  The error of a step is controlled against DOPRI5_ATOL +
-    DOPRI5_RTOL*|y| componentwise, in RMS over the components.  A row that
-    starts or steps outside +-DOMAIN_BOX, has a non-finite T, underflows its
-    step or reaches DOPRI5_MAX_STEPS steps comes back as NaN; nothing raises.
+    DOPRI5_RTOL*|y| componentwise, in RMS over the components after the
+    first ``controls``, which ``fb`` keeps constant (the controls of a
+    lifted mixture carry no error).  A row that starts or steps outside
+    +-DOMAIN_BOX, has a non-finite T, underflows its step or reaches
+    DOPRI5_MAX_STEPS steps comes back as NaN; nothing raises.
     """
     Y0 = np.asarray(Y0, dtype=float)
     N = Y0.shape[0]
@@ -79,7 +81,7 @@ def dopri5(fb, T, Y0):
             # the last stage point is the 5th-order solution
             E = hc * sum(c * kj for c, kj in zip(_E, k) if c)
             sc = DOPRI5_ATOL + DOPRI5_RTOL * np.maximum(np.abs(Y), np.abs(Ys))
-            err = np.sqrt(np.mean((E / sc) ** 2, axis=1))
+            err = np.sqrt(np.mean((E[:, controls:] / sc[:, controls:]) ** 2, axis=1))
             ok = err <= 1.0
             Y[ok], K0[ok], s[ok] = Ys[ok], k[6][ok], s[ok] + h[ok]
             done = ok & (h >= rest)

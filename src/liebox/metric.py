@@ -11,9 +11,13 @@ keeps the feasible ones, and ``_best`` reports the first smallest.  Each
 estimator seeds the next by its estimate, which guarantees the
 admissible-class orderings: ``cc_distance(..., fl=)`` shoots from the arc
 path and imports its value, and ``rho_distance(..., cc=)`` does the same with
-the control path.  Paths flow exactly on triangular fields and by the
-adaptive ``flows.dopri5`` on any other field, where a path that leaves the
-domain box ends at NaN and is never feasible.  Endpoints must be finite
+the control path.  Each endpoint map is one call of a generated evaluator
+that the system builds on first use and caches with its flows: one for all
+arc paths (``arc_path_batch``, a branch per letter) and one per key tuple
+for control paths (``control_path_batch``, a loop over the segments).  Both
+run the exact Lie series of triangular fields in place on the columns, and
+any other field by the adaptive ``flows.dopri5``, where a path that leaves
+the domain box ends at NaN and is never feasible.  Endpoints must be finite
 (``ValueError`` otherwise); the feasibility tolerance and iteration caps are
 module constants.
 """
@@ -31,6 +35,8 @@ FEAS_TOL = 1e-9
 # the canonical ones in ``fl_distance``.
 _GN_ITERS = 20
 _RANDOM_TEMPLATES = 4
+# the damped step's six lengths, tried as one batch
+_HALVINGS = 0.5 ** np.arange(6.0)[:, None]
 
 
 @dataclass
@@ -51,13 +57,10 @@ class DistanceEstimate:
 def arc_endpoints(system, letters, T, x):
     """Endpoints of arc paths: flow each letter for its (signed) time.
 
-    ``T`` has shape (N, len(letters)); returns (N, n).
+    ``T`` has shape (N, len(letters)); returns (N, n).  One call of the
+    system's generated arc evaluator (``arc_path_batch``).
     """
-    T = np.atleast_2d(np.asarray(T, dtype=float))
-    Y = np.broadcast_to(np.asarray(x, dtype=float), (T.shape[0], system.n)).copy()
-    for i, j in enumerate(letters):
-        Y = system.flow_batch(j, T[:, i], Y)
-    return Y
+    return system.arc_path_batch(letters, T, x)
 
 
 def control_endpoints(system, U, x, keys):
@@ -65,14 +68,10 @@ def control_endpoints(system, U, x, keys):
 
     ``keys`` are letters or words; ``U`` has shape (N, segments, len(keys)):
     unnormalized coefficients; each segment lasts 1/segments and is one
-    mixture flow.
+    mixture flow.  One call of the key tuple's generated control evaluator
+    (``control_path_batch``).
     """
-    U = np.asarray(U, dtype=float)
-    N, k, _ = U.shape
-    Y = np.broadcast_to(np.asarray(x, dtype=float), (N, system.n)).copy()
-    for seg in range(k):
-        Y = system.mixture_flow_batch(keys, U[:, seg, :], 1.0 / k, Y)
-    return Y
+    return system.control_path_batch(keys, U, x)
 
 
 # -- Gauss-Newton shooting -------------------------------------------------------
@@ -87,14 +86,15 @@ def _gauss_newton(endpoint_batch, theta0, target, tol):
     theta = np.asarray(theta0, dtype=float).copy()
     dim = theta.size
     res = target - endpoint_batch(theta[None, :])[0]
-    best = float(np.linalg.norm(res))
+    best = math.sqrt(res.dot(res))  # what np.linalg.norm computes on 1-D
+    steps = np.arange(dim)
+    batch = np.empty((dim + 1, dim))
     for _ in range(_GN_ITERS):
         if not best > tol:  # feasible, or a start off the domain box (NaN)
             break
         deltas = 1e-6 * np.maximum(1.0, np.abs(theta))
-        batch = np.tile(theta, (dim + 1, 1))
-        for i in range(dim):
-            batch[i + 1, i] += deltas[i]
+        batch[:] = theta
+        batch[steps + 1, steps] += deltas
         E = endpoint_batch(batch)
         res = target - E[0]
         J = (E[1:] - E[0]) / deltas[:, None]
@@ -103,8 +103,10 @@ def _gauss_newton(endpoint_batch, theta0, target, tol):
         step, *_ = np.linalg.lstsq(J.T, res, rcond=None)
         # damped update: all halvings evaluated as one batch, best wins;
         # a candidate off the domain box (NaN) never does: fmin maps it to inf
-        cands = np.stack([theta + step * (0.5**k) for k in range(6)])
-        rs = np.fmin(np.linalg.norm(endpoint_batch(cands) - target, axis=1), np.inf)
+        cands = theta + step * _HALVINGS
+        D = endpoint_batch(cands) - target
+        # the row norms summed as np.linalg.norm(D, axis=1) sums them, bit for bit
+        rs = np.fmin(np.sqrt(np.add.reduce(D * D, axis=1)), np.inf)
         k = int(np.argmin(rs))
         if rs[k] < best:
             theta, best = cands[k], float(rs[k])
@@ -377,3 +379,4 @@ def fefferman_phong_check(system, x, directions, scales, s, seed=0):
                 worst = math.inf
         rows.append((float(delta), worst))
     return rows
+

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import flows
-from .poly import Poly, PolyMap, control_mixture, directional_derivative, lie_bracket
+from .poly import Poly, PolyMap, control_mixture, directional_derivative, exec_source, lie_bracket
 from .words import apply_perm, check_integers, check_word, pi_support, rational_point
 
 
@@ -144,6 +144,12 @@ class VectorFieldSystem:
                 self.horizontal_derivative(j, f).compile_batch() for j in range(1, self.m + 1)]
         return self._horizontal_fns[key]
 
+    def _flow_field(self, key):
+        """The field of a letter, or the control lift of a 1-tuple of keys."""
+        if isinstance(key, tuple):
+            return control_mixture([self._key_map(k) for k in key[0]])
+        return self.field(key)
+
     def _flow(self, key):
         """Flow map ``(T, Y) -> endpoints``, chosen once per key and cached.
 
@@ -151,22 +157,101 @@ class VectorFieldSystem:
         mixture (no word has that shape, so its evaluator shares the
         ``batch_fn`` cache).  A triangular field or control lift flows by its
         exact Lie series; any other field by ``flows.dopri5``, a lift's rows
-        with s = max|u| > 1 as u / s for time s * T (``_unit_controls``).
+        with s = max|u| > 1 as u / s for time s * T (``_unit_controls``) and
+        its d controls left out of the step's error norm.  The same cache
+        holds the path evaluators of ``arc_path_batch`` (key ``"arcs"``) and
+        ``control_path_batch`` (key ``("controls", keys)``).
         """
         fn = self._flows.get(key)
         if fn is None:
-            if isinstance(key, tuple):
-                pmap = control_mixture([self._key_map(k) for k in key[0]])
-            else:
-                pmap = self.field(key)
+            pmap = self._flow_field(key)
             if pmap.is_triangular():
                 fn = pmap.compile_flow_batch()
             else:
                 fb = self.batch_fn(key, pmap)
                 d = len(key[0]) if isinstance(key, tuple) else 0
-                fn = lambda T, Y: flows.dopri5(fb, *_unit_controls(d, T, Y))
+                fn = lambda T, Y: flows.dopri5(fb, *_unit_controls(d, T, Y), controls=d)
             self._flows[key] = fn
         return fn
+
+    def leg_source(self, key):
+        """Lines flowing the columns x0.. of the array ``P`` in place for the
+        times ``T`` by the flow of ``key``: a letter moves all n columns, a
+        lift ``(keys,)`` reads its d controls from x0..x{d-1} and moves the
+        state x{d}.. after them.
+
+        A triangular field runs its exact Lie series (``flow_source``) on
+        the columns, which must be views of P's; any other field is one call
+        of ``flow_batch`` or ``mixture_flow_batch`` (names the generated
+        function must have in scope) on P, written back into P.
+        """
+        pmap = self._flow_field(key)
+        if pmap.is_triangular():
+            return pmap.flow_source()
+        if not isinstance(key, tuple):
+            return [f"P[:] = flow_batch({key}, T, P)"]
+        d = len(key[0])
+        return [f"P[:, {d}:] = mixture_flow_batch({key[0]!r}, P[:, :{d}], T, P[:, {d}:])"]
+
+    def _compile_path(self, lines):
+        """The function ``lines`` define, with the fallbacks of ``leg_source`` in scope."""
+        return exec_source(lines, flow_batch=self.flow_batch,
+                           mixture_flow_batch=self.mixture_flow_batch)
+
+    def arc_path_batch(self, letters, T, x):
+        """Endpoints of arc paths from x: signed letter ``letters[i]`` flowed
+        for time ``T[:, i]``, first letter first; ``T`` has shape
+        (N, len(letters)), returns (N, n).
+
+        One generated evaluator per system, built on first use: a branch per
+        letter runs its ``leg_source``, at -T for a negative letter, as
+        ``flow_batch`` flows one leg.
+        """
+        fn = self._flows.get("arcs")
+        if fn is None:
+            lines = ["def _f(letters, TT, x):",
+                     "    TT = np.atleast_2d(np.asarray(TT, dtype=float))",
+                     f"    P = np.empty((len(TT), {self.n}))",
+                     f"    {''.join(f'x{i}, ' for i in range(self.n))}= P.T",
+                     "    P[:] = x",
+                     "    for i, j in enumerate(letters):",
+                     "        T = TT[:, i] if j > 0 else -TT[:, i]"]
+            for j in range(1, self.m + 1):
+                lines.append(f"        {'el' if j > 1 else ''}if abs(j) == {j}:")
+                lines += [f"            {s}" for s in self.leg_source(j)]
+            lines += ["        else:",
+                      f"            raise ValueError(f'field index {{j}} outside 1..{self.m}')",
+                      "    return P"]
+            fn = self._flows["arcs"] = self._compile_path(lines)
+        return fn(letters, T, x)
+
+    def control_path_batch(self, keys, U, x):
+        """Endpoints of piecewise-constant control paths from x over the
+        fields of ``keys`` (letters or words): ``U`` has shape
+        (N, segments, len(keys)), each segment lasts 1/segments and is one
+        mixture flow; returns (N, n).
+
+        One generated evaluator per key tuple, built on first use: it loops
+        over the segments and runs the lift's ``leg_source`` with the
+        segment's controls in the leading columns.
+        """
+        keys = tuple(keys)
+        fn = self._flows.get(("controls", keys))
+        if fn is None:
+            d, n = len(keys), self.n
+            lines = ["def _f(U, x):",
+                     "    U = np.asarray(U, dtype=float)",
+                     "    N, k, _ = U.shape",
+                     f"    P = np.empty((N, {d + n}))",
+                     f"    {''.join(f'x{i}, ' for i in range(d + n))}= P.T",
+                     f"    P[:, {d}:] = x",
+                     "    for seg in range(k):",
+                     "        T = 1.0 / k",
+                     f"        P[:, :{d}] = U[:, seg]"]
+            lines += [f"        {s}" for s in self.leg_source((keys,))]
+            lines.append(f"    return P[:, {d}:]")
+            fn = self._flows["controls", keys] = self._compile_path(lines)
+        return fn(U, x)
 
     def flow_batch(self, j, T, Y):
         """Flow of a signed generator letter for times T over rows of Y.

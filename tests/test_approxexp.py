@@ -348,9 +348,9 @@ def test_chart_on_non_triangular_field_is_one_dopri5_call(monkeypatch):
     calls = []
     dopri5 = flows.dopri5
 
-    def counting(fb, T, Y0):
+    def counting(fb, T, Y0, **kwargs):
         calls.append(len(Y0))
-        return dopri5(fb, T, Y0)
+        return dopri5(fb, T, Y0, **kwargs)
 
     monkeypatch.setattr(flows, "dopri5", counting)
     for h in (0.3, 1.0):

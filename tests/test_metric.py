@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from liebox import approxexp, ballbox, flows, metric
+from liebox import approxexp, ballbox, flows, metric, vfield
+from liebox.acceptance import heisenberg_distance
 from liebox.approxexp import (
     CommutatorFrame,
     ball_membership,
@@ -222,38 +223,6 @@ def test_distances_reject_non_finite_endpoints(monkeypatch, bad):
                 fn(HEIS, x, y)
     with pytest.raises(ValueError, match="finite"):
         estimate_all(HEIS, HEIS_FRAME, ORIGIN, bad)
-
-
-def _heisenberg_phase(ratio):
-    """Root phi in [0, 2 pi) of (phi - sin phi) / (8 sin^2(phi/2)) = ratio."""
-    lo, hi = 0.0, 2.0 * math.pi
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if (mid - math.sin(mid)) / (8.0 * math.sin(0.5 * mid) ** 2) < ratio:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def heisenberg_distance(a, b):
-    """Exact Carnot-Caratheodory distance on the Heisenberg model.
-
-    Left-invariance gives d(a, b) = d(0, a^-1 b).  With r = |(x, y)| > 0 the
-    geodesic turns through the root phi of (phi - sin phi) / (8 sin^2(phi/2))
-    = |z| / r^2 and has length r (phi/2) / sin(phi/2); on the z-axis the
-    length is sqrt(4 pi |z|).  Reference: Agrachev, Barilari, Boscain, A
-    Comprehensive Introduction to Sub-Riemannian Geometry (CUP 2019).
-    """
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    dz = b[2] - a[2] - 0.5 * (a[0] * b[1] - a[1] * b[0])
-    r = math.hypot(dx, dy)
-    if r == 0.0:
-        return math.sqrt(4.0 * math.pi * abs(dz))
-    if dz == 0.0:
-        return r
-    phi = _heisenberg_phase(abs(dz) / (r * r))
-    return r * (0.5 * phi) / math.sin(0.5 * phi)
 
 
 def test_distances_against_exact_heisenberg_distance():
@@ -591,3 +560,177 @@ def test_membership_mask_by_dilation_matches_direct_solve(name, x):
                 direct = ball_membership(system, frame, I, x, r, pts)[0]
                 assert direct.any()
                 assert np.array_equal(membership_mask(frame, I, R, H, res, r), direct)
+
+
+# -- the generated path evaluators and Gauss-Newton against their reference loops --
+
+
+def _arc_loop(system, letters, T, x):
+    """Reference: one ``flow_batch`` call per leg."""
+    T = np.atleast_2d(np.asarray(T, dtype=float))
+    Y = np.broadcast_to(np.asarray(x, dtype=float), (T.shape[0], system.n)).copy()
+    for i, j in enumerate(letters):
+        Y = system.flow_batch(j, T[:, i], Y)
+    return Y
+
+
+def _control_loop(system, U, x, keys):
+    """Reference: one ``mixture_flow_batch`` call per segment."""
+    U = np.asarray(U, dtype=float)
+    N, k, _ = U.shape
+    Y = np.broadcast_to(np.asarray(x, dtype=float), (N, system.n)).copy()
+    for seg in range(k):
+        Y = system.mixture_flow_batch(keys, U[:, seg, :], 1.0 / k, Y)
+    return Y
+
+
+PATH_SYSTEMS = pytest.mark.parametrize(
+    "name", ["heisenberg", "grushin", "engel", "martinet", "xy"])
+
+
+def _path_system(name):
+    return _xy_system() if name == "xy" else load_model(name)
+
+
+def _bad_rows(A, rng):
+    """A copy of A with a NaN, a +inf and a -inf entry, each in a random row."""
+    A = A.copy()
+    for v in (np.nan, np.inf, -np.inf):
+        A[rng.integers(len(A))].flat[rng.integers(A[0].size)] = v
+    return A
+
+
+@PATH_SYSTEMS
+def test_arc_endpoints_match_the_per_leg_loop_bitwise(name):
+    system = _path_system(name)
+    rng = np.random.default_rng(51)
+    x0 = rng.uniform(-0.3, 0.3, system.n)
+    for letters in [(1,), (2, -1), (-2, 1, -1, 2, 1), (1, 2) * 4]:
+        T = rng.normal(size=(9, len(letters))) * 0.4
+        X = x0 + rng.uniform(-0.2, 0.2, size=(9, system.n))
+        with np.errstate(invalid="ignore", over="ignore"):
+            for t, x in ((T, x0), (T[:1], x0), (T[0], x0), (_bad_rows(T, rng), x0),
+                         (T, _bad_rows(X, rng))):
+                got = metric.arc_endpoints(system, letters, t, x)
+                assert np.array_equal(got, _arc_loop(system, letters, t, x), equal_nan=True)
+    with pytest.raises(ValueError, match="outside"):
+        metric.arc_endpoints(system, (1, 3), np.ones((2, 2)), x0)
+
+
+@PATH_SYSTEMS
+def test_control_endpoints_match_the_per_segment_loop_bitwise(name):
+    system = _path_system(name)
+    frame = CommutatorFrame(system)
+    rng = np.random.default_rng(52)
+    x0 = rng.uniform(-0.3, 0.3, system.n)
+    for keys in (tuple(range(1, system.m + 1)), tuple(frame.words)):
+        for segments in (1, 8):
+            U = rng.normal(size=(9, segments, len(keys))) * 0.5
+            X = x0 + rng.uniform(-0.2, 0.2, size=(9, system.n))
+            with np.errstate(invalid="ignore", over="ignore"):
+                for u, x in ((U, x0), (U[:1], x0), (_bad_rows(U, rng), x0),
+                             (U, _bad_rows(X, rng))):
+                    got = metric.control_endpoints(system, u, x, keys)
+                    want = _control_loop(system, u, x, keys)
+                    assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_path_evaluators_are_built_once(monkeypatch):
+    # one arc evaluator per system and one control evaluator per key tuple,
+    # whatever the templates, seeds and segment counts
+    built = _count_calls(monkeypatch, vfield, "exec_source")
+    system = load_model("heisenberg")
+    frame = CommutatorFrame(system)
+    a = (0.05, -0.1, 0.02)
+    sizes = []
+    for seed in range(4):
+        b = tuple(np.random.default_rng(seed).uniform(-0.2, 0.2, 3))
+        fl = fl_distance(system, a, b, seed=seed)
+        for segments in (4, 8):
+            cc = cc_distance(system, a, b, segments=segments, seed=seed, fl=fl)
+            rho_distance(system, frame, a, b, segments=segments, seed=seed, cc=cc)
+        sizes.append(len(system._flows))
+        assert len(built) == 3
+    assert sizes == [sizes[0]] * 4
+    assert {"arcs", ("controls", (1, 2)), ("controls", tuple(frame.words))} <= set(system._flows)
+
+
+def _gauss_newton_reference(endpoint_batch, theta0, target, tol):
+    """The Gauss-Newton loop with a tiled difference batch, a Python loop of
+    steps, the halvings stacked one by one and np.linalg.norm."""
+    theta = np.asarray(theta0, dtype=float).copy()
+    dim = theta.size
+    res = target - endpoint_batch(theta[None, :])[0]
+    best = float(np.linalg.norm(res))
+    for _ in range(metric._GN_ITERS):
+        if not best > tol:
+            break
+        deltas = 1e-6 * np.maximum(1.0, np.abs(theta))
+        batch = np.tile(theta, (dim + 1, 1))
+        for i in range(dim):
+            batch[i + 1, i] += deltas[i]
+        E = endpoint_batch(batch)
+        res = target - E[0]
+        J = (E[1:] - E[0]) / deltas[:, None]
+        if not math.isfinite(J.sum()):
+            break
+        step, *_ = np.linalg.lstsq(J.T, res, rcond=None)
+        cands = np.stack([theta + step * (0.5**k) for k in range(6)])
+        rs = np.fmin(np.linalg.norm(endpoint_batch(cands) - target, axis=1), np.inf)
+        k = int(np.argmin(rs))
+        if rs[k] < best:
+            theta, best = cands[k], float(rs[k])
+        else:
+            break
+    return theta, best
+
+
+def _same_solve(ep, theta0, target, tol):
+    theta, res = metric._gauss_newton(ep, theta0, target, tol)
+    theta_ref, res_ref = _gauss_newton_reference(ep, theta0, target, tol)
+    assert np.array_equal(theta, theta_ref, equal_nan=True)
+    assert res == res_ref or (math.isnan(res) and math.isnan(res_ref))
+    return theta, res
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "xy"])
+def test_gauss_newton_matches_the_reference_loop_bitwise(name):
+    system = _path_system(name)
+    rng = np.random.default_rng(53)
+    x = rng.uniform(-0.2, 0.2, system.n)
+    y = x + rng.uniform(-0.2, 0.2, system.n)
+    tol = metric._feasibility_tol(float(np.linalg.norm(y - x)))
+    letters = (1, 2, 1, 2)
+    arcs = lambda T: metric.arc_endpoints(system, letters, T, x)
+    keys, shape = (1, 2), (4, 2)
+    controls = lambda U: metric.control_endpoints(system, U.reshape(-1, *shape), x, keys)
+    for ep, dim in ((arcs, 4), (controls, 8)):
+        for _ in range(3):
+            theta, res = _same_solve(ep, rng.normal(size=dim) * 0.3, y, tol)
+        # from a solution: the start is already feasible, and the solve keeps it
+        assert res <= tol
+        assert _same_solve(ep, theta, y, tol)[0].tolist() == theta.tolist()
+        theta, res = _same_solve(ep, np.full(dim, np.nan), y, tol)
+        assert math.isnan(res)
+
+
+def test_gauss_newton_stops_on_a_non_finite_jacobian_as_the_reference():
+    endpoint = lambda theta: np.where(theta > 0.5, np.nan, theta)
+    theta, _ = _same_solve(endpoint, [0.5 - 1e-7], np.array([2.0]), 1e-8)
+    assert theta.tolist() == [0.5 - 1e-7]
+
+
+def test_heisenberg_distance_known_values():
+    # horizontal: the Euclidean length, here and after a left translation
+    assert heisenberg_distance((0.0, 0.0, 0.0), (0.3, -0.4, 0.0)) == pytest.approx(0.5, rel=1e-15)
+    a = (0.1, 0.2, 0.3)
+    b = (a[0] + 0.3, a[1] + 0.4, a[2] + 0.5 * (a[0] * 0.4 - a[1] * 0.3))
+    assert heisenberg_distance(a, b) == pytest.approx(0.5, rel=1e-12)
+    # vertical: sqrt(4 pi |z|), and the same from any point above or below
+    assert heisenberg_distance((0.0, 0.0, 0.0), (0.0, 0.0, 0.01)) == pytest.approx(
+        math.sqrt(0.04 * math.pi), rel=1e-15)
+    assert heisenberg_distance((0.2, -0.1, 0.5), (0.2, -0.1, 0.49)) == pytest.approx(
+        math.sqrt(0.04 * math.pi), rel=1e-15)
+    # phi = pi: |z| / r^2 = pi / 8, and the geodesic is r pi / 2 long
+    assert heisenberg_distance((0.0, 0.0, 0.0), (0.2, 0.0, 0.04 * math.pi / 8)) == pytest.approx(
+        0.1 * math.pi, rel=1e-12)

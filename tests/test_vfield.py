@@ -293,9 +293,9 @@ def _counting_dopri5(monkeypatch):
     calls = []
     dopri5 = flows.dopri5
 
-    def counting(fb, T, Y0):
+    def counting(fb, T, Y0, **kwargs):
         calls.append(len(Y0))
-        return dopri5(fb, T, Y0)
+        return dopri5(fb, T, Y0, **kwargs)
 
     monkeypatch.setattr(flows, "dopri5", counting)
     return calls
@@ -494,6 +494,16 @@ def test_non_triangular_mixture_scales_large_controls():
     assert np.array_equal(got[small], alone)
     ref = _mixture_rk4(XY, (1, 2), U, T, X0, steps=4096)
     assert np.abs(got - ref).max() <= 1e-9
+
+
+def test_non_triangular_mixture_steps_as_its_field():
+    # the control components of the lift carry no error, so the mixture
+    # 0 X1 + 1 X2 takes the steps of X2 alone and ends on its flow bitwise
+    rng = np.random.default_rng(41)
+    X0 = rng.uniform(-0.5, 0.5, size=(12, 2))
+    T = rng.uniform(-0.8, 0.8, size=12)
+    U = np.tile([0.0, 1.0], (12, 1))
+    assert np.array_equal(XY.mixture_flow_batch((1, 2), U, T, X0), XY.flow_batch(2, T, X0))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -235,8 +235,9 @@ def _step_source(frame, I):
     lines += [f"    cap = np.maximum(cap, np.abs(h{i}))" for i in range(1, n)]
     lines += ["    cap = np.maximum(cap, 1e-300)",
               "    s = np.minimum(1.0, 0.5 / cap)",
-              f"    return np.stack(({''.join(f'h{i} * s, ' for i in range(n))}), axis=1), cap"]
-    return lines
+              "    dH = np.empty(R.shape)"]
+    lines += [f"    dH[:, {i}] = h{i} * s" for i in range(n)]
+    return lines + ["    return dH, cap"]
 
 
 def branch_maps(system, w):
@@ -327,7 +328,9 @@ def invert_chart(frame, I, x, r, Y):
     floating-point floor (max |dH| <= 1e-12), its residual is evaluated once
     more at the new H and the row leaves the batch.  Rows that never reach
     the floor (slow or non-finite rows) run all ``_INVERT_ITERS``
-    iterations.  Returns the solutions H and the residuals |y - e_map(H)|;
+    iterations.  Leaving rows are gathered and the live arrays compacted by
+    ``take``; a batch that settles whole returns its arrays as they are.
+    Returns the solutions H and the residuals |y - e_map(H)| (``_row_norm``);
     each caller applies its own acceptance rule.
     """
     I = frame.check_index_tuple(I)
@@ -342,13 +345,14 @@ def invert_chart(frame, I, x, r, Y):
         E = e_map_batch(frame, I, x, r, HL if it else HL[:1])
         R = YL - E
         done = settled | (it == _INVERT_ITERS)
+        if live.size == N and done.all():
+            return HL, _row_norm(R)
         if done.any():
-            H[live[done]] = HL[done]
-            res[live[done]] = np.linalg.norm(R[done], axis=1)
-            keep = ~done
-            live, HL, YL, E, R = live[keep], HL[keep], YL[keep], E[keep], R[keep]
-            if not live.size:
+            gone, keep = np.flatnonzero(done), np.flatnonzero(~done)
+            H[live[gone]], res[live[gone]] = HL.take(gone, 0), _row_norm(R.take(gone, 0))
+            if not keep.size:
                 break
+            live, HL, YL, E, R = (a.take(keep, 0) for a in (live, HL, YL, E, R))
         out = step(E, R, r) if step else None
         dH, cap = out or _chart_step([r ** d * fn(E) for d, fn in columns], R)
         HL += dH
@@ -400,6 +404,14 @@ def membership_mask(frame, I, R, H, res, r):
     boxn = box_norm(H, [frame.degree(i) for i in I]) * (R / r)
     tol = 1e-8 + 1e-6 * r
     return (res <= tol) & (boxn <= 1.0 / chart_leg_count(frame, I))
+
+
+def _row_norm(R):
+    """np.linalg.norm(R, axis=1), bitwise: numpy sums a row of fewer than 8
+    entries in column order, as here (and longer rows pairwise)."""
+    if R.shape[1] >= 8:
+        return np.linalg.norm(R, axis=1)
+    return np.sqrt(sum((R[:, k] * R[:, k] for k in range(1, R.shape[1])), R[:, 0] * R[:, 0]))
 
 
 def _column_max(A):

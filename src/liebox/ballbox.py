@@ -292,7 +292,7 @@ def _ball_sample(system, frame, x, r, R, N, seed):
     balls = []
     for (rows, (lo, hi)), mask in zip(strata, masks):
         p = int(mask.sum()) / max(mask.size, 1)
-        balls.append((pts[rows][mask], float(np.prod(hi - lo)) * p, p))
+        balls.append((pts[rows].compress(mask, axis=0), float(np.prod(hi - lo)) * p, p))
     return I, balls, int((~np.isfinite(res)).sum())
 
 

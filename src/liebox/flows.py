@@ -83,18 +83,20 @@ def dopri5(fb, T, Y0, controls=0):
             sc = DOPRI5_ATOL + DOPRI5_RTOL * np.maximum(np.abs(Y), np.abs(Ys))
             err = np.sqrt(np.mean((E[:, controls:] / sc[:, controls:]) ** 2, axis=1))
             ok = err <= 1.0
-            Y[ok], K0[ok], s[ok] = Ys[ok], k[6][ok], s[ok] + h[ok]
+            np.copyto(Y, Ys, where=ok[:, None])
+            np.copyto(K0, k[6], where=ok[:, None])
+            np.copyto(s, s + h, where=ok)
             done = ok & (h >= rest)
             # a non-finite error shrinks the step by the largest factor
             h = h * np.minimum(5.0, np.fmax(0.2, 0.9 * (err + 1e-300) ** -0.2))
             escaped = ok & ~(np.abs(Y) <= DOMAIN_BOX).all(axis=1)
             failed = ~done & (escaped | (h < 1e-14 * total))
-            out[live[done]] = Y[done]
-            out[live[failed]] = np.nan
+            out[live.compress(done)] = Y.compress(done, axis=0)
+            out[live.compress(failed)] = np.nan
             keep = ~(done | failed)
             if not keep.all():
-                live, Y, K0, sign = live[keep], Y[keep], K0[keep], sign[keep]
-                total, s, h = total[keep], s[keep], h[keep]
+                live, Y, K0, sign, total, s, h = (
+                    a.compress(keep, axis=0) for a in (live, Y, K0, sign, total, s, h))
     out[live] = np.nan
     return out
 

@@ -671,3 +671,56 @@ def test_invert_chart_runs_the_first_iteration_on_one_row(frame, I, x, monkeypat
     _, res = approxexp.invert_chart(frame, I, x, 0.5, Y)
     assert rows[0] == 1 and len(rows) > 2 and max(rows[1:]) <= 300
     assert (res <= 1e-8).all()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_row_norm_is_bitwise_numpy_norm(n):
+    rng = np.random.default_rng(n)
+    # rows of one scale, where the summation order shows, then of any scale
+    R = rng.standard_normal((800, n))
+    R[400:] *= 10.0 ** rng.integers(-300, 300, size=(400, n))
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2e-308, 1e200, -1e155, 1e154]
+    cells = rng.integers(0, R.size, size=300)
+    R.flat[cells] = rng.choice(special, size=300)
+    R[:len(special), 0] = special  # each special value once in the first column
+    R[:len(special), -1] = special[::-1]
+    with np.errstate(over="ignore", under="ignore"):
+        for A in (R, R[::-1].T.copy().T, R[:0]):  # C order, F order, no rows
+            ref = np.linalg.norm(A, axis=1)
+            assert np.array_equal(approxexp._row_norm(A), ref, equal_nan=True)
+        assert np.isinf(approxexp._row_norm(np.full((1, n), 1e200))).all()
+
+
+def test_invert_chart_settling_batches_are_bitwise_the_reference_loop(monkeypatch):
+    """A batch whose rows leave a few at a time, one that settles all at once
+    (the chart sees 1 row, then N every iteration), and 0- and 1-row targets;
+    the returned H is never a view of Y."""
+    from liebox.ballbox import _bounding_box
+
+    rows = []
+
+    def recording(frame, I, x, r, H):
+        rows.append(len(H))
+        return e_map_batch(frame, I, x, r, H)
+
+    # grushin at (1, 0): 2r-box points at r; heisenberg at 0: as doubling's
+    # membership solve, 2r-box points at 2r
+    for name, x, N, r in (("grushin", (1.0, 0.0), 20_000, 0.25),
+                          ("heisenberg", (0.0, 0.0, 0.0), 4_000, 0.5)):
+        frame = CommutatorFrame(load_model(name))
+        I = select_maximal(frame, x, 0.25).I
+        lo, hi = _bounding_box(frame, I, x, 0.5)
+        Y = np.random.default_rng(11).uniform(lo, hi, size=(N, len(x)))
+        rows.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(approxexp, "e_map_batch", recording)
+            H, _ = _assert_inverts_as_reference(frame, I, x, r, Y)
+        assert not np.shares_memory(H, Y)
+        if name == "grushin":  # rows leave over many iterations
+            assert len(set(rows[1:])) > 10 and rows[-1] < N
+        else:  # every row settles in the same iteration
+            assert rows[0] == 1 and set(rows[1:]) == {N}
+        for Y1 in (Y[:0], Y[:1]):
+            H, res = _assert_inverts_as_reference(frame, I, x, r, Y1)
+            assert H.shape == Y1.shape and res.shape == (len(Y1),)
+            assert not np.shares_memory(H, Y1)

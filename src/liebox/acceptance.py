@@ -14,15 +14,10 @@ import numpy as np
 
 from .approxexp import CommutatorFrame, c_map, jacobian_e
 from .ballbox import doubling_ratio, inclusion_check, lambda_I, poincare_suite
-from .freelie import (
-    check_F,
-    check_J2,
-    check_baker,
-    check_generalized_jacobi,
-    check_giochetto,
-    check_jacobi,
-)
-from .linalg import lambda_sweep, matrix_with_spectrum, min_norm_solve, tychonoff_error_components, tychonoff_solve
+from .freelie import (check_F, check_J2, check_baker, check_generalized_jacobi,
+                      check_giochetto, check_jacobi)
+from .linalg import (lambda_sweep, matrix_with_spectrum, min_norm_solve,
+                     tychonoff_error_components, tychonoff_solve)
 from .metric import estimate_all, fefferman_phong_check
 from .ncpoly import NCPoly, is_trivial
 from .poly import Poly

@@ -20,9 +20,9 @@ fields is one exact polynomial step: ``branch_maps`` composes its forward
 legs and their inverse into one polynomial map over (x, tau) each
 (``Poly.substitute`` of each letter's ``PolyMap.flow_map``), and the columns
 gain the half-sum plus, times the sign of h, the half-difference of the two
-displacements.  Any other entry runs leg by leg, a triangular letter as its
-exact Lie series in place (``PolyMap.flow_source``) and any other as one
-``flow_batch`` call (DOPRI5, NaN rows off the domain box); there the inverse
+displacements.  Any other entry is one call of the arc evaluator
+(``arc_path_batch``: exact Lie series for a triangular letter, DOPRI5 with
+NaN rows off the box for any other), one time column per leg; the inverse
 legs run the forward letters from the second on and then the first again,
 so a zero-time leg (which leaves a finite in-box row unchanged) pads both
 signs to one letter sequence.  A row with a non-finite h comes back all NaN.
@@ -33,8 +33,8 @@ kind are on stratified groups; that step is generated beside the chart, in
 its record (``_step_source``).  The one fallback, for other frames and for a
 zero diagonal entry, is a batched ``solve`` (``pinv`` when singular) on the
 system's cached batch evaluators (``batch_fn``).  Its first iteration, at
-h = 0, runs the chart on one row.  ``exp_ap`` and ``c_map`` compose single
-flows (``compose_flows``), one leg at a time.
+h = 0, runs the chart on one row.  ``exp_ap`` and ``c_map`` are single rows
+of the arc evaluator (``compose_flows``).
 """
 
 from fractions import Fraction
@@ -157,8 +157,8 @@ def e_map_batch(frame, I, x, r, H):
 
     Entry k takes tau_k once.  With only triangular letters it moves every
     row by its composed branch polynomials at tau_k (``_composed_entry``).
-    Any other entry runs every row at times p * tau_k (h_k >= 0) or
-    q * tau_k (h_k < 0), one time array per distinct (p, q).  For l >= 2 a
+    Any other entry is one arc path over every row, leg i at time
+    p_i * tau_k (h_k >= 0) or q_i * tau_k (h_k < 0).  For l >= 2 a
     zero-time leg joins its forward and inverse legs; it leaves a finite row
     in the domain box unchanged and makes an off-box or non-finite row NaN.
     """
@@ -174,8 +174,8 @@ def _chart(frame, I):
         return frame.tables[I]
     system, n = frame.system, frame.system.n
     cols = "".join(f"x{i}, " for i in range(n))
-    # column-major P: the columns x0.. are contiguous views, which the legs
-    # move in place and a fallback leg (``leg_source``) rewrites through P
+    # column-major P: the columns x0.. are contiguous views, which the
+    # composed entries move in place and an arc path rewrites through P
     lines = ["def _chart(x, r, H):",
              "    P = np.broadcast_to(np.asarray(x, dtype=float), H.shape).T.copy().T",
              f"    {cols}= P.T"]
@@ -188,14 +188,10 @@ def _chart(frame, I):
                   f"    forward = H[:, {k}] >= 0"]
         legs = c_map_legs(w, 1.0)
         pad = [(w[0], 0.0)] if len(w) > 1 else []
-        times = {}
-        for (j, p), (_, q) in zip(legs + pad, pad + invert_legs(legs)):
-            if (p, q) not in times:
-                times[p, q] = f"t{len(times)}"
-                sign = repr(p) if p == q else f"np.where(forward, {p!r}, {q!r})"
-                lines.append(f"    {times[p, q]} = {sign} * tau")
-            lines.append(f"    T = {times[p, q]}")
-            lines += [f"    {s}" for s in system.leg_source(j)]
+        times = ", ".join(f"{p!r} * tau" if p == q else f"np.where(forward, {p!r}, {q!r}) * tau"
+                          for (_, p), (_, q) in zip(legs + pad, pad + invert_legs(legs)))
+        letters = tuple(j for j, _ in legs + pad)
+        lines.append(f"    P[:] = arcs({letters!r}, np.stack([{times}], axis=1), P)")
     # one column at a time: cheaper than np.stack on few rows and on many
     lines += ["    out = np.empty(H.shape)"] + [f"    out[:, {i}] = x{i}" for i in range(n)]
     lines += ["    if not np.isfinite(H).all():",
@@ -204,7 +200,7 @@ def _chart(frame, I):
     triangular = all(frame.map(I[k])[i].is_zero() for k in range(n) for i in range(k))
     lines += _step_source(frame, I) if triangular else ["_step = None"]
     columns = [(frame.degree(i), system.batch_fn(frame.word(i))) for i in I]
-    chart, step = exec_source(lines + ["_f = _chart, _step"], flow_batch=system.flow_batch)
+    chart, step = exec_source(lines + ["_f = _chart, _step"], arcs=system.arc_path_batch)
     frame.tables[I] = chart, step, columns
     return frame.tables[I]
 
@@ -420,4 +416,3 @@ def _column_max(A):
     for k in range(1, A.shape[-1]):
         out = np.maximum(out, A[..., k])
     return out
-

@@ -3,12 +3,12 @@
 Frame determinants are exact at rational points (integer elimination on
 columns with their denominators cleared); the selection rule scores
 |det| * r^(total degree) exactly for every tuple over the frame's distinct
-columns and keeps the winner, with ties broken by enumeration order.  The experiments are Monte Carlo or chart-inversion
-harnesses built on the chart and membership machinery; every sampling
-routine takes an explicit seed and reports it back.  The doubling and
-Poincare harnesses draw their points through one sampler, ``_ball_sample``:
-one uniform stream split between the two balls' own boxes, and one
-membership solve per call.
+columns and keeps the winner, with ties broken by enumeration order.  The
+experiments are Monte Carlo or chart-inversion harnesses built on the chart
+and membership machinery; every sampling routine takes an explicit seed and
+reports it back.  The doubling and Poincare harnesses draw their points
+through one sampler, ``_ball_sample``: one uniform stream split between the
+two balls' own boxes, and one membership solve per call.
 """
 
 import functools
@@ -122,19 +122,23 @@ def select_maximal(frame, x, r):
     its exact determinant at ``words.rational_point(x)``, each exact column
     map evaluated at most once per call: the winner and score of an exact
     scan over every index tuple or, above ``MAX_CANDIDATES``, the best of the
-    beam's tuples.
+    beam's tuples; the exact score is reported as a float, inf past its range.
     """
     col = _exact_columns(frame, x)
     if "candidates" not in frame.tables:  # built once per frame
         frame.tables["candidates"] = frame_candidates(frame)
-    cands = frame.tables["candidates"]
-    scores = [float(abs(_columns_det(col, I))) * r ** frame.ell(I) for I in cands]
-    best_score = max(scores, default=0.0)
-    if best_score <= 0.0:
+    cands, rf = frame.tables["candidates"], Fraction(float(r))
+    scores = [abs(_columns_det(col, I)) * rf ** frame.ell(I) for I in cands]
+    best_score = max(scores, default=0)
+    if best_score == 0:
         raise HormanderError(f"all frame determinants vanish at {tuple(x)}")
+    try:
+        score = float(best_score)
+    except OverflowError:
+        score = math.inf
     return MaximalTriple(
         I=cands[scores.index(best_score)], x=tuple(float(v) for v in x), r=float(r),
-        score=best_score, candidates=len(cands),
+        score=score, candidates=len(cands),
     )
 
 

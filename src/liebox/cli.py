@@ -334,7 +334,10 @@ def cmd_distance(args):
     system = _load_system(args.model)
     x = _parse_point(getattr(args, "from"), system.n, "--from")
     y = _parse_point(args.to, system.n, "--to")
-    est = fl_distance(system, x, y, max_segments=args.segments, seed=args.seed)
+    try:
+        est = fl_distance(system, x, y, max_segments=args.segments, seed=args.seed)
+    except ValueError as exc:
+        raise UsageError(f"--to {args.to}: {exc}")
     if args.kind != "fl":
         est = cc_distance(system, x, y, segments=args.segments, seed=args.seed, fl=est)
     if args.kind == "rho":

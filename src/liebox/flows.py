@@ -24,7 +24,7 @@ DOPRI5_MAX_STEPS = 100_000
 
 
 class DomainEscapeError(RuntimeError):
-    """A single flow (``VectorFieldSystem.flow``) ended outside the domain box."""
+    """Flow legs from one point (``VectorFieldSystem.compose_flows``) ended off the box."""
 
 
 # Dormand-Prince 5(4) tableau; the last row of _A is the 5th-order weights,

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .approxexp import ball_membership, e_map_batch  # noqa: F401  (the perfbench tracer patches both)
+from .approxexp import ball_membership, e_map_batch  # noqa: F401  (perfbench patches both)
 from .linalg import min_norm_solve
 
 FEAS_TOL = 1e-9
@@ -145,13 +145,14 @@ def _feasibility_tol(dx):
 def _pair(x, y):
     """x and y as arrays, their Euclidean distance and feasibility tolerance.
 
-    A non-finite coordinate raises ``ValueError`` before any solve.
+    A non-finite coordinate or distance raises ``ValueError`` before any solve.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError(f"distance endpoints must be finite, got {x} and {y}")
-    dx = float(np.linalg.norm(y - x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = float(np.linalg.norm(y - x))
+    if not math.isfinite(dx):  # also when x or y has a non-finite coordinate
+        raise ValueError(f"distance endpoints and |y - x| must be finite, got {x} and {y}")
     return x, y, dx, _feasibility_tol(dx)
 
 
@@ -379,4 +380,3 @@ def fefferman_phong_check(system, x, directions, scales, s, seed=0):
                 worst = math.inf
         rows.append((float(delta), worst))
     return rows
-

@@ -6,7 +6,7 @@ eagerly and exactly from the permutation-coefficient formula.  Flows are the
 only numeric operation, chosen once per field: a triangular field (or the
 control lift of a constant-control mixture of them) flows exactly by its
 terminating Lie series, any other by the batched adaptive ``flows.dopri5``.
-A single trajectory (``flow``) is one row of the batched flow.
+Legs from one point (``compose_flows``, ``flow``) are one arc path row.
 """
 
 import itertools
@@ -174,7 +174,7 @@ class VectorFieldSystem:
             self._flows[key] = fn
         return fn
 
-    def leg_source(self, key):
+    def _leg_source(self, key):
         """Lines flowing the columns x0.. of the array ``P`` in place for the
         times ``T`` by the flow of ``key``: a letter moves all n columns, a
         lift ``(keys,)`` reads its d controls from x0..x{d-1} and moves the
@@ -194,7 +194,7 @@ class VectorFieldSystem:
         return [f"P[:, {d}:] = mixture_flow_batch({key[0]!r}, P[:, :{d}], T, P[:, {d}:])"]
 
     def _compile_path(self, lines):
-        """The function ``lines`` define, with the fallbacks of ``leg_source`` in scope."""
+        """The function ``lines`` define, with the fallbacks of ``_leg_source`` in scope."""
         return exec_source(lines, flow_batch=self.flow_batch,
                            mixture_flow_batch=self.mixture_flow_batch)
 
@@ -204,7 +204,7 @@ class VectorFieldSystem:
         (N, len(letters)), returns (N, n).
 
         One generated evaluator per system, built on first use: a branch per
-        letter runs its ``leg_source``, at -T for a negative letter, as
+        letter runs its ``_leg_source``, at -T for a negative letter, as
         ``flow_batch`` flows one leg.
         """
         fn = self._flows.get("arcs")
@@ -218,7 +218,7 @@ class VectorFieldSystem:
                      "        T = TT[:, i] if j > 0 else -TT[:, i]"]
             for j in range(1, self.m + 1):
                 lines.append(f"        {'el' if j > 1 else ''}if abs(j) == {j}:")
-                lines += [f"            {s}" for s in self.leg_source(j)]
+                lines += [f"            {s}" for s in self._leg_source(j)]
             lines += ["        else:",
                       f"            raise ValueError(f'field index {{j}} outside 1..{self.m}')",
                       "    return P"]
@@ -232,7 +232,7 @@ class VectorFieldSystem:
         mixture flow; returns (N, n).
 
         One generated evaluator per key tuple, built on first use: it loops
-        over the segments and runs the lift's ``leg_source`` with the
+        over the segments and runs the lift's ``_leg_source`` with the
         segment's controls in the leading columns.
         """
         keys = tuple(keys)
@@ -248,7 +248,7 @@ class VectorFieldSystem:
                      "    for seg in range(k):",
                      "        T = 1.0 / k",
                      f"        P[:, :{d}] = U[:, seg]"]
-            lines += [f"        {s}" for s in self.leg_source((keys,))]
+            lines += [f"        {s}" for s in self._leg_source((keys,))]
             lines.append(f"    return P[:, {d}:]")
             fn = self._flows["controls", keys] = self._compile_path(lines)
         return fn(U, x)
@@ -279,22 +279,19 @@ class VectorFieldSystem:
         return self._flow((keys,))(np.asarray(T, dtype=float), P)[..., len(keys):]
 
     def flow(self, j, t, x):
-        """Flow of a signed letter from one point: one row of ``flow_batch``.
-
-        Raises ``DomainEscapeError`` when the endpoint is non-finite or
-        outside the domain box.
-        """
-        y = tuple(map(float, self.flow_batch(j, t, np.asarray(x, dtype=float)[None])[0]))
-        if not all(abs(v) <= flows.DOMAIN_BOX for v in y):
-            raise flows.DomainEscapeError(
-                f"flow of {j} for time {t} ends at {y}, outside the box +-{flows.DOMAIN_BOX}")
-        return y
+        """Flow of a signed letter from one point: ``compose_flows`` of one leg."""
+        return self.compose_flows([(j, t)], x)
 
     def compose_flows(self, legs, x):
-        """Apply flow legs (signed letter, time) in sequence, first leg first."""
-        y = tuple(float(v) for v in x)
-        for j, t in legs:
-            y = self.flow(j, t, y)
+        """Flow legs (signed letter, time) from x, first leg first: one row of
+        ``arc_path_batch``.  Raises ``DomainEscapeError`` when the endpoint is
+        non-finite or outside the domain box, which an exact leg may leave on
+        the way (an adaptive leg that leaves it makes the endpoint NaN)."""
+        letters, T = [j for j, _ in legs], [[t for _, t in legs]]
+        y = tuple(map(float, self.arc_path_batch(letters, T, x)[0]))
+        if not all(abs(v) <= flows.DOMAIN_BOX for v in y):
+            raise flows.DomainEscapeError(
+                f"flow legs {legs} end at {y}, outside the box +-{flows.DOMAIN_BOX}")
         return y
 
     # -- limit and expansion checks ---------------------------------------------
@@ -500,4 +497,3 @@ def system_from_json(obj):
     if len(fields) != m:
         raise ValueError("field count != m")
     return VectorFieldSystem(fields, step=s, name=obj.get("name", "file"))
-

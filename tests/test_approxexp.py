@@ -467,6 +467,51 @@ def test_compiled_chart_is_bitwise_the_leg_loop_off_origin(name, x, r):
     _assert_within_ulps(Y[finite], ref[finite])
 
 
+def _mixed_system():
+    """X1 = dx - y dz is triangular, X2 = dy + (x + z) dz is not."""
+    x, y, z = (Poly.var(3, i) for i in range(3))
+    one, zero = Poly.const(3, 1), Poly.zero(3)
+    return VectorFieldSystem([PolyMap([one, zero, -y]), PolyMap([zero, one, x + z])],
+                             step=2, name="mixed")
+
+
+MIXED_FRAME = CommutatorFrame(_mixed_system())
+
+
+@pytest.mark.parametrize("r", (1.0, 2.0))
+@pytest.mark.parametrize("frame, I, x", [
+    (XY_FRAME, (1, 2), (0.1, 0.2)),
+    (XY_FRAME, (1, 5), (0.1, 0.2)),
+    (XY_FRAME, (2, 4), (0.1, 0.2)),
+    (MIXED_FRAME, (1, 2, 4), (0.1, -0.2, 0.05)),
+    (MIXED_FRAME, (2, 1, 5), (0.1, -0.2, 0.05)),
+])
+def test_arc_entries_are_bitwise_the_leg_loop(frame, I, x, r):
+    """An entry with a non-triangular letter is one arc path: bitwise the leg
+    loop on every row, with NaN, +-inf and off-box (h = 1e3) values in each
+    column.  The one exception is a non-finite h in a composed entry, which
+    the chart makes all NaN where the leg loop keeps some columns finite."""
+    rng = np.random.default_rng(19)
+    n = len(x)
+    H = rng.uniform(-1, 1, size=(200, n))
+    H[rng.random(H.shape) < 0.2] = 0.0
+    for k in range(n):
+        H[4 * k:4 * k + 4, k] = np.nan, np.inf, -np.inf, 1e3
+    with np.errstate(all="ignore"):
+        Y = e_map_batch(frame, I, x, r, H)
+        ref = _leg_loop_chart(frame, I, x, r, H)
+    composed = [all(frame.system.field(j).is_triangular() for j in frame.word(i)) for i in I]
+    assert not all(composed)
+    skip = np.zeros(len(H), dtype=bool)
+    for k in range(n):
+        if composed[k]:
+            skip[4 * k:4 * k + 3] = True
+        else:
+            assert np.isnan(Y[4 * k:4 * k + 3]).all()
+    assert np.isnan(Y[skip]).all()
+    assert np.array_equal(Y[~skip], ref[~skip], equal_nan=True)
+
+
 @pytest.mark.parametrize("name", sorted(MODEL_BUILDERS))
 def test_composed_branches_lead_with_the_nested_commutator(name):
     """Each branch of c_map_legs(w, tau) is x + tau^l f_w + O(tau^(l+1)) forward

@@ -290,17 +290,18 @@ def _fraction_det(rows):
 
 
 def _select_maximal_all_exact(frame, x, radii):
-    """Reference: an exact determinant for every tuple of ``combinations(range(1,
-    q + 1), n)``, first best kept, per radius: [(I, score, scores)]."""
+    """Reference: an exact score |det| * r**ell for every tuple of
+    ``combinations(range(1, q + 1), n)``, first best kept, per radius:
+    [(I, score rounded to float, exact scores)]."""
     cols = [Y.eval_exact(rational_point(x)) for Y in frame.maps]
     tuples = itertools.combinations(range(frame.q), frame.system.n)
     dets = [(tuple(i + 1 for i in I), abs(_fraction_det(zip(*(cols[i] for i in I)))))
             for I in tuples]
     out = []
     for r in radii:
-        scores = [(I, float(d) * r ** frame.ell(I)) for I, d in dets]
+        scores = [(I, d * Fraction(r) ** frame.ell(I)) for I, d in dets]
         best = max(s for _, s in scores)
-        out.append((next(I for I, s in scores if s == best), best, scores))
+        out.append((next(I for I, s in scores if s == best), float(best), scores))
     return out
 
 

@@ -188,6 +188,18 @@ def test_ballbox_inclusion(capsys):
     assert rep["inclusion"]["solved_fraction"] == 1.0
 
 
+@pytest.mark.parametrize("model, center, radius, frame", [
+    # r ** ell overflows a float, and for heisenberg (ell = 4) underflows to 0
+    ("grushin", "0.5,0", "1e200", [1, 4]),
+    ("heisenberg", "0,0,0", "1e-90", [1, 2, 4]),
+])
+def test_ballbox_frame_at_extreme_radii(capsys, model, center, radius, frame):
+    code, out, _ = run_cli(capsys, "ballbox", "--model", model, "--center", center,
+                           "--radius", radius)
+    assert code == 0
+    assert json.loads(out)["maximal_frame"] == frame
+
+
 def test_distance_fl(capsys):
     code, out, _ = run_cli(
         capsys, "distance", "--kind", "fl", "--model", "heisenberg",
@@ -521,6 +533,8 @@ def test_number_out_of_range_exits_2(capsys, argv, flag):
     (("doubling", "--center", "0,0,0", "--radius", "inf"), "--radius"),
     (("ballbox", "--center", "0,0,0", "--radius", "0.5", "--check-inclusion", "--c", "nan"),
      "--c"),
+    # finite endpoints whose Euclidean distance overflows
+    (("distance", "--kind", "cc", "--from", "0,0,0", "--to", "0,0,1e200"), "--to"),
 ])
 def test_non_finite_input_exits_2(capsys, argv, flag):
     code, out, err = run_cli(capsys, argv[0], "--model", "heisenberg", *argv[1:])

@@ -225,6 +225,19 @@ def test_distances_reject_non_finite_endpoints(monkeypatch, bad):
         estimate_all(HEIS, HEIS_FRAME, ORIGIN, bad)
 
 
+@pytest.mark.parametrize("a, b", [(ORIGIN, (0.0, 0.0, 1e200)),
+                                  ((-1e308, 0.0, 0.0), (1e308, 0.0, 0.0))])
+def test_distances_reject_endpoints_whose_distance_overflows(monkeypatch, a, b):
+    # |b - a| is inf: the same-point early return must not report 0
+    def no_solve(*args):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(metric, "_gauss_newton", no_solve)
+    for fn in (fl_distance, cc_distance, lambda s, x, y: rho_distance(s, HEIS_FRAME, x, y)):
+        with pytest.raises(ValueError, match="finite"):
+            fn(HEIS, a, b)
+
+
 def test_distances_against_exact_heisenberg_distance():
     # first 20 criterion-13 pairs; fl/exact measured 1.105-1.226
     rng = np.random.default_rng(13)

@@ -82,4 +82,3 @@ def test_poly_variable_count_mismatch_raises():
     for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: b * a):
         with pytest.raises(ValueError, match="variable count mismatch"):
             op()
-

@@ -396,6 +396,35 @@ def test_flow_rejects_letter_outside_alphabet(field):
         HEIS.flow(field, 0.1, (0.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("system", [load_model(name) for name in sorted(MODEL_BUILDERS)] + [XY],
+                         ids=lambda s: s.name)
+def test_compose_flows_is_bitwise_the_per_leg_loop(system):
+    # negative letters and zero-time legs, against one flow_batch call per leg
+    rng = np.random.default_rng(31)
+    for k in (1, 2, 5, 9):
+        letters = rng.integers(1, system.m + 1, size=k) * rng.choice([-1, 1], size=k)
+        times = rng.normal(size=k) * 0.4
+        times[rng.random(k) < 0.3] = 0.0
+        x = rng.uniform(-0.5, 0.5, system.n)
+        ref = x[None]
+        for j, t in zip(letters, times):
+            ref = system.flow_batch(int(j), t, ref)
+        legs = [(int(j), float(t)) for j, t in zip(letters, times)]
+        assert system.compose_flows(legs, x) == tuple(ref[0].tolist())
+
+
+def test_compose_flows_checks_only_the_endpoint():
+    # an exact path may leave the box on the way and come back
+    assert HEIS.compose_flows([(1, 25.0), (1, -25.0)], (0.0, 0.0, 0.0)) == (0.0, 0.0, 0.0)
+    with pytest.raises(flows.DomainEscapeError):
+        HEIS.compose_flows([(1, 25.0), (2, 1.0)], (0.0, 0.0, 0.0))
+    # an adaptive leg that leaves the box makes the endpoint NaN, even if a
+    # later leg would bring it back
+    with pytest.raises(flows.DomainEscapeError):
+        LIN.compose_flows([(1, 3.0), (1, -3.0)], (1.0,))
+    assert HEIS.compose_flows([], (0.1, 0.2, 0.3)) == (0.1, 0.2, 0.3)
+
+
 def _mixture_rk4(system, keys, U, T, Y, steps):
     """Reference: the mixture field as one closure, integrated by RK4."""
     fns = [system.batch_fn(k) for k in keys]

@@ -21,8 +21,9 @@ legs and their inverse into one polynomial map over (x, tau) each
 (``Poly.substitute`` of each letter's ``PolyMap.flow_map``), and the columns
 gain the half-sum plus, times the sign of h, the half-difference of the two
 displacements.  Any other entry is one call of the arc evaluator
-(``arc_path_batch``: exact Lie series for a triangular letter, DOPRI5 with
-NaN rows off the box for any other), one time column per leg; the inverse
+(``arc_path_batch``: exact Lie series for a triangular letter, one
+``flows.dopri5`` call, NaN rows off the box, for any other; the system's
+only flow path), one time column per leg; the inverse
 legs run the forward letters from the second on and then the first again,
 so a zero-time leg (which leaves a finite in-box row unchanged) pads both
 signs to one letter sequence.  A row with a non-finite h comes back all NaN.

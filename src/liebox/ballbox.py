@@ -112,6 +112,7 @@ class MaximalTriple:
     x: tuple
     r: float
     score: float
+    log10_score: float
     candidates: int = 0
 
 
@@ -122,7 +123,9 @@ def select_maximal(frame, x, r):
     its exact determinant at ``words.rational_point(x)``, each exact column
     map evaluated at most once per call: the winner and score of an exact
     scan over every index tuple or, above ``MAX_CANDIDATES``, the best of the
-    beam's tuples; the exact score is reported as a float, inf past its range.
+    beam's tuples; the exact score is reported as a float, inf past its range,
+    and as its log10 from the Fraction's numerator and denominator, which
+    neither underflows nor overflows.
     """
     col = _exact_columns(frame, x)
     if "candidates" not in frame.tables:  # built once per frame
@@ -139,6 +142,7 @@ def select_maximal(frame, x, r):
     return MaximalTriple(
         I=cands[scores.index(best_score)], x=tuple(float(v) for v in x), r=float(r),
         score=score, candidates=len(cands),
+        log10_score=math.log10(best_score.numerator) - math.log10(best_score.denominator),
     )
 
 

@@ -315,6 +315,7 @@ def cmd_ballbox(args):
         "maximal_frame": list(triple.I),
         "words": ["".join(map(str, frame.word(i))) for i in triple.I],
         "score": triple.score,
+        "log10_score": triple.log10_score,
         "candidates": triple.candidates,
     }
     if args.check_inclusion:

@@ -7,9 +7,10 @@ and evaluation must all be exact (``eval_exact``).  Every float evaluation
 goes through one generated vectorized evaluator per polynomial or map
 (``compile_batch``, over arrays of shape (..., nvars)); ``compile_scalar``
 is one row of it.  The flows of triangular fields and of their
-constant-control mixtures are compiled from their terminating Lie series,
-which ``PolyMap.flow_map`` holds as an exact map over (x, T);
-``Poly.substitute`` composes such maps exactly.
+constant-control mixtures come from their terminating Lie series, which
+``PolyMap.flow_map`` holds as an exact map over (x, T): ``flow_source``
+emits it as in-place column updates for the path evaluators of
+``VectorFieldSystem``, and ``Poly.substitute`` composes such maps exactly.
 """
 
 from fractions import Fraction
@@ -280,11 +281,6 @@ class PolyMap:
                 lines.append(f"x{i} += T" if expr == "1.0" else f"x{i} += T*({expr})")
         return lines
 
-    def compile_flow_batch(self):
-        """Exact batched flow ``(T, P) -> exp(T X)(P)``: ``flow_source`` on a copy of P."""
-        lines = ["def _f(T, P):", "    P = P.copy()"] + _unpack_lines(self.n)
-        return exec_source(lines + [f"    {s}" for s in self.flow_source()] + ["    return P"])
-
 
 def control_mixture(maps):
     """The field sum_j u_j F_j on R^(d+n), the d controls u placed before x.
@@ -292,7 +288,7 @@ def control_mixture(maps):
     The control components are zero, so the controls stay constant along the
     flow, and component d+i is sum_j u_j F_j[i] with F_j's exponents shifted
     past the controls.  The lift is triangular exactly when every F_j is, so
-    ``compile_flow_batch`` flows a constant-control mixture exactly.
+    ``flow_source`` flows a constant-control mixture exactly.
     """
     d, n = len(maps), maps[0].n
     unit = [tuple(int(k == j) for k in range(d)) for j in range(d)]

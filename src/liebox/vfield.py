@@ -3,10 +3,13 @@
 A system holds m polynomial fields on R^n plus a step bound s; the nested
 commutator coefficients f_w for every word up to length s are computed
 eagerly and exactly from the permutation-coefficient formula.  Flows are the
-only numeric operation, chosen once per field: a triangular field (or the
-control lift of a constant-control mixture of them) flows exactly by its
-terminating Lie series, any other by the batched adaptive ``flows.dopri5``.
-Legs from one point (``compose_flows``, ``flow``) are one arc path row.
+only numeric operation, and every flow is a row of a generated path
+evaluator: ``arc_path_batch`` (one per system) or a control path evaluator
+(one per key tuple).  In them a triangular field (or the control lift of a
+constant-control mixture of them) flows exactly by its terminating Lie
+series, any other by the batched adaptive ``flows.dopri5``.  One leg over
+many rows (``flow_batch``, ``mixture_flow_batch``) and legs from one point
+(``compose_flows``, ``flow``) are calls of those evaluators.
 """
 
 import itertools
@@ -66,10 +69,7 @@ class VectorFieldSystem:
         acc = PolyMap([Poly.zero(self.n) for _ in range(self.n)])
         for p, sgn in pi_support(len(w)):
             pw = apply_perm(p, w)
-            g = self.fields[pw[-1] - 1]
-            for j in reversed(pw[:-1]):
-                g = directional_derivative(self.fields[j - 1], g)
-            acc = acc + g.scale(sgn)
+            acc = acc + self.apply_word(pw[:-1], self.fields[pw[-1] - 1]).scale(sgn)
         return acc
 
     def commutator_coeffs(self, w):
@@ -107,25 +107,26 @@ class VectorFieldSystem:
         """First-order action f_w . grad psi of the nested commutator."""
         return directional_derivative(self.commutator_coeffs(w), psi)
 
-    def ad(self, Z, w, x=None):
-        """ad_Z applied to the commutator of ``w``: exact map, or vector at x.
+    def ad(self, Z, w):
+        """ad_Z applied to the commutator of ``w``, as an exact map.
 
         ``Z`` is a signed letter or a PolyMap; the map is
-        (f_Z . grad) f_w - (f_w . grad) f_Z, exact.  With ``x`` given, the
-        map is evaluated exactly at the (rationalized) point.
+        (f_Z . grad) f_w - (f_w . grad) f_Z.
         """
         fz = Z if isinstance(Z, PolyMap) else self.field(Z)
         fw = self.commutator_coeffs(w)
-        out = directional_derivative(fz, fw) - directional_derivative(fw, fz)
-        if x is None:
-            return out
-        return out.eval_exact(rational_point(x))
+        return directional_derivative(fz, fw) - directional_derivative(fw, fz)
 
     # -- numeric layer ---------------------------------------------------------
 
     def _key_map(self, key):
-        """Coefficient map of a word, or the field of a signed letter."""
-        return self._fw[key] if key in self._fw else self.field(key)
+        """Coefficient map of a word, the field of a signed letter, or the
+        control lift of a 1-tuple of keys (no word has that shape)."""
+        if key in self._fw:
+            return self._fw[key]
+        if isinstance(key, tuple):
+            return control_mixture([self._key_map(k) for k in key[0]])
+        return self.field(key)
 
     def batch_fn(self, key, pmap=None):
         fn = self._batch_fns.get(key)
@@ -144,35 +145,20 @@ class VectorFieldSystem:
                 self.horizontal_derivative(j, f).compile_batch() for j in range(1, self.m + 1)]
         return self._horizontal_fns[key]
 
-    def _flow_field(self, key):
-        """The field of a letter, or the control lift of a 1-tuple of keys."""
-        if isinstance(key, tuple):
-            return control_mixture([self._key_map(k) for k in key[0]])
-        return self.field(key)
+    def _adaptive(self, key, T, P):
+        """DOPRI5 flow of a non-triangular letter, or lift ``(keys,)``, over the
+        rows of P; returns the state columns, those after the d controls.
 
-    def _flow(self, key):
-        """Flow map ``(T, Y) -> endpoints``, chosen once per key and cached.
-
-        ``key`` is a letter, or a 1-tuple holding the keys of a control
-        mixture (no word has that shape, so its evaluator shares the
-        ``batch_fn`` cache).  A triangular field or control lift flows by its
-        exact Lie series; any other field by ``flows.dopri5``, a lift's rows
-        with s = max|u| > 1 as u / s for time s * T (``_unit_controls``) and
-        its d controls left out of the step's error norm.  The same cache
-        holds the path evaluators of ``arc_path_batch`` (key ``"arcs"``) and
-        ``control_path_batch`` (key ``("controls", keys)``).
+        A lift's row whose controls u exceed 1 in max norm s flows u / s for
+        time s * T: the same path, so large controls do not leave the domain
+        box, and rows with max|u| <= 1 are bitwise kept.  The controls stay
+        out of the error norm.  ``flows.dopri5`` is looked up at each call,
+        so a rebinding of it (the perfbench tracer's) is seen.
         """
-        fn = self._flows.get(key)
-        if fn is None:
-            pmap = self._flow_field(key)
-            if pmap.is_triangular():
-                fn = pmap.compile_flow_batch()
-            else:
-                fb = self.batch_fn(key, pmap)
-                d = len(key[0]) if isinstance(key, tuple) else 0
-                fn = lambda T, Y: flows.dopri5(fb, *_unit_controls(d, T, Y), controls=d)
-            self._flows[key] = fn
-        return fn
+        d = P.shape[1] - self.n
+        s = np.abs(P[:, :d]).max(axis=1, initial=1.0)
+        Y = np.concatenate([P[:, :d] / s[:, None], P[:, d:]], axis=1)
+        return flows.dopri5(self.batch_fn(key), T * s, Y, controls=d)[:, d:]
 
     def _leg_source(self, key):
         """Lines flowing the columns x0.. of the array ``P`` in place for the
@@ -182,21 +168,13 @@ class VectorFieldSystem:
 
         A triangular field runs its exact Lie series (``flow_source``) on
         the columns, which must be views of P's; any other field is one call
-        of ``flow_batch`` or ``mixture_flow_batch`` (names the generated
-        function must have in scope) on P, written back into P.
+        of ``adaptive`` (``_adaptive``, in the generated function's scope),
+        written back into P's state columns.
         """
-        pmap = self._flow_field(key)
+        pmap = self._key_map(key)
         if pmap.is_triangular():
             return pmap.flow_source()
-        if not isinstance(key, tuple):
-            return [f"P[:] = flow_batch({key}, T, P)"]
-        d = len(key[0])
-        return [f"P[:, {d}:] = mixture_flow_batch({key[0]!r}, P[:, :{d}], T, P[:, {d}:])"]
-
-    def _compile_path(self, lines):
-        """The function ``lines`` define, with the fallbacks of ``_leg_source`` in scope."""
-        return exec_source(lines, flow_batch=self.flow_batch,
-                           mixture_flow_batch=self.mixture_flow_batch)
+        return [f"P[:, {pmap.n - self.n}:] = adaptive({key!r}, T, P)"]
 
     def arc_path_batch(self, letters, T, x):
         """Endpoints of arc paths from x: signed letter ``letters[i]`` flowed
@@ -204,8 +182,7 @@ class VectorFieldSystem:
         (N, len(letters)), returns (N, n).
 
         One generated evaluator per system, built on first use: a branch per
-        letter runs its ``_leg_source``, at -T for a negative letter, as
-        ``flow_batch`` flows one leg.
+        letter runs its ``_leg_source``, at -T for a negative letter.
         """
         fn = self._flows.get("arcs")
         if fn is None:
@@ -222,47 +199,51 @@ class VectorFieldSystem:
             lines += ["        else:",
                       f"            raise ValueError(f'field index {{j}} outside 1..{self.m}')",
                       "    return P"]
-            fn = self._flows["arcs"] = self._compile_path(lines)
+            fn = self._flows["arcs"] = exec_source(lines, adaptive=self._adaptive)
         return fn(letters, T, x)
+
+    def _control_path(self, keys):
+        """Generated evaluator ``(U, x, T) -> endpoints`` of the control paths
+        over the key tuple ``keys``, built on first use: each of the
+        ``U.shape[1]`` segments lasts ``T`` and runs the lift's
+        ``_leg_source`` with the segment's controls in the leading columns."""
+        fn = self._flows.get(("controls", keys))
+        if fn is None:
+            d, n = len(keys), self.n
+            lines = ["def _f(U, x, T):",
+                     f"    P = np.empty((len(U), {d + n}))",
+                     f"    {''.join(f'x{i}, ' for i in range(d + n))}= P.T",
+                     f"    P[:, {d}:] = x",
+                     "    for seg in range(U.shape[1]):",
+                     f"        P[:, :{d}] = U[:, seg]"]
+            lines += [f"        {s}" for s in self._leg_source((keys,))]
+            lines.append(f"    return P[:, {d}:]")
+            fn = self._flows["controls", keys] = exec_source(lines, adaptive=self._adaptive)
+        return fn
 
     def control_path_batch(self, keys, U, x):
         """Endpoints of piecewise-constant control paths from x over the
         fields of ``keys`` (letters or words): ``U`` has shape
         (N, segments, len(keys)), each segment lasts 1/segments and is one
-        mixture flow; returns (N, n).
-
-        One generated evaluator per key tuple, built on first use: it loops
-        over the segments and runs the lift's ``_leg_source`` with the
-        segment's controls in the leading columns.
+        mixture flow; returns (N, n).  One generated evaluator per key tuple.
         """
-        keys = tuple(keys)
-        fn = self._flows.get(("controls", keys))
-        if fn is None:
-            d, n = len(keys), self.n
-            lines = ["def _f(U, x):",
-                     "    U = np.asarray(U, dtype=float)",
-                     "    N, k, _ = U.shape",
-                     f"    P = np.empty((N, {d + n}))",
-                     f"    {''.join(f'x{i}, ' for i in range(d + n))}= P.T",
-                     f"    P[:, {d}:] = x",
-                     "    for seg in range(k):",
-                     "        T = 1.0 / k",
-                     f"        P[:, :{d}] = U[:, seg]"]
-            lines += [f"        {s}" for s in self._leg_source((keys,))]
-            lines.append(f"    return P[:, {d}:]")
-            fn = self._flows["controls", keys] = self._compile_path(lines)
-        return fn(U, x)
+        U = np.asarray(U, dtype=float)
+        return self._control_path(tuple(keys))(U, x, 1.0 / U.shape[1])
 
     def flow_batch(self, j, T, Y):
-        """Flow of a signed generator letter for times T over rows of Y.
+        """Flow of a signed generator letter for times T over rows of Y: one
+        leg of ``arc_path_batch``.
 
         ``T`` is a scalar or has one entry per row.  Exact on a triangular
         field, adaptive (``flows.dopri5``: NaN rows off the domain box) on
-        any other.
+        any other.  The sign is folded into T first, so a scalar time stays a
+        stride-0 column, which numpy's loops treat as the scalar it is.
         """
         if j < 0:
             j, T = -j, -np.asarray(T, dtype=float)
-        return self._flow(j)(np.asarray(T, dtype=float), np.asarray(Y, dtype=float))
+        Y = np.asarray(Y, dtype=float)
+        T = np.broadcast_to(np.asarray(T, dtype=float), Y.shape[:-1])
+        return self.arc_path_batch((j,), T[:, None], Y)
 
     def mixture_flow_batch(self, keys, U, T, Y):
         """Flow of the mixture sum_j U[:, j] X_{keys[j]} for times T over rows of Y.
@@ -270,13 +251,10 @@ class VectorFieldSystem:
         ``keys`` are letters or words, ``U`` holds one row of constant
         controls per row of ``Y`` and ``T`` is a scalar or has one entry per
         row.  The controls become leading variables of one lifted field
-        (``control_mixture``), flowed as ``flow_batch`` flows a letter; on a
-        non-triangular lift the controls count as coordinates of the
-        domain box.
+        (``control_mixture``), flowed as one segment of ``control_path_batch``.
         """
-        keys = tuple(keys)
-        P = np.concatenate([np.asarray(U, dtype=float), np.asarray(Y, dtype=float)], axis=-1)
-        return self._flow((keys,))(np.asarray(T, dtype=float), P)[..., len(keys):]
+        U = np.asarray(U, dtype=float)[:, None, :]
+        return self._control_path(tuple(keys))(U, Y, np.asarray(T, dtype=float))
 
     def flow(self, j, t, x):
         """Flow of a signed letter from one point: ``compose_flows`` of one leg."""
@@ -304,7 +282,7 @@ class VectorFieldSystem:
         of psi at the endpoints, divided by t**l.
         """
         w = check_word(w, alphabet=self.m)
-        psi_fn = psi.compile_scalar() if isinstance(psi, Poly) else psi
+        psi_fn = psi.compile_scalar()
         acc = 0.0
         for p, sgn in pi_support(len(w)):
             pw = apply_perm(p, w)
@@ -396,13 +374,6 @@ class VectorFieldSystem:
     def taylor_remainder_order(self, psi, jseq, x, ts, ell):
         rems = [self.taylor_composed_flows(psi, jseq, x, t, ell)[2] for t in ts]
         return rems, _log_slope(ts, rems, 1e-13)
-
-
-def _unit_controls(d, T, P):
-    """Each row's controls u (its first d entries) over s = max(1, max|u|) and
-    its time times s: the same path, and rows with max|u| <= 1 bitwise kept."""
-    s = np.abs(P[:, :d]).max(axis=1, initial=1.0)
-    return T * s, np.concatenate([P[:, :d] / s[:, None], P[:, d:]], axis=1)
 
 
 def _log_slope(ts, errors, floor):

@@ -385,6 +385,16 @@ def test_frame_candidates_drop_zero_and_twin_columns():
     assert (triple.I, triple.score, triple.candidates) == ((1, 2, 3, 9), 1 / 32, 5)
 
 
+def test_log10_score_is_exact_where_the_float_score_underflows():
+    # heisenberg picks (1, 2, 4) with |det| = 1 at the origin: score r^4
+    tiny = select_maximal(CommutatorFrame(HEIS), (0.0, 0.0, 0.0), 1e-90)
+    assert tiny.score == 0.0 and abs(tiny.log10_score + 360) <= 1e-12
+    for system, x in ((HEIS, (0.3, -0.2, 0.1)), (GRUSHIN, (0.5, 0.0)),
+                      (load_model("engel"), (0.3, -0.2, 0.1, 0.0))):
+        one = select_maximal(CommutatorFrame(system), x, 1.0)
+        assert abs(one.log10_score - math.log10(one.score)) <= 1e-12
+
+
 def test_frame_candidates_beam_above_the_cap(monkeypatch):
     # with the cap below C(15, 4), the beam keeps the max(2n, n + 4) = 8 distinct
     # columns of largest norm at (0.1, ..., 0.1): no zero map and no +- twin

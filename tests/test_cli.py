@@ -197,7 +197,9 @@ def test_ballbox_frame_at_extreme_radii(capsys, model, center, radius, frame):
     code, out, _ = run_cli(capsys, "ballbox", "--model", model, "--center", center,
                            "--radius", radius)
     assert code == 0
-    assert json.loads(out)["maximal_frame"] == frame
+    rep = json.loads(out)
+    assert rep["maximal_frame"] == frame
+    assert np.isfinite(rep["log10_score"])
 
 
 def test_distance_fl(capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from liebox.poly import Poly, PolyMap, control_mixture, directional_derivative, lie_bracket
+from liebox.vfield import MODEL_BUILDERS, VectorFieldSystem
 
 
 def random_poly(rng, nvars, nterms=4, max_exp=3):
@@ -161,16 +162,18 @@ def test_triangular_fields_and_exact_flow_compile():
     for pm in (PolyMap([x, zero]), PolyMap([y, zero]), PolyMap([one, y])):
         assert not pm.is_triangular()
         with pytest.raises(ValueError):
-            pm.compile_flow_batch()
+            pm.flow_map()
     # x' = 1, y' = x^2: y(t) = y + x^2 t + x t^2 + t^3 / 3
-    flow = PolyMap([one, x * x]).compile_flow_batch()
+    system = VectorFieldSystem([PolyMap([one, x * x])], step=1)
     P = np.array([[0.5, -1.0], [-2.0, 3.0]])
     T = np.array([0.3, -1.5])
-    got = flow(T, P)
+    got = system.flow_batch(1, T, P)
     x0, y0 = P[:, 0], P[:, 1]
     want = np.stack([x0 + T, y0 + x0**2 * T + x0 * T**2 + T**3 / 3], axis=1)
     assert np.allclose(got, want, rtol=0, atol=1e-14)
-    assert np.array_equal(flow(0.0, P), P)
+    assert np.array_equal(system.flow_batch(1, 0.0, P), P)
+    # the one-letter mixture with unit control is the letter's flow
+    assert np.array_equal(system.mixture_flow_batch((1,), np.ones((2, 1)), T, P), got)
 
 
 def _copy_then_update_flow(pm):
@@ -206,30 +209,40 @@ def _copy_then_update_flow(pm):
 
 
 def test_exact_flow_is_bitwise_the_copy_then_update_source():
-    """In-place columns from the last down, and bare unit-coefficient terms,
-    give the same floats as the copy-then-update flow, NaN and inf included."""
-    from liebox.vfield import MODEL_BUILDERS
-
-    maps = []
-    for build in MODEL_BUILDERS.values():
-        system = build()
-        maps += [system.field(j) for j in range(1, system.m + 1)]
-        maps.append(control_mixture(system.fields))
+    """The generated path evaluators behind ``flow_batch`` (every letter, both
+    signs) and ``mixture_flow_batch`` (the lift of all letters) give the
+    same floats as the copy-then-update flow, NaN and inf included.  On the
+    line d/dx the column x0 is contiguous, where numpy's loops keep the NaN
+    of a scalar time and of a time array apart."""
+    line = VectorFieldSystem([PolyMap([Poly.const(1, 1)])], step=1)
     nrng = np.random.default_rng(21)
-    for pm in maps:
-        assert pm.is_triangular()
-        flow, ref = pm.compile_flow_batch(), _copy_then_update_flow(pm)
-        P = nrng.uniform(-3, 3, size=(64, pm.n))
-        P[nrng.random(P.shape) < 0.1] = 0.0
-        P[:4, 0] = np.nan, np.inf, -np.inf, -0.0
+    for system in [build() for build in MODEL_BUILDERS.values()] + [line]:
+        keys = tuple(range(1, system.m + 1))
+        refs = [_copy_then_update_flow(system.field(j)) for j in keys]
+        lift = _copy_then_update_flow(control_mixture(system.fields))
+        Y = nrng.uniform(-3, 3, size=(64, system.n))
+        U = nrng.uniform(-3, 3, size=(64, system.m))
+        for P in (Y, U):
+            P[nrng.random(P.shape) < 0.1] = 0.0
+            P[:4, 0] = np.nan, np.inf, -np.inf, -0.0
         T = nrng.uniform(-2, 2, size=64)
         T[nrng.random(64) < 0.2] = 0.0
         T[4:8] = np.nan, np.inf, -np.inf, -0.0
+        UY = np.concatenate([U, Y], axis=1)
         with np.errstate(all="ignore"):
-            for t in (T, 0.7, 0.0, -1.25):
-                got, want = flow(t, P), ref(t, P)
-                assert got.tobytes() == want.tobytes(), (pm, t)
-            assert flow(T[0], P[0]).tobytes() == ref(T[0], P[0]).tobytes()
+            for t in (T, 0.7, 0.0, -1.25, -np.nan):
+                for j, ref in zip(keys, refs):
+                    want = ref(t, Y).tobytes()
+                    assert system.flow_batch(j, t, Y).tobytes() == want, (system.name, j, t)
+                    back = system.flow_batch(-j, -np.asarray(t), Y)
+                    assert back.tobytes() == want, (system.name, -j, t)
+                got = system.mixture_flow_batch(keys, U, t, Y)
+                assert got.tobytes() == lift(t, UY)[:, system.m:].tobytes(), (system.name, t)
+            # one row, scalar time
+            for j, ref in zip(keys, refs):
+                assert system.flow_batch(j, T[0], Y[:1]).tobytes() == ref(T[0], Y[:1]).tobytes()
+            got = system.mixture_flow_batch(keys, U[:1], T[0], Y[:1])
+            assert got.tobytes() == lift(T[0], UY[:1])[:, system.m:].tobytes()
 
 
 def test_batch_terms_leave_out_unit_coefficients():

@@ -25,6 +25,12 @@ KEPT = {
                         "inverse, its signs and its first-order accuracy",
     "vfield.VectorFieldSystem.nested_bracket_oracle": "right-nested plain Lie "
         "brackets, the independent route to commutator_coeffs",
+    "vfield.VectorFieldSystem.flow_batch": "the documented one-leg batched "
+        "flow of a letter, and the per-leg reference the arc evaluator is "
+        "checked against",
+    "vfield.VectorFieldSystem.mixture_flow_batch": "the documented one-leg "
+        "batched mixture flow, and the per-segment reference the control "
+        "evaluator is checked against",
     # paper claims, each reproducing one step of the paper
     "vfield.VectorFieldSystem.sharp_word": "the nested commutator acts as the "
         "pi-signed sum of iterated derivatives",

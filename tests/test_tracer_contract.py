@@ -89,6 +89,29 @@ def test_tracer_installs_and_counts_every_reached_layer():
                          lb.vfield.VectorFieldSystem.batch_fn, lb.poly.Poly.compile_batch)
 
 
+def test_tracer_sees_an_adaptive_leg():
+    # a non-triangular leg looks flows.dopri5 up at call time, so the
+    # tracer's rebinding of that name records it
+    spans = _load_spans()
+    lb = types.SimpleNamespace(
+        **{m: importlib.import_module(f"liebox.{m}") for m in MODULES})
+    Poly, PolyMap = lb.poly.Poly, lb.poly.PolyMap
+    # X1 = d/dx, X2 = y d/dx + x d/dy: X2 is not triangular
+    xy = lb.vfield.VectorFieldSystem(
+        [PolyMap([Poly.const(2, 1), Poly.zero(2)]), PolyMap([Poly.var(2, 1), Poly.var(2, 0)])],
+        step=2)
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer, lb)
+        tracer.op = 0
+        Y = xy.flow_batch(2, 0.3, [[0.1, 0.2], [-0.3, 0.0]])
+        times = tracer.layer_times(True)
+    finally:
+        tracer.restore()
+    assert times["flows.dopri5"][0] == 1
+    assert Y.shape == (2, 2) and (abs(Y) < 1).all()
+
+
 def test_tracer_counts_the_exact_layers():
     spans = _load_spans()
     lb = types.SimpleNamespace(

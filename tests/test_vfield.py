@@ -18,6 +18,7 @@ from liebox.vfield import (
     load_model,
     system_from_json,
 )
+from liebox.words import rational_point
 
 HEIS = load_model("heisenberg")
 GRUSHIN = load_model("grushin")
@@ -256,7 +257,7 @@ def test_bracket_limit_order_heisenberg_generic():
 
 
 def test_ad_evaluated_at_point():
-    vec = ENGEL.ad(1, (1, 2), x=(0.5, 0.1, 0.0, 0.0))
+    vec = ENGEL.ad(1, (1, 2)).eval_exact(rational_point((0.5, 0.1, 0.0, 0.0)))
     oracle = ENGEL.commutator_coeffs((1, 1, 2)).eval_exact(
         (Fraction(1, 2), Fraction(1, 10), 0, 0)
     )
